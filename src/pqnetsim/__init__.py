@@ -33,7 +33,7 @@ from .engine import (
 )
 from .errors import ParameterError, ProfileNotFoundError, ScenarioValidationError, Violation
 from .fidelity import FIDELITY_FLOOR, chain_fidelity, decay, swap
-from .kms import KmsConfig, full_mesh_handshakes, hierarchical_handshakes, rekey_cycle_time
+from .kms import full_mesh_handshakes, hierarchical_handshakes, rekey_cycle_time
 from .model import (
     AdversaryConfig,
     ClassicalChannelSpec,
@@ -82,7 +82,6 @@ __all__ = [
     "FailureReason",
     "FeasibilityResult",
     "HopTiming",
-    "KmsConfig",
     "MemorySpec",
     "MemoryTier",
     "NodeRole",

@@ -40,6 +40,10 @@ split (:func:`trial_seed_for`): the first eight bytes, little-endian, of
 ``SHA-256(master_seed_le64 || trial_index_le64)``.  Only regenerating links
 draw, one uniform variate per link per slot, in path order.  Every trial is
 therefore an isolated state machine, bit-reproducible in isolation.
+
+Every public entry point validates the scenario first.  Set-up is then
+linear in the chain length, and the trial loops trust the validated data:
+they call the unchecked fidelity kernels, not the checked public functions.
 """
 
 from __future__ import annotations
@@ -205,11 +209,13 @@ def _adjusted_base_fidelity(config: model.ScenarioConfig, link: model.QuantumLin
 def _prepare(config: model.ScenarioConfig) -> _PreparedTwoParty | _PreparedChain:
     path = model.resolve_path(config)
     timings = timing.scenario_timings(config)
+    nodes = config.node_index()
     if config.protocol is model.Protocol.PARALLEL_CHAIN:
-        links = [model.link_between(config, path[j], path[j + 1]) for j in range(len(path) - 1)]
-        t_coh = {n.id: n.memory.t_coh for n in config.nodes}
-        lo_tcoh = tuple(t_coh[path[j]] for j in range(len(links)))
-        hi_tcoh = tuple(t_coh[path[j + 1]] for j in range(len(links)))
+        links_by_key = {link.key: link for link in config.quantum_links}
+        links = [links_by_key[model.pair_key(a, b)] for a, b in zip(path, path[1:])]
+        t_coh = [nodes[node_id].memory.t_coh for node_id in path]
+        lo_tcoh = tuple(t_coh[:-1])
+        hi_tcoh = tuple(t_coh[1:])
         return _PreparedChain(
             tau=config.slot_duration,
             p=tuple(link.p_success for link in links),
@@ -233,7 +239,7 @@ def _prepare(config: model.ScenarioConfig) -> _PreparedTwoParty | _PreparedChain
     f = _adjusted_base_fidelity(config, link)
     if config.protocol is model.Protocol.SEQUENTIAL_ROUNDS:
         # Both parties keep their qubit through all rounds.
-        f = fidelity.decay(f, total_delay, config.node(path[0]).memory.t_coh)
+        f = fidelity.decay(f, total_delay, nodes[path[0]].memory.t_coh)
     f_end = fidelity.decay(f, total_delay, timings.t_coh_end)
     return _PreparedTwoParty(
         p=link.p_success,
@@ -249,10 +255,17 @@ def run_trial(
 ) -> TrialOutcome:
     """Simulate one trial; deterministic given ``(config, trial_seed)``.
 
-    Assumes ``validate_scenario(config)`` is empty; use :func:`run_trials`
-    for a validating entry point.
+    The scenario is validated and prepared on every call; :func:`run_trials`
+    does both once for a whole run.
     """
+    _require_valid(config)
     return _execute(_prepare(config), trial_seed, max_slots)
+
+
+def _require_valid(config: model.ScenarioConfig) -> None:
+    violations = model.validate_scenario(config)
+    if violations:
+        raise ScenarioValidationError(violations)
 
 
 def _execute(
@@ -360,9 +373,9 @@ def _run_parallel_chain(run: _PreparedChain, rng: random.Random, max_slots: int)
     if not (worst < t_coh_end):
         return TrialOutcome(False, slot, t_dist=t_dist, failure_reason=FailureReason.MESSAGE_LATE)
 
-    link_fids = []
+    # Decay each link for both storage waits, then fold it in as chain_fidelity does.
+    decay, swap = fidelity._decay, fidelity._swap
     for j in range(n_links):
-        f = run.base_fids[j]
         if j == 0:
             wait_lo = max(0.0, t_dist - gen_slot[j] * tau)
         else:
@@ -371,10 +384,8 @@ def _run_parallel_chain(run: _PreparedChain, rng: random.Random, max_slots: int)
             wait_hi = max(0.0, t_dist - gen_slot[j] * tau)
         else:
             wait_hi = (bsm_slot[j] - gen_slot[j]) * tau
-        f = fidelity.decay(f, wait_lo, lo_tcoh[j])
-        f = fidelity.decay(f, wait_hi, hi_tcoh[j])
-        link_fids.append(f)
-    f_end = fidelity.chain_fidelity(link_fids)
+        f = decay(decay(run.base_fids[j], wait_lo, lo_tcoh[j]), wait_hi, hi_tcoh[j])
+        f_end = f if j == 0 else swap(f_end, f)
     return TrialOutcome(True, slot, t_dist=t_dist, f_end=f_end)
 
 
@@ -393,9 +404,7 @@ def run_trials(
     ``n_trials`` and ``master_seed`` default to the scenario's own fields.
     The scenario is validated once up front.
     """
-    violations = model.validate_scenario(config)
-    if violations:
-        raise ScenarioValidationError(violations)
+    _require_valid(config)
     n = config.n_trials if n_trials is None else n_trials
     seed = config.seed if master_seed is None else master_seed
     if n < 1:

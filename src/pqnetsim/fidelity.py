@@ -53,11 +53,7 @@ def decay(f0: float, wait: float, t_coh: float) -> float:
         raise ParameterError(f"wait must be finite and >= 0, got {wait!r}")
     if not math.isfinite(t_coh) or t_coh <= 0:
         raise ParameterError(f"t_coh must be finite and > 0, got {t_coh!r}")
-    if wait == 0.0:
-        return float(f0)
-    decayed = FIDELITY_FLOOR + (f0 - FIDELITY_FLOOR) * math.exp(-wait / t_coh)
-    # exp() <= 1 bounds the true value by f0; min() guards the last ulp.
-    return min(float(f0), decayed)
+    return _decay(f0, wait, t_coh)
 
 
 def swap(f1: float, f2: float) -> float:
@@ -68,8 +64,7 @@ def swap(f1: float, f2: float) -> float:
     """
     _check_fidelity(f1, "f1")
     _check_fidelity(f2, "f2")
-    value = f1 * f2 + (1.0 - f1) * (1.0 - f2) / 3.0
-    return max(FIDELITY_FLOOR, min(1.0, value))
+    return _swap(f1, f2)
 
 
 def chain_fidelity(links: Iterable[float]) -> float:
@@ -85,5 +80,21 @@ def chain_fidelity(links: Iterable[float]) -> float:
     result = float(values[0])
     for i, value in enumerate(values[1:], start=1):
         _check_fidelity(value, f"links[{i}]")
-        result = swap(result, value)
+        result = _swap(result, value)
     return result
+
+
+# Unchecked kernels: the public functions above check their arguments, and
+# the engine calls these directly on data that validate_scenario accepted.
+
+def _decay(f0: float, wait: float, t_coh: float) -> float:
+    if wait == 0.0:
+        return float(f0)
+    decayed = FIDELITY_FLOOR + (f0 - FIDELITY_FLOOR) * math.exp(-wait / t_coh)
+    # exp() <= 1 bounds the true value by f0; min() guards the last ulp.
+    return min(float(f0), decayed)
+
+
+def _swap(f1: float, f2: float) -> float:
+    value = f1 * f2 + (1.0 - f1) * (1.0 - f2) / 3.0
+    return max(FIDELITY_FLOOR, min(1.0, value))

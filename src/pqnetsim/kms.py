@@ -13,32 +13,14 @@ fixed number of parallel lanes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import ParameterError
 
 __all__ = [
-    "KmsConfig",
     "full_mesh_handshakes",
     "hierarchical_handshakes",
     "rekey_cycle_time",
 ]
-
-
-@dataclass(frozen=True)
-class KmsConfig:
-    """Inputs of one re-key cycle estimate.
-
-    ``per_handshake_time`` includes the KEM latency; ``t_auth`` is the
-    per-handshake authentication overhead.  ``cluster_size`` only applies in
-    hierarchical mode and must not exceed ``n_nodes``.
-    """
-
-    n_nodes: int
-    per_handshake_time: float
-    t_auth: float
-    parallelism: int
-    cluster_size: int | None = None
 
 
 def _check_int(value, name: str, minimum: int) -> None:

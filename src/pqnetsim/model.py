@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Any, Iterable, Mapping
+from typing import Any, Iterable, Mapping, Sequence
 
 from .errors import ParameterError, ProfileNotFoundError, ScenarioValidationError, Violation
 
@@ -205,6 +205,10 @@ class ScenarioConfig:
                 return n
         raise ParameterError(f"unknown node id: {node_id!r}")
 
+    def node_index(self) -> dict[str, NodeSpec]:
+        """Nodes by id, built in one pass; of duplicate ids the first wins, as in :meth:`node`."""
+        return {n.id: n for n in reversed(self.nodes)}
+
     def channel_between(self, a: str, b: str) -> ClassicalChannelSpec:
         key = pair_key(a, b)
         try:
@@ -315,7 +319,7 @@ def load_registry(path: str | Path) -> CryptoRegistry:
     """
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, RecursionError) as exc:
         raise ParameterError(f"cannot read profile registry {path}: {exc}") from exc
     if not isinstance(data, list):
         raise ParameterError("profile registry must be a JSON array of profile objects")
@@ -604,6 +608,8 @@ def load_scenario(path: str | Path, registry: CryptoRegistry | None = None) -> S
         raise ScenarioValidationError([Violation("$", f"cannot read {path}: {exc}")]) from exc
     except json.JSONDecodeError as exc:
         raise ScenarioValidationError([Violation("$", f"not valid JSON: {exc}")]) from exc
+    except RecursionError as exc:
+        raise ScenarioValidationError([Violation("$", "JSON nested too deeply to decode")]) from exc
     return parse_scenario(data, registry)
 
 
@@ -638,21 +644,22 @@ def validate_scenario(config: ScenarioConfig) -> list[Violation]:
     for i, link in enumerate(config.quantum_links):
         path = f"$.quantum_links[{i}]"
         a, b = link.endpoints
+        key = link.key
         if a == b:
-            vios.append(Violation(f"{path}.endpoints", f"link {link.key!r}: endpoints must be distinct"))
+            vios.append(Violation(f"{path}.endpoints", f"link {key!r}: endpoints must be distinct"))
         for endpoint in (a, b):
             if endpoint not in node_ids:
                 vios.append(Violation(f"{path}.endpoints", f"link references unknown node id {endpoint!r}"))
-        if link.key in seen_links:
-            vios.append(Violation(f"{path}.endpoints", f"duplicate quantum link {link.key!r}"))
-        seen_links.add(link.key)
+        if key in seen_links:
+            vios.append(Violation(f"{path}.endpoints", f"duplicate quantum link {key!r}"))
+        seen_links.add(key)
         if not math.isfinite(link.gen_rate) or link.gen_rate <= 0:
-            vios.append(Violation(f"{path}.gen_rate", f"link {link.key!r}: gen_rate must be finite and > 0"))
+            vios.append(Violation(f"{path}.gen_rate", f"link {key!r}: gen_rate must be finite and > 0"))
         if not math.isfinite(link.p_success) or not (0.0 < link.p_success <= 1.0):
-            vios.append(Violation(f"{path}.p_success", f"link {link.key!r}: p_success must be in (0, 1]"))
+            vios.append(Violation(f"{path}.p_success", f"link {key!r}: p_success must be in (0, 1]"))
         if not math.isfinite(link.base_fidelity) or not (0.25 <= link.base_fidelity <= 1.0):
             vios.append(
-                Violation(f"{path}.base_fidelity", f"link {link.key!r}: base_fidelity must be in [0.25, 1]")
+                Violation(f"{path}.base_fidelity", f"link {key!r}: base_fidelity must be in [0.25, 1]")
             )
 
     for key, spec in config.classical_channels.items():
@@ -723,21 +730,16 @@ def _validate_topology(config: ScenarioConfig, node_ids: set[str]) -> list[Viola
         )
         return vios
 
-    degree: dict[str, int] = {n.id: 0 for n in config.nodes}
-    for link in links:
-        degree[link.endpoints[0]] += 1
-        degree[link.endpoints[1]] += 1
-
+    degree, ends = _degrees_and_ends(config, links)
     for node_id, deg in degree.items():
         if deg == 0:
             vios.append(Violation("$.nodes", f"node {node_id!r} is not attached to any quantum link"))
         elif deg > 2:
             vios.append(Violation("$.quantum_links", f"node {node_id!r} has degree {deg}; links must form a path"))
-    ends = [n for n in config.nodes if degree.get(n.id, 0) == 1]
     if len(ends) != 2:
         vios.append(Violation("$.quantum_links", "links must form a simple path with exactly two endpoints"))
         return vios
-    if any(degree.get(n, 0) > 2 for n in degree):
+    if any(deg > 2 for deg in degree.values()):
         return vios
 
     path = _walk_path(config, links, ends)
@@ -747,8 +749,9 @@ def _validate_topology(config: ScenarioConfig, node_ids: set[str]) -> list[Viola
     for end in ends:
         if end.role is not NodeRole.END_NODE:
             vios.append(Violation("$.nodes", f"path endpoint {end.id!r} must have role 'end_node'"))
+    nodes = config.node_index()
     for interior_id in path[1:-1]:
-        if config.node(interior_id).role is NodeRole.END_NODE:
+        if nodes[interior_id].role is NodeRole.END_NODE:
             vios.append(Violation("$.nodes", f"interior node {interior_id!r} must not have role 'end_node'"))
 
     receiver = path[-1]
@@ -768,8 +771,19 @@ def _validate_topology(config: ScenarioConfig, node_ids: set[str]) -> list[Viola
     return vios
 
 
+def _degrees_and_ends(
+    config: ScenarioConfig, links: Iterable[QuantumLinkSpec]
+) -> tuple[dict[str, int], list[NodeSpec]]:
+    """Quantum-link count per node id, and the nodes (in node order) with one link."""
+    degree: dict[str, int] = {n.id: 0 for n in config.nodes}
+    for a, b in (link.endpoints for link in links):
+        degree[a] += 1
+        degree[b] += 1
+    return degree, [n for n in config.nodes if degree[n.id] == 1]
+
+
 def _walk_path(
-    config: ScenarioConfig, links: list[QuantumLinkSpec], ends: list[NodeSpec]
+    config: ScenarioConfig, links: Sequence[QuantumLinkSpec], ends: list[NodeSpec]
 ) -> list[str] | None:
     """Order path nodes between the two endpoints, lexicographically oriented.
 
@@ -806,25 +820,11 @@ def resolve_path(config: ScenarioConfig) -> list[str]:
     whose id sorts lexicographically later.  Assumes the scenario is valid;
     raises :class:`ParameterError` when no simple path exists.
     """
-    degree: dict[str, int] = {n.id: 0 for n in config.nodes}
-    for link in config.quantum_links:
-        degree[link.endpoints[0]] += 1
-        degree[link.endpoints[1]] += 1
-    ends = [n for n in config.nodes if degree.get(n.id, 0) == 1]
-    if len(ends) != 2:
-        raise ParameterError("quantum links do not form a simple path")
-    path = _walk_path(config, list(config.quantum_links), ends)
+    _, ends = _degrees_and_ends(config, config.quantum_links)
+    path = _walk_path(config, config.quantum_links, ends) if len(ends) == 2 else None
     if path is None:
         raise ParameterError("quantum links do not form a simple path")
     return path
-
-
-def link_between(config: ScenarioConfig, a: str, b: str) -> QuantumLinkSpec:
-    key = pair_key(a, b)
-    for link in config.quantum_links:
-        if link.key == key:
-            return link
-    raise ParameterError(f"no quantum link for pair {key!r}")
 
 
 # ---------------------------------------------------------------------------

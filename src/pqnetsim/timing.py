@@ -190,20 +190,21 @@ class ScenarioTimings:
 def scenario_timings(config: model.ScenarioConfig) -> ScenarioTimings:
     """Extract the protocol's message timings from a validated scenario."""
     path = model.resolve_path(config)
-    receiver = config.node(path[-1])
+    nodes = config.node_index()
+    receiver = nodes[path[-1]]
     t_coh_end = receiver.memory.t_coh
     dec_end = receiver.crypto.t_decrypt
     if config.protocol is model.Protocol.PARALLEL_CHAIN:
         hops = tuple(
             HopTiming(
-                t_encrypt=config.node(mid).crypto.t_encrypt,
+                t_encrypt=nodes[mid].crypto.t_encrypt,
                 t_comm=config.channel_between(mid, receiver.id).t_comm,
                 t_decrypt=dec_end,
             )
             for mid in path[1:-1]
         )
     else:
-        sender = config.node(path[0])
+        sender = nodes[path[0]]
         hop = HopTiming(
             t_encrypt=sender.crypto.t_encrypt,
             t_comm=config.channel_between(sender.id, receiver.id).t_comm,

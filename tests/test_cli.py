@@ -108,6 +108,17 @@ class TestCheck:
     def test_missing_file_exits_two(self, tmp_path):
         assert main(["check", str(tmp_path / "nope.json")]) == 2
 
+    def test_deeply_nested_json_exits_two(self, tmp_path, capsys):
+        scenario = tmp_path / "nested.json"
+        scenario.write_text("[" * 100_000 + "]" * 100_000)
+        code = main(["check", str(scenario)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "Traceback" not in captured.err
+        assert json.loads(captured.out)["violations"] == [
+            {"path": "$", "message": "JSON nested too deeply to decode"}
+        ]
+
 
 class TestSimulate:
     def test_reruns_are_byte_identical(self, tmp_path, capsys):
@@ -362,3 +373,12 @@ class TestProfilesCommand:
         payload = json.loads(capsys.readouterr().out)
         assert code == 0
         assert {p["name"] for p in payload} == {"test-sender", "test-receiver"}
+
+    def test_deeply_nested_registry_exits_two(self, tmp_path, capsys):
+        profiles = tmp_path / "nested.json"
+        profiles.write_text("[" * 100_000 + "]" * 100_000)
+        code = main(["--profiles", str(profiles), "profiles"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "Traceback" not in err
+        assert err.startswith(f"error: cannot read profile registry {profiles}:")

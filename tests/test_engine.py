@@ -15,12 +15,15 @@ from pqnetsim import (
     chain_fidelity,
     check_scenario,
     decay,
+    engine,
+    model,
     run_monte_carlo,
     run_trial,
     run_trials,
     set_config_value,
     summarize,
     sweep,
+    timing,
     trial_seed_for,
 )
 from pqnetsim.engine import derive_stream_seed
@@ -283,6 +286,30 @@ class TestDeterminism:
         broken = dataclasses.replace(config, slot_duration=-1.0)
         with pytest.raises(ScenarioValidationError):
             run_trials(broken)
+        with pytest.raises(ScenarioValidationError):
+            run_trial(broken, trial_seed_for(1, 0))
+
+    def test_outcomes_invariant_under_link_order_and_orientation(self):
+        config = chain_scenario(
+            [(0.0005, 0.001), (0.0002, 0.002), (0.0001, 0.0005)],
+            t_coh_repeater=[0.01, 0.02, 0.015],
+            t_coh_end=0.05,
+            p_success=[0.3, 0.5, 0.4, 0.6],
+            base_fidelity=[0.97, 0.9, 0.95, 0.92],
+            n_trials=300,
+            seed=11,
+            adversary=AdversaryConfig(t_eve=0.001, t_pqc=0.0005, t_coh_eve=0.01, intercept_link="r1,r2"),
+        )
+        expected = run_trials(config)
+        assert 0 < sum(o.success for o in expected) < len(expected)
+        rng = random.Random(5)
+        flipped = [dataclasses.replace(l, endpoints=l.endpoints[::-1]) for l in config.quantum_links]
+        for _ in range(3):
+            nodes = list(config.nodes)
+            rng.shuffle(nodes)
+            rng.shuffle(flipped)
+            permuted = dataclasses.replace(config, nodes=tuple(nodes), quantum_links=tuple(flipped))
+            assert run_trials(permuted) == expected
 
 
 class TestAdversaryIntegration:
@@ -363,3 +390,35 @@ class TestSweep:
         config = two_party_scenario()
         with pytest.raises(ScenarioValidationError):
             sweep(config, "slot_duration", [-0.5])
+
+
+# ---------------------------------------------------------------------------
+# Set-up cost
+# ---------------------------------------------------------------------------
+
+
+class TestSetupScaling:
+    def test_setup_lookups_are_linear_in_chain_length(self, monkeypatch):
+        # Counts, not wall time: they repeat exactly from run to run.
+        n = 1600
+        config = chain_scenario([(0.0, 0.001)] * n)
+        assert model.validate_scenario(config) == []
+        calls = 0
+        pair_key, node = model.pair_key, model.ScenarioConfig.node
+
+        def counted_pair_key(a, b):
+            nonlocal calls
+            calls += 1
+            return pair_key(a, b)
+
+        def counted_node(self, node_id):
+            nonlocal calls
+            calls += 1
+            return node(self, node_id)
+
+        monkeypatch.setattr(model, "pair_key", counted_pair_key)
+        monkeypatch.setattr(model.ScenarioConfig, "node", counted_node)
+        for step in (model.validate_scenario, timing.scenario_timings, engine._prepare):
+            calls = 0
+            step(config)
+            assert calls <= 4 * n, f"{step.__name__}: {calls} lookups for {n} repeaters"
