@@ -3,7 +3,8 @@
 Subcommands: ``check``, ``simulate``, ``adversary``, ``kms``, ``sweep`` and
 ``profiles``.  Exit codes follow a fixed taxonomy: 0 on success, 1 for a
 legitimate negative verdict (timing infeasible, intrusion flagged) so
-pipelines can branch without parsing JSON, and 2 for malformed input.
+pipelines can branch without parsing JSON, 2 for malformed input, and 3 for
+an internal error, a fault of the program that is never a verdict.
 
 Every command is a pure function of its input files and flags: all
 randomness flows from the scenario seed or the ``--seed`` override, outputs
@@ -31,6 +32,7 @@ __all__ = ["CommandResult", "main", "build_parser"]
 EXIT_OK = 0
 EXIT_NEGATIVE_VERDICT = 1
 EXIT_INPUT_ERROR = 2
+EXIT_INTERNAL_ERROR = 3
 
 TRIALS_CSV_COLUMNS = ["trial_index", "success", "failure_reason", "slots_used", "t_dist_s", "f_end"]
 
@@ -372,6 +374,9 @@ def main(argv: list[str] | None = None) -> int:
     except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    except Exception as exc:  # any other failure is a bug; it must not pass for a verdict
+        print(" ".join(f"internal error: {type(exc).__name__}: {exc}".split()), file=sys.stderr)
+        return EXIT_INTERNAL_ERROR
     return result.exit_code
 
 

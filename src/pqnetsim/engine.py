@@ -41,6 +41,10 @@ split (:func:`trial_seed_for`): the first eight bytes, little-endian, of
 draw, one uniform variate per link per slot, in path order.  Every trial is
 therefore an isolated state machine, bit-reproducible in isolation.
 
+Chain trials fast-forward through quiet slots: until an expiry is due, only
+the down links draw, so their draws are taken in one stream up to the first
+success, and the sweep and the swap scan run only in event slots.
+
 Every public entry point validates the scenario first.  Set-up is then
 linear in the chain length, and the trial loops trust the validated data:
 they call the unchecked fidelity kernels, not the checked public functions.
@@ -49,10 +53,14 @@ they call the unchecked fidelity kernels, not the checked public functions.
 from __future__ import annotations
 
 import hashlib
+import math
 import random
 import statistics
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
+from itertools import compress, count, cycle, islice
+from operator import lt
 from typing import Sequence
 
 from . import fidelity, model, timing
@@ -75,6 +83,8 @@ __all__ = [
 
 # Bounds runtime when generation probabilities are near zero.
 DEFAULT_MAX_SLOTS = 1_000_000
+
+_MAX_GAP = 2**52  # longest jump the chain engine's fast-forward makes at once
 
 _U64 = 2**64
 
@@ -256,9 +266,13 @@ def run_trial(
     """Simulate one trial; deterministic given ``(config, trial_seed)``.
 
     The scenario is validated and prepared on every call; :func:`run_trials`
-    does both once for a whole run.
+    does both once for a whole run.  Quiet chain slots are fast-forwarded,
+    with the same draws: one uniform per regenerating link per slot, in path order.
     """
     _require_valid(config)
+    _check_seed(trial_seed, "trial_seed")
+    if max_slots < 1:
+        raise ParameterError(f"max_slots must be >= 1, got {max_slots!r}")
     return _execute(_prepare(config), trial_seed, max_slots)
 
 
@@ -271,9 +285,6 @@ def _require_valid(config: model.ScenarioConfig) -> None:
 def _execute(
     prepared: _PreparedTwoParty | _PreparedChain, trial_seed: int, max_slots: int
 ) -> TrialOutcome:
-    _check_seed(trial_seed, "trial_seed")
-    if max_slots < 1:
-        raise ParameterError(f"max_slots must be >= 1, got {max_slots!r}")
     rng = random.Random(trial_seed)
     if isinstance(prepared, _PreparedChain):
         return _run_parallel_chain(prepared, rng, max_slots)
@@ -296,14 +307,26 @@ def _run_two_party(run: _PreparedTwoParty, rng: random.Random, max_slots: int) -
     return TrialOutcome(True, gen_slot, t_dist=t_dist, f_end=run.f_end)
 
 
+@lru_cache(maxsize=1024)
+def _expiry_gap(limit: float, tau: float) -> int:
+    """Slots after its birth at which a pair first meets the sweep's ``age >= limit``.
+
+    Capped at ``_MAX_GAP``: an early answer only costs one ordinary slot.
+    """
+    d = max(1, math.ceil(min(limit / tau, _MAX_GAP)))
+    while d > 1 and (d - 1) * tau >= limit:
+        d -= 1
+    while d < _MAX_GAP and d * tau < limit:
+        d += 1
+    return d
+
+
 def _run_parallel_chain(run: _PreparedChain, rng: random.Random, max_slots: int) -> TrialOutcome:
     tau = run.tau
     p = run.p
     lo_tcoh = run.lo_tcoh
     hi_tcoh = run.hi_tcoh
     intact_limit = run.intact_limit
-    delays = run.delays
-    t_coh_end = run.t_coh_end
     n_links = len(p)
     n_reps = n_links - 1
     assert n_reps >= 1
@@ -315,44 +338,56 @@ def _run_parallel_chain(run: _PreparedChain, rng: random.Random, max_slots: int)
     pending = n_reps
 
     rand = rng.random
-    slot = 0
-    failure: FailureReason | None = None
+    slot = idle = 0
     while slot < max_slots:
         slot += 1
-        # Expiry sweep at the slot boundary, before new attempts.  Links with
-        # both sides already measured carry no storage and are skipped.
+        # Live links whose stored qubits can expire: (link, age limit, fatal).
+        # Storage at the non-designated end node (link 0, lo side) never aborts.
+        stored = []
         for j in range(n_links):
-            if not up[j]:
-                continue
-            lo_used = j >= 1 and bsm_done[j - 1]
-            hi_used = j < n_reps and bsm_done[j]
-            if lo_used and hi_used:
-                continue
-            age = (slot - gen_slot[j]) * tau
-            if not lo_used and not hi_used:
-                if age >= intact_limit[j]:
-                    up[j] = False
-            elif lo_used:
-                if age >= hi_tcoh[j]:
-                    failure = FailureReason.MEMORY_EXPIRED
-                    break
-            else:
-                # Remaining qubit sits at the lo-side node; for the first
-                # link that is the non-designated end node, whose storage
-                # never aborts the protocol.
-                if j > 0 and age >= lo_tcoh[j]:
-                    failure = FailureReason.MEMORY_EXPIRED
-                    break
-        if failure is not None:
-            return TrialOutcome(False, slot, failure_reason=failure)
-
+            if up[j]:
+                lo_used = j >= 1 and bsm_done[j - 1]
+                hi_used = j < n_reps and bsm_done[j]
+                if not lo_used and not hi_used:
+                    stored.append((j, intact_limit[j], False))
+                elif not hi_used:
+                    stored.append((j, hi_tcoh[j], True))
+                elif not lo_used and j > 0:
+                    stored.append((j, lo_tcoh[j], True))
+        # Expiry sweep at the slot boundary, before new attempts.
+        for j, limit, fatal in stored:
+            if (slot - gen_slot[j]) * tau >= limit:
+                if fatal:
+                    return TrialOutcome(False, slot, failure_reason=FailureReason.MEMORY_EXPIRED)
+                up[j] = False
+        idle += 1
         for j in range(n_links):
             if not up[j] and rand() < p[j]:
                 up[j] = True
                 gen_slot[j] = slot
+                idle = 0
+        if idle > 1:
+            # Two idle slots in a row: until the next expiry the same down links
+            # draw every slot and nothing else happens, so skip to their first success.
+            due = min([max_slots + 1] + [gen_slot[j] + _expiry_gap(limit, tau) for j, limit, _ in stored if up[j]])
+            down = [j for j in range(n_links) if not up[j]]
+            k = len(down)
+            quiet = min(due - slot - 1, _MAX_GAP // k)
+            draws = map(lt, iter(rand, -1.0), cycle([p[j] for j in down]))
+            hit = next(compress(count(), islice(draws, quiet * k)), None)
+            if hit is None:
+                slot += quiet
+                continue
+            skipped, first = divmod(hit, k)
+            slot += skipped + 1
+            for j in down[first:]:  # the link that succeeded, then the rest of the slot
+                if j == down[first] or rand() < p[j]:
+                    up[j] = True
+                    gen_slot[j] = slot
+                    idle = 0
 
-        # The sweep above guarantees every live pair is fresh at this slot,
-        # so a repeater fires as soon as both adjacent pairs are present.
+        # Every live pair is fresh at this slot, so a repeater fires as soon
+        # as both adjacent pairs are present.
         for i in range(n_reps):
             if not bsm_done[i] and up[i] and up[i + 1]:
                 bsm_done[i] = True
@@ -365,12 +400,10 @@ def _run_parallel_chain(run: _PreparedChain, rng: random.Random, max_slots: int)
 
     # All corrections are in flight; the rest is arithmetic.
     store_slot = gen_slot[n_links - 1]
-    lateness = [
-        (bsm_slot[i] - store_slot) * tau + delays[i] for i in range(n_reps)
-    ]
+    lateness = [(bsm - store_slot) * tau + delay for bsm, delay in zip(bsm_slot, run.delays)]
     worst = max(lateness)
     t_dist = store_slot * tau + worst
-    if not (worst < t_coh_end):
+    if not (worst < run.t_coh_end):
         return TrialOutcome(False, slot, t_dist=t_dist, failure_reason=FailureReason.MESSAGE_LATE)
 
     # Decay each link for both storage waits, then fold it in as chain_fidelity does.
@@ -410,6 +443,8 @@ def run_trials(
     if n < 1:
         raise ParameterError(f"n_trials must be >= 1, got {n!r}")
     _check_seed(seed, "master_seed")
+    if max_slots < 1:
+        raise ParameterError(f"max_slots must be >= 1, got {max_slots!r}")
     prepared = _prepare(config)
     return [_execute(prepared, trial_seed_for(seed, i), max_slots) for i in range(n)]
 

@@ -818,9 +818,12 @@ def resolve_path(config: ScenarioConfig) -> list[str]:
 
     Classical correction messages flow toward ``path[-1]``, the path endpoint
     whose id sorts lexicographically later.  Assumes the scenario is valid;
-    raises :class:`ParameterError` when no simple path exists.
+    raises :class:`ParameterError` when no simple path over known nodes exists.
     """
-    _, ends = _degrees_and_ends(config, config.quantum_links)
+    try:
+        _, ends = _degrees_and_ends(config, config.quantum_links)
+    except KeyError as exc:
+        raise ParameterError(f"quantum link references unknown node id {exc.args[0]!r}") from None
     path = _walk_path(config, config.quantum_links, ends) if len(ends) == 2 else None
     if path is None:
         raise ParameterError("quantum links do not form a simple path")

@@ -12,7 +12,7 @@ import math
 import random
 from functools import lru_cache
 
-from pqnetsim import Protocol, model, timing
+from pqnetsim import FailureReason, Protocol, TrialOutcome, engine, fidelity, model, timing
 from scenario_builders import chain_scenario, two_party_scenario
 
 
@@ -115,3 +115,109 @@ def random_deterministic_scenario(rng: random.Random) -> model.ScenarioConfig:
         index = [n.id for n in config.nodes].index(receiver)
         config = model.set_config_value(config, f"nodes.{index}.memory.t_coh", boundary)
     return config
+
+
+def reference_execute(prepared, trial_seed: int, max_slots: int) -> TrialOutcome:
+    """``engine._execute`` with the chain trial run slot by slot."""
+    rng = random.Random(trial_seed)
+    if isinstance(prepared, engine._PreparedChain):
+        return reference_parallel_chain(prepared, rng, max_slots)
+    return engine._run_two_party(prepared, rng, max_slots)
+
+
+def reference_parallel_chain(run, rng: random.Random, max_slots: int) -> TrialOutcome:
+    """The slot-by-slot chain engine: expiry sweep, draws and Bell-state scan in every slot.
+
+    Kept as the reference the fast-forwarding engine must match outcome for
+    outcome, including ``slots_used`` and the draw stream.
+    """
+    tau = run.tau
+    p = run.p
+    lo_tcoh = run.lo_tcoh
+    hi_tcoh = run.hi_tcoh
+    intact_limit = run.intact_limit
+    delays = run.delays
+    t_coh_end = run.t_coh_end
+    n_links = len(p)
+    n_reps = n_links - 1
+    assert n_reps >= 1
+
+    up = [False] * n_links
+    gen_slot = [0] * n_links
+    bsm_done = [False] * n_reps
+    bsm_slot = [0] * n_reps
+    pending = n_reps
+
+    rand = rng.random
+    slot = 0
+    failure: FailureReason | None = None
+    while slot < max_slots:
+        slot += 1
+        # Expiry sweep at the slot boundary, before new attempts.  Links with
+        # both sides already measured carry no storage and are skipped.
+        for j in range(n_links):
+            if not up[j]:
+                continue
+            lo_used = j >= 1 and bsm_done[j - 1]
+            hi_used = j < n_reps and bsm_done[j]
+            if lo_used and hi_used:
+                continue
+            age = (slot - gen_slot[j]) * tau
+            if not lo_used and not hi_used:
+                if age >= intact_limit[j]:
+                    up[j] = False
+            elif lo_used:
+                if age >= hi_tcoh[j]:
+                    failure = FailureReason.MEMORY_EXPIRED
+                    break
+            else:
+                # Remaining qubit sits at the lo-side node; for the first
+                # link that is the non-designated end node, whose storage
+                # never aborts the protocol.
+                if j > 0 and age >= lo_tcoh[j]:
+                    failure = FailureReason.MEMORY_EXPIRED
+                    break
+        if failure is not None:
+            return TrialOutcome(False, slot, failure_reason=failure)
+
+        for j in range(n_links):
+            if not up[j] and rand() < p[j]:
+                up[j] = True
+                gen_slot[j] = slot
+
+        # The sweep above guarantees every live pair is fresh at this slot,
+        # so a repeater fires as soon as both adjacent pairs are present.
+        for i in range(n_reps):
+            if not bsm_done[i] and up[i] and up[i + 1]:
+                bsm_done[i] = True
+                bsm_slot[i] = slot
+                pending -= 1
+        if pending == 0:
+            break
+    else:
+        return TrialOutcome(False, max_slots, failure_reason=FailureReason.HORIZON_EXCEEDED)
+
+    # All corrections are in flight; the rest is arithmetic.
+    store_slot = gen_slot[n_links - 1]
+    lateness = [
+        (bsm_slot[i] - store_slot) * tau + delays[i] for i in range(n_reps)
+    ]
+    worst = max(lateness)
+    t_dist = store_slot * tau + worst
+    if not (worst < t_coh_end):
+        return TrialOutcome(False, slot, t_dist=t_dist, failure_reason=FailureReason.MESSAGE_LATE)
+
+    # Decay each link for both storage waits, then fold it in as chain_fidelity does.
+    decay, swap = fidelity._decay, fidelity._swap
+    for j in range(n_links):
+        if j == 0:
+            wait_lo = max(0.0, t_dist - gen_slot[j] * tau)
+        else:
+            wait_lo = (bsm_slot[j - 1] - gen_slot[j]) * tau
+        if j == n_links - 1:
+            wait_hi = max(0.0, t_dist - gen_slot[j] * tau)
+        else:
+            wait_hi = (bsm_slot[j] - gen_slot[j]) * tau
+        f = decay(decay(run.base_fids[j], wait_lo, lo_tcoh[j]), wait_hi, hi_tcoh[j])
+        f_end = f if j == 0 else swap(f_end, f)
+    return TrialOutcome(True, slot, t_dist=t_dist, f_end=f_end)

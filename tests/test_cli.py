@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from pqnetsim import HopTiming, timing
+from pqnetsim import HopTiming, engine, timing
 from pqnetsim.cli import main
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -196,6 +196,25 @@ class TestSimulate:
         )
         capsys.readouterr()
         assert (tmp_path / "x" / "trials.csv").read_bytes() != (tmp_path / "y" / "trials.csv").read_bytes()
+
+    def test_zero_slot_budget_exits_two(self, tmp_path, capsys):
+        profiles = write_profiles(tmp_path, enc=0.001, dec=0.001)
+        scenario = write_scenario(tmp_path, scenario_dict())
+        argv = ["--profiles", str(profiles), "--out", str(tmp_path / "out"), "simulate", str(scenario)]
+        assert main(argv + ["--max-slots", "0"]) == 2
+        assert "max_slots must be >= 1" in capsys.readouterr().err
+
+    def test_internal_error_exits_three_with_one_line(self, tmp_path, capsys, monkeypatch):
+        def broken_run_trials(*args, **kwargs):
+            raise RuntimeError("engine state corrupted\nsecond line")
+
+        monkeypatch.setattr(engine, "run_trials", broken_run_trials)
+        profiles = write_profiles(tmp_path, enc=0.001, dec=0.001)
+        scenario = write_scenario(tmp_path, scenario_dict())
+        code = main(["--profiles", str(profiles), "--out", str(tmp_path / "out"), "simulate", str(scenario)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err == "internal error: RuntimeError: engine state corrupted second line\n"
 
     def test_unwritable_output_dir_exits_two(self, tmp_path, capsys):
         profiles = write_profiles(tmp_path, 0.001, 0.001)

@@ -5,6 +5,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pqnetsim import (
     AdversaryConfig,
@@ -32,6 +33,8 @@ from oracles import (
     exact_coincidence_success,
     exact_window_success,
     random_deterministic_scenario,
+    reference_execute,
+    reference_parallel_chain,
     three_sigma,
 )
 from scenario_builders import chain_scenario, two_party_scenario
@@ -390,6 +393,121 @@ class TestSweep:
         config = two_party_scenario()
         with pytest.raises(ScenarioValidationError):
             sweep(config, "slot_duration", [-0.5])
+
+
+# ---------------------------------------------------------------------------
+# Fast-forward against the slot-by-slot reference
+# ---------------------------------------------------------------------------
+
+# Slot lengths, the non-dyadic ones included, so ages round.
+TAUS = (0.001, 0.1 / 3, 1e-3 / 7, 0.25)
+
+
+@st.composite
+def chain_trials(draw):
+    """A 1-6 repeater chain with mixed link probabilities and cutoffs, a seed and a slot budget."""
+    n_reps = draw(st.integers(1, 6))
+    tau = draw(st.sampled_from(TAUS))
+    probability = st.one_of(st.just(1.0), st.floats(0.0005, 0.002), st.floats(0.01, 0.99))
+
+    def cutoff():
+        # A multiple of tau, half-way between two, or a multiple of another slot length.
+        slots = draw(st.integers(1, 40))
+        return draw(st.sampled_from([slots * tau, (slots + 0.5) * tau, slots * 0.1 / 3]))
+
+    delay = st.floats(0.0, 0.001)
+    config = chain_scenario(
+        [(draw(delay), draw(delay)) for _ in range(n_reps)],
+        dec_end=draw(delay),
+        t_coh_end=cutoff() if draw(st.booleans()) else 1.0,
+        t_coh_far=cutoff(),
+        t_coh_repeater=[cutoff() for _ in range(n_reps)],
+        p_success=[draw(probability) for _ in range(n_reps + 1)],
+        slot_duration=tau,
+    )
+    max_slots = draw(st.sampled_from([1, 2, 5, 17, 200, 3000]))
+    return config, draw(st.integers(0, 2**64 - 1)), max_slots
+
+
+def first_firing_slot(gen: int, limit: float, tau: float) -> int:
+    """Walk the slots after ``gen`` until the expiry sweep's own test fires."""
+    slot = gen + 1
+    while (slot - gen) * tau < limit:
+        slot += 1
+    return slot
+
+
+class TestFastForward:
+    @settings(max_examples=300, deadline=None)
+    @given(chain_trials())
+    def test_outcomes_and_draws_match_slot_by_slot_reference(self, trial):
+        config, seed, max_slots = trial
+        prepared = engine._prepare(config)
+        assert engine._execute(prepared, seed, max_slots) == reference_execute(prepared, seed, max_slots)
+        fast, slow = random.Random(seed), random.Random(seed)
+        engine._run_parallel_chain(prepared, fast, max_slots)
+        reference_parallel_chain(prepared, slow, max_slots)
+        assert fast.getstate() == slow.getstate()
+
+    def test_seeded_mix_of_outcomes_matches_reference(self):
+        rng = random.Random(20240611)
+        reasons = set()
+        for _ in range(300):
+            n_reps = rng.randint(1, 4)
+            tau = rng.choice(TAUS)
+            config = chain_scenario(
+                [(rng.uniform(0, 1e-3), rng.uniform(0, 1e-3)) for _ in range(n_reps)],
+                t_coh_end=rng.choice([0.0005, 1.0]),
+                t_coh_repeater=[rng.randint(1, 30) * rng.choice([tau, 0.1 / 3]) for _ in range(n_reps)],
+                p_success=[rng.choice([1.0, 0.3, 0.05, 0.002]) for _ in range(n_reps + 1)],
+                slot_duration=tau,
+            )
+            prepared = engine._prepare(config)
+            seed, max_slots = rng.getrandbits(64), rng.choice([1, 5, 2000])
+            outcome = engine._execute(prepared, seed, max_slots)
+            assert outcome == reference_execute(prepared, seed, max_slots)
+            reasons.add(outcome.failure_reason)
+        assert reasons == {None, *FailureReason}
+
+    def test_long_quiet_run_to_the_horizon_matches_reference(self):
+        config = chain_scenario([(0.0, 0.001)] * 3, p_success=1e-7)
+        prepared = engine._prepare(config)
+        fast, slow = random.Random(11), random.Random(11)
+        outcome = engine._run_parallel_chain(prepared, fast, 100_000)
+        assert outcome == reference_parallel_chain(prepared, slow, 100_000)
+        assert outcome.failure_reason is FailureReason.HORIZON_EXCEEDED
+        assert fast.getstate() == slow.getstate()
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        gen=st.integers(0, 10**9),
+        tau=st.sampled_from(TAUS + (0.0123, 1e-6)),
+        slots=st.integers(1, 2000),
+        shape=st.sampled_from(["multiple", "other_slot_multiple", "below", "above", "uniform"]),
+        u=st.floats(0.0, 1.0, exclude_min=True),
+    )
+    def test_expiry_gap_is_the_first_slot_the_sweep_fires(self, gen, tau, slots, shape, u):
+        limit = {
+            "multiple": slots * tau,
+            "other_slot_multiple": slots * (0.7 * tau),
+            "below": math.nextafter(slots * tau, 0.0),
+            "above": math.nextafter(slots * tau, math.inf),
+            "uniform": u * slots * tau,
+        }[shape]
+        assert gen + engine._expiry_gap(limit, tau) == first_firing_slot(gen, limit, tau)
+
+    def test_expiry_gap_caps_huge_ratios_early(self):
+        assert engine._expiry_gap(1e300, 1e-300) == engine._MAX_GAP
+        assert engine._expiry_gap(1.0, 2.0**-60) == engine._MAX_GAP
+
+    def test_slot_budget_and_trial_seed_are_checked_at_the_boundary(self):
+        config = chain_scenario([(0.001, 0.001)])
+        with pytest.raises(ParameterError, match="max_slots must be >= 1, got 0"):
+            run_trials(config, max_slots=0)
+        with pytest.raises(ParameterError, match="max_slots must be >= 1, got 0"):
+            run_trial(config, 1, max_slots=0)
+        with pytest.raises(ParameterError, match="trial_seed"):
+            run_trial(config, -1)
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ from pqnetsim import (
     validate_scenario,
 )
 from pqnetsim.model import resolve_path
+from pqnetsim.timing import scenario_timings
 
 from scenario_builders import chain_scenario, two_party_scenario
 
@@ -277,6 +278,14 @@ class TestPathsAndEditing:
     def test_chain_path_order(self):
         config = chain_scenario([(0.001, 0.001), (0.001, 0.001)])
         assert resolve_path(config) == ["alice", "r1", "r2", "bob"]
+
+    def test_link_to_unknown_node_is_a_parameter_error(self):
+        config = two_party_scenario()
+        ghost_link = dataclasses.replace(config.quantum_links[0], endpoints=("alice", "ghost"))
+        config = dataclasses.replace(config, quantum_links=(ghost_link,))
+        for call in (resolve_path, scenario_timings):
+            with pytest.raises(ParameterError, match="ghost"):
+                call(config)
 
     def test_set_config_value_scalar(self):
         config = two_party_scenario()
