@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import statistics
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 from typing import Sequence
 
@@ -57,13 +57,7 @@ class DetectionReport:
     threshold_sigma: float
 
     def as_dict(self) -> dict:
-        return {
-            "baseline_mean_qber": self.baseline_mean_qber,
-            "observed_mean_qber": self.observed_mean_qber,
-            "z_score": self.z_score,
-            "flagged": self.flagged,
-            "threshold_sigma": self.threshold_sigma,
-        }
+        return asdict(self)
 
 
 def _check_adversary(adv: AdversaryConfig) -> None:

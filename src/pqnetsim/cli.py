@@ -21,6 +21,7 @@ import dataclasses
 import json
 import sys
 from dataclasses import dataclass
+from enum import Enum
 from pathlib import Path
 
 from . import engine, kms, model, timing
@@ -45,8 +46,14 @@ class CommandResult:
     artifacts: tuple[str, ...] = ()
 
 
+def _plain(value):
+    """An enum as its ``value``, anything else unchanged: how CSV cells and JSON fields show enums."""
+    return value.value if isinstance(value, Enum) else value
+
+
 def _fmt_cell(value) -> str:
     """Shortest round-trip formatting for CSV cells; absent values are empty."""
+    value = _plain(value)
     if value is None:
         return ""
     if isinstance(value, bool):
@@ -60,12 +67,16 @@ def _dump_json(data) -> str:
     return json.dumps(data, sort_keys=True, indent=2)
 
 
+def _write_rows(handle, header: list[str], rows: list) -> None:
+    writer = csv.writer(handle, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([_fmt_cell(cell) for cell in row])
+
+
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     with path.open("w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt_cell(cell) for cell in row])
+        _write_rows(handle, header, rows)
 
 
 def _out_dir(args) -> Path:
@@ -117,17 +128,7 @@ def cmd_simulate(args) -> CommandResult:
     outcomes = engine.run_trials(config, args.trials, args.seed, max_slots=args.max_slots)
     summary = engine.summarize(config, outcomes)
 
-    rows = [
-        [
-            i,
-            o.success,
-            o.failure_reason.value if o.failure_reason else None,
-            o.slots_used,
-            o.t_dist,
-            o.f_end,
-        ]
-        for i, o in enumerate(outcomes)
-    ]
+    rows = [[i, o.success, o.failure_reason, o.slots_used, o.t_dist, o.f_end] for i, o in enumerate(outcomes)]
     trials_path = out / "trials.csv"
     _write_csv(trials_path, TRIALS_CSV_COLUMNS, rows)
     summary_path = out / "summary.json"
@@ -222,52 +223,12 @@ def cmd_sweep(args) -> CommandResult:
 
 
 def cmd_profiles(args) -> CommandResult:
-    registry = _load_registry(args)
-    profiles = registry.profiles()
+    profiles = _load_registry(args).profiles()
     if args.format == "csv":
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        header = [
-            "name",
-            "kind",
-            "t_encrypt",
-            "t_decrypt",
-            "public_key_bytes",
-            "ciphertext_or_sig_bytes",
-            "claimed_security_bits",
-            "illustrative",
-        ]
-        writer.writerow(header)
-        for p in profiles:
-            writer.writerow(
-                [
-                    p.name,
-                    p.kind.value,
-                    _fmt_cell(p.t_encrypt),
-                    _fmt_cell(p.t_decrypt),
-                    p.public_key_bytes,
-                    p.ciphertext_or_sig_bytes,
-                    p.claimed_security_bits,
-                    _fmt_cell(p.illustrative),
-                ]
-            )
+        header = [f.name for f in dataclasses.fields(model.CryptoProfile)]
+        _write_rows(sys.stdout, header, [dataclasses.astuple(p) for p in profiles])
     else:
-        print(
-            _dump_json(
-                [
-                    {
-                        "name": p.name,
-                        "kind": p.kind.value,
-                        "t_encrypt": p.t_encrypt,
-                        "t_decrypt": p.t_decrypt,
-                        "public_key_bytes": p.public_key_bytes,
-                        "ciphertext_or_sig_bytes": p.ciphertext_or_sig_bytes,
-                        "claimed_security_bits": p.claimed_security_bits,
-                        "illustrative": p.illustrative,
-                    }
-                    for p in profiles
-                ]
-            )
-        )
+        print(_dump_json([{k: _plain(v) for k, v in dataclasses.asdict(p).items()} for p in profiles]))
     return CommandResult(EXIT_OK)
 
 

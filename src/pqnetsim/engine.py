@@ -56,7 +56,7 @@ import hashlib
 import math
 import random
 import statistics
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 from functools import lru_cache
 from itertools import compress, count, cycle, islice
@@ -134,14 +134,7 @@ class RunSummary:
     re_tcoh_product: dict[str, float]
 
     def as_dict(self) -> dict:
-        return {
-            "n_trials": self.n_trials,
-            "success_rate": self.success_rate,
-            "mean_t_dist": self.mean_t_dist,
-            "f_end_mean": self.f_end_mean,
-            "f_end_min": self.f_end_min,
-            "re_tcoh_product": dict(self.re_tcoh_product),
-        }
+        return asdict(self)
 
 
 def _check_seed(value: int, name: str) -> None:
@@ -158,8 +151,7 @@ def trial_seed_for(master_seed: int, trial_index: int) -> int:
     would silently change every published result.
     """
     _check_seed(master_seed, "master_seed")
-    if not isinstance(trial_index, int) or isinstance(trial_index, bool) or not (0 <= trial_index < _U64):
-        raise ParameterError(f"trial_index must be an unsigned 64-bit integer, got {trial_index!r}")
+    _check_seed(trial_index, "trial_index")
     payload = master_seed.to_bytes(8, "little") + trial_index.to_bytes(8, "little")
     return int.from_bytes(hashlib.sha256(payload).digest()[:8], "little")
 

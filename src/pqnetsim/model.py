@@ -16,6 +16,7 @@ Unordered node pairs (classical-channel keys and the adversary's
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -48,6 +49,7 @@ __all__ = [
     "load_scenario",
     "validate_scenario",
     "resolve_path",
+    "message_senders",
     "set_config_value",
 ]
 
@@ -293,17 +295,6 @@ _DEFAULT_PROFILES = (
     CryptoProfile("sphincs-class", CryptoKind.SIGNATURE, 4.0e-3, 2.0e-4, 32, 7856, 128, illustrative=True),
 )
 
-_PROFILE_KEYS = {
-    "name",
-    "kind",
-    "t_encrypt",
-    "t_decrypt",
-    "public_key_bytes",
-    "ciphertext_or_sig_bytes",
-    "claimed_security_bits",
-    "illustrative",
-}
-
 
 def default_registry() -> CryptoRegistry:
     """Registry holding the shipped illustrative profiles."""
@@ -332,7 +323,7 @@ def load_registry(path: str | Path) -> CryptoRegistry:
 def _parse_profile(raw: Any, where: str) -> CryptoProfile:
     if not isinstance(raw, dict):
         raise ParameterError(f"{where}: profile must be an object")
-    unknown = set(raw) - _PROFILE_KEYS
+    unknown = raw.keys() - _field_names(CryptoProfile)
     if unknown:
         raise ParameterError(f"{where}: unknown profile key(s): {sorted(unknown)}")
     try:
@@ -366,23 +357,6 @@ def _parse_profile(raw: Any, where: str) -> CryptoProfile:
 # Scenario parsing (structure) and validation (invariants)
 # ---------------------------------------------------------------------------
 
-_SCENARIO_KEYS = {
-    "nodes",
-    "quantum_links",
-    "classical_channels",
-    "protocol",
-    "rounds_l",
-    "adversary",
-    "seed",
-    "n_trials",
-    "slot_duration",
-}
-_NODE_KEYS = {"id", "role", "memory", "crypto"}
-_MEMORY_KEYS = {"t_coh", "tier"}
-_LINK_KEYS = {"endpoints", "gen_rate", "p_success", "base_fidelity"}
-_CHANNEL_KEYS = {"propagation_delay", "processing_delay"}
-_ADVERSARY_KEYS = {"t_eve", "t_pqc", "t_coh_eve", "intercept_link"}
-
 _MAX_SEED = 2**64 - 1
 
 
@@ -394,15 +368,19 @@ def _is_int(value: Any) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _check_unknown(obj: Mapping[str, Any], allowed: set[str], path: str, vios: list[Violation]) -> None:
-    for key in sorted(set(obj) - allowed):
-        vios.append(Violation(f"{path}.{key}" if path != "$" else f"$.{key}", "unknown key"))
+@functools.cache
+def _field_names(cls: type) -> frozenset[str]:
+    """A dataclass's field names, built once per class: the keys its JSON object may carry."""
+    return frozenset(f.name for f in dataclasses.fields(cls))
 
 
-def _get_number(obj: Mapping[str, Any], key: str, path: str, vios: list[Violation], default=None):
+def _check_unknown(obj: Mapping[str, Any], cls: type, path: str, vios: list[Violation]) -> None:
+    for key in sorted(obj.keys() - _field_names(cls)):
+        vios.append(Violation(f"{path}.{key}", "unknown key"))
+
+
+def _get_number(obj: Mapping[str, Any], key: str, path: str, vios: list[Violation]) -> float:
     if key not in obj:
-        if default is not None:
-            return default
         vios.append(Violation(f"{path}.{key}", "missing required number"))
         return 0.0
     value = obj[key]
@@ -444,7 +422,7 @@ def parse_scenario(data: Any, registry: CryptoRegistry) -> ScenarioConfig:
     vios: list[Violation] = []
     if not isinstance(data, dict):
         raise ScenarioValidationError([Violation("$", "scenario must be a JSON object")])
-    _check_unknown(data, _SCENARIO_KEYS, "$", vios)
+    _check_unknown(data, ScenarioConfig, "$", vios)
 
     nodes: list[NodeSpec] = []
     raw_nodes = data.get("nodes")
@@ -482,7 +460,7 @@ def parse_scenario(data: Any, registry: CryptoRegistry) -> ScenarioConfig:
             if not isinstance(raw, dict):
                 vios.append(Violation(path, "channel spec must be an object"))
                 continue
-            _check_unknown(raw, _CHANNEL_KEYS, path, vios)
+            _check_unknown(raw, ClassicalChannelSpec, path, vios)
             spec = ClassicalChannelSpec(
                 propagation_delay=_get_number(raw, "propagation_delay", path, vios),
                 processing_delay=_get_number(raw, "processing_delay", path, vios),
@@ -530,7 +508,7 @@ def _parse_node(raw: Any, path: str, registry: CryptoRegistry, vios: list[Violat
     if not isinstance(raw, dict):
         vios.append(Violation(path, "node must be an object"))
         return None
-    _check_unknown(raw, _NODE_KEYS, path, vios)
+    _check_unknown(raw, NodeSpec, path, vios)
     node_id = _get_str(raw, "id", path, vios)
     role = NodeRole.END_NODE
     try:
@@ -542,7 +520,7 @@ def _parse_node(raw: Any, path: str, registry: CryptoRegistry, vios: list[Violat
     if not isinstance(raw_mem, dict):
         vios.append(Violation(f"{path}.memory", "missing or not an object"))
     else:
-        _check_unknown(raw_mem, _MEMORY_KEYS, f"{path}.memory", vios)
+        _check_unknown(raw_mem, MemorySpec, f"{path}.memory", vios)
         tier = MemoryTier.SHORT_LIVED
         try:
             tier = MemoryTier(raw_mem.get("tier"))
@@ -565,7 +543,7 @@ def _parse_link(raw: Any, path: str, vios: list[Violation]) -> QuantumLinkSpec |
     if not isinstance(raw, dict):
         vios.append(Violation(path, "quantum link must be an object"))
         return None
-    _check_unknown(raw, _LINK_KEYS, path, vios)
+    _check_unknown(raw, QuantumLinkSpec, path, vios)
     raw_ep = raw.get("endpoints")
     if (
         not isinstance(raw_ep, list)
@@ -586,7 +564,7 @@ def _parse_adversary(raw: Any, path: str, vios: list[Violation]) -> AdversaryCon
     if not isinstance(raw, dict):
         vios.append(Violation(path, "adversary must be an object or null"))
         return None
-    _check_unknown(raw, _ADVERSARY_KEYS, path, vios)
+    _check_unknown(raw, AdversaryConfig, path, vios)
     intercept = _get_str(raw, "intercept_link", path, vios)
     pair = split_pair_key(intercept) if intercept else None
     if intercept and pair is None:
@@ -754,20 +732,10 @@ def _validate_topology(config: ScenarioConfig, node_ids: set[str]) -> list[Viola
         if nodes[interior_id].role is NodeRole.END_NODE:
             vios.append(Violation("$.nodes", f"interior node {interior_id!r} must not have role 'end_node'"))
 
-    receiver = path[-1]
-    required_pairs: list[tuple[str, str]]
-    if config.protocol is Protocol.PARALLEL_CHAIN:
-        required_pairs = [(mid, receiver) for mid in path[1:-1]]
-    else:
-        required_pairs = [(path[0], receiver)]
-    for a, b in required_pairs:
-        if pair_key(a, b) not in config.classical_channels:
-            vios.append(
-                Violation(
-                    "$.classical_channels",
-                    f"missing classical channel for message pair {pair_key(a, b)!r}",
-                )
-            )
+    for sender in message_senders(config.protocol, path):
+        key = pair_key(sender, path[-1])
+        if key not in config.classical_channels:
+            vios.append(Violation("$.classical_channels", f"missing classical channel for message pair {key!r}"))
     return vios
 
 
@@ -830,6 +798,14 @@ def resolve_path(config: ScenarioConfig) -> list[str]:
     return path
 
 
+def message_senders(protocol: Protocol, path: Sequence[str]) -> Sequence[str]:
+    """Node ids that send a correction message to the receiver ``path[-1]``.
+
+    Every interior node on a ``parallel_chain``; the first path node otherwise.
+    """
+    return path[1:-1] if protocol is Protocol.PARALLEL_CHAIN else path[:1]
+
+
 # ---------------------------------------------------------------------------
 # Parameter-path editing (used by sweeps)
 # ---------------------------------------------------------------------------
@@ -866,8 +842,7 @@ def _with_value(obj: Any, tokens: list[str], value: float, full_path: str) -> An
         return float(value)
     head, rest = tokens[0], tokens[1:]
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        names = {f.name for f in dataclasses.fields(obj)}
-        if head not in names:
+        if head not in _field_names(type(obj)):
             raise ParameterError(f"invalid parameter path {full_path!r}: no field {head!r}")
         return dataclasses.replace(obj, **{head: _with_value(getattr(obj, head), rest, value, full_path)})
     if isinstance(obj, tuple):

@@ -18,7 +18,7 @@ of the binding message for aggregated checks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 from . import model
@@ -69,7 +69,7 @@ class FeasibilityResult:
     binding_index: int | None = None
 
     def as_dict(self) -> dict:
-        return {"feasible": self.feasible, "slack": self.slack, "binding_index": self.binding_index}
+        return asdict(self)
 
 
 def _check_t_coh(t_coh: float, name: str = "t_coh") -> None:
@@ -194,24 +194,16 @@ def scenario_timings(config: model.ScenarioConfig) -> ScenarioTimings:
     receiver = nodes[path[-1]]
     t_coh_end = receiver.memory.t_coh
     dec_end = receiver.crypto.t_decrypt
-    if config.protocol is model.Protocol.PARALLEL_CHAIN:
-        hops = tuple(
-            HopTiming(
-                t_encrypt=nodes[mid].crypto.t_encrypt,
-                t_comm=config.channel_between(mid, receiver.id).t_comm,
-                t_decrypt=dec_end,
-            )
-            for mid in path[1:-1]
-        )
-    else:
-        sender = nodes[path[0]]
-        hop = HopTiming(
-            t_encrypt=sender.crypto.t_encrypt,
-            t_comm=config.channel_between(sender.id, receiver.id).t_comm,
+    hops = tuple(
+        HopTiming(
+            t_encrypt=nodes[sender].crypto.t_encrypt,
+            t_comm=config.channel_between(sender, receiver.id).t_comm,
             t_decrypt=dec_end,
         )
-        rounds = config.rounds_l if config.protocol is model.Protocol.SEQUENTIAL_ROUNDS else 1
-        hops = (hop,) * rounds
+        for sender in model.message_senders(config.protocol, path)
+    )
+    if config.protocol is model.Protocol.SEQUENTIAL_ROUNDS:
+        hops *= config.rounds_l
     return ScenarioTimings(protocol=config.protocol, hops=hops, t_decrypt_end=dec_end, t_coh_end=t_coh_end)
 
 

@@ -78,7 +78,89 @@ def write_scenario(tmp_path: Path, data: dict, name: str = "scenario.json") -> P
     return path
 
 
+# `check` stdout for each shipped scenario, captured before the CLI writers
+# were derived from the dataclasses; any change to these bytes is a change
+# to the output contract.
+CHECK_STDOUT = {
+    "intercepted_chain.json": (
+        '{\n  "binding_index": 0,\n  "feasible": true,\n  "protocol": "parallel_chain",\n  "slack": 0.09944\n}\n'
+    ),
+    "purification_rounds.json": (
+        '{\n  "binding_index": null,\n  "feasible": true,\n  "protocol": "sequential_rounds",\n'
+        '  "slack": 0.005600000000000001\n}\n'
+    ),
+    "repeater_chain.json": (
+        '{\n  "binding_index": 0,\n  "feasible": true,\n  "protocol": "parallel_chain",\n'
+        '  "slack": 0.09824000000000001\n}\n'
+    ),
+    "teleport_single_hop.json": (
+        '{\n  "binding_index": null,\n  "feasible": true,\n  "protocol": "single_hop",\n'
+        '  "slack": 0.049640000000000004\n}\n'
+    ),
+}
+
+# `profiles` stdout for the shipped registry, in both formats.
+PROFILES_JSON_STDOUT = """\
+[
+  {
+    "ciphertext_or_sig_bytes": 768,
+    "claimed_security_bits": 128,
+    "illustrative": true,
+    "kind": "kem",
+    "name": "kyber512-class",
+    "public_key_bytes": 800,
+    "t_decrypt": 6e-05,
+    "t_encrypt": 5e-05
+  },
+  {
+    "ciphertext_or_sig_bytes": 21632,
+    "claimed_security_bits": 256,
+    "illustrative": true,
+    "kind": "kem",
+    "name": "frodo1344-class",
+    "public_key_bytes": 21520,
+    "t_decrypt": 0.0014,
+    "t_encrypt": 0.0012
+  },
+  {
+    "ciphertext_or_sig_bytes": 2420,
+    "claimed_security_bits": 128,
+    "illustrative": true,
+    "kind": "signature",
+    "name": "dilithium-class",
+    "public_key_bytes": 1312,
+    "t_decrypt": 4e-05,
+    "t_encrypt": 0.00012
+  },
+  {
+    "ciphertext_or_sig_bytes": 7856,
+    "claimed_security_bits": 128,
+    "illustrative": true,
+    "kind": "signature",
+    "name": "sphincs-class",
+    "public_key_bytes": 32,
+    "t_decrypt": 0.0002,
+    "t_encrypt": 0.004
+  }
+]
+"""
+
+PROFILES_CSV_STDOUT = """\
+name,kind,t_encrypt,t_decrypt,public_key_bytes,ciphertext_or_sig_bytes,claimed_security_bits,illustrative
+kyber512-class,kem,5e-05,6e-05,800,768,128,true
+frodo1344-class,kem,0.0012,0.0014,21520,21632,256,true
+dilithium-class,signature,0.00012,4e-05,1312,2420,128,true
+sphincs-class,signature,0.004,0.0002,32,7856,128,true
+"""
+
+
 class TestCheck:
+    @pytest.mark.parametrize("name", sorted(CHECK_STDOUT))
+    def test_shipped_scenario_stdout_is_pinned(self, name, capsys):
+        code = main(["check", str(SCENARIO_DIR / name)])
+        assert code == 0
+        assert capsys.readouterr().out == CHECK_STDOUT[name]
+
     def test_feasible_scenario_exits_zero(self, capsys):
         code = main(["check", str(SCENARIO_DIR / "teleport_single_hop.json")])
         payload = json.loads(capsys.readouterr().out)
@@ -374,17 +456,27 @@ class TestSweepCommand:
 class TestProfilesCommand:
     def test_lists_default_registry_as_json(self, capsys):
         code = main(["profiles"])
-        payload = json.loads(capsys.readouterr().out)
+        out = capsys.readouterr().out
         assert code == 0
+        assert out == PROFILES_JSON_STDOUT
+        payload = json.loads(out)
         names = {p["name"] for p in payload}
         assert {"kyber512-class", "frodo1344-class", "dilithium-class", "sphincs-class"} <= names
         assert all(p["illustrative"] for p in payload)
 
     def test_csv_output_has_header(self, capsys):
         code = main(["profiles", "--format", "csv"])
-        lines = capsys.readouterr().out.splitlines()
+        out = capsys.readouterr().out
         assert code == 0
-        assert lines[0].startswith("name,kind,t_encrypt")
+        assert out.splitlines()[0].startswith("name,kind,t_encrypt")
+        assert out == PROFILES_CSV_STDOUT
+
+    def test_json_output_is_a_registry_that_prints_the_same_bytes(self, tmp_path, capsys):
+        registry = tmp_path / "profiles.json"
+        registry.write_text(PROFILES_JSON_STDOUT)
+        for fmt in ("json", "csv"):
+            assert main(["--profiles", str(registry), "profiles", "--format", fmt]) == 0
+            assert capsys.readouterr().out == (PROFILES_JSON_STDOUT if fmt == "json" else PROFILES_CSV_STDOUT)
 
     def test_custom_registry_file(self, tmp_path, capsys):
         profiles = write_profiles(tmp_path, 0.25, 0.5)

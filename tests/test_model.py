@@ -17,6 +17,7 @@ from pqnetsim import (
     Protocol,
     ScenarioValidationError,
     SecurityFamily,
+    Violation,
     default_registry,
     load_registry,
     load_scenario,
@@ -126,7 +127,7 @@ class TestRegistry:
         ]
         path = tmp_path / "profiles.json"
         path.write_text(json.dumps(payload))
-        with pytest.raises(ParameterError, match="speed"):
+        with pytest.raises(ParameterError, match=r"^\[0\]: unknown profile key\(s\): \['speed'\]$"):
             load_registry(path)
 
     def test_load_registry_rejects_negative_latency(self, tmp_path):
@@ -220,23 +221,30 @@ class TestScenarioFiles:
         config = load_scenario(SCENARIO_DIR / name)
         assert validate_scenario(config) == []
 
-    def test_unknown_key_is_a_violation(self, tmp_path):
-        data = json.loads((SCENARIO_DIR / "teleport_single_hop.json").read_text())
-        data["p_sucess_typo"] = 1.0
+    @pytest.mark.parametrize(
+        "where, expected_path",
+        [
+            pytest.param((), "$.extra_key", id="top_level"),
+            pytest.param(("nodes", 1), "$.nodes[1].extra_key", id="node"),
+            pytest.param(("nodes", 1, "memory"), "$.nodes[1].memory.extra_key", id="memory"),
+            pytest.param(("quantum_links", 0), "$.quantum_links[0].extra_key", id="link"),
+            pytest.param(
+                ("classical_channels", "bob,relay"), "$.classical_channels['bob,relay'].extra_key", id="channel"
+            ),
+            pytest.param(("adversary",), "$.adversary.extra_key", id="adversary"),
+        ],
+    )
+    def test_unknown_key_is_a_violation(self, tmp_path, where, expected_path):
+        data = json.loads((SCENARIO_DIR / "intercepted_chain.json").read_text())
+        record = data
+        for step in where:
+            record = record[step]
+        record["extra_key"] = 1.0
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(data))
         with pytest.raises(ScenarioValidationError) as err:
             load_scenario(path)
-        assert any("p_sucess_typo" in v.path and "unknown key" in v.message for v in err.value.violations)
-
-    def test_nested_unknown_key_is_a_violation(self, tmp_path):
-        data = json.loads((SCENARIO_DIR / "teleport_single_hop.json").read_text())
-        data["nodes"][0]["memory"]["t2_coh"] = 5.0
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps(data))
-        with pytest.raises(ScenarioValidationError) as err:
-            load_scenario(path)
-        assert any("t2_coh" in v.path for v in err.value.violations)
+        assert err.value.violations == [Violation(expected_path, "unknown key")]
 
     def test_unknown_crypto_profile_is_reported(self, tmp_path):
         data = json.loads((SCENARIO_DIR / "teleport_single_hop.json").read_text())
