@@ -41,9 +41,19 @@ split (:func:`trial_seed_for`): the first eight bytes, little-endian, of
 draw, one uniform variate per link per slot, in path order.  Every trial is
 therefore an isolated state machine, bit-reproducible in isolation.
 
-Chain trials fast-forward through quiet slots: until an expiry is due, only
-the down links draw, so their draws are taken in one stream up to the first
-success, and the sweep and the swap scan run only in event slots.
+Chain trials fast-forward through quiet slots.  Until the next expiry is
+due, nothing happens but the down links' draws, so when those links are rare
+(the sum of their ``p`` at most 1/4) one scan finds their first success, and
+the sweep and the swap scan run only in event slots.  The scan reads its
+uniforms in bulk from the trial's own Mersenne Twister words.
+``random()`` returns ``K / 2**53`` with ``K = (w0 >> 5) << 26 | w1 >> 6``
+for two consecutive words, and ``getrandbits(64 * m)`` emits the next
+``2 * m`` words least significant first, so a fetched chunk holds, in order,
+the uniforms that ``random()`` would have returned.  ``u < p`` holds iff
+``K < ceil(p * 2**53)``, an exact comparison; the top byte of ``w0`` settles
+it for all but one value in 256.  Words fetched past the first success are
+the next uniforms of the stream: the slots after it read them before drawing
+afresh.  The draws, and so every outcome, are those of the slot-by-slot loop.
 
 Every public entry point validates the scenario first.  Set-up is then
 linear in the chain length, and the trial loops trust the validated data:
@@ -59,8 +69,6 @@ import statistics
 from dataclasses import asdict, dataclass
 from enum import Enum
 from functools import lru_cache
-from itertools import compress, count, cycle, islice
-from operator import lt
 from typing import Sequence
 
 from . import fidelity, model, timing
@@ -84,7 +92,10 @@ __all__ = [
 # Bounds runtime when generation probabilities are near zero.
 DEFAULT_MAX_SLOTS = 1_000_000
 
-_MAX_GAP = 2**52  # longest jump the chain engine's fast-forward makes at once
+_MAX_GAP = 2**52  # cap on a slot count to an expiry, and on the draws of one window scan
+
+_CHUNK_DRAWS = 4096  # most uniforms one fetch of a quiet window reads (32 KiB of words)
+_SCAN_MIN_SLOTS = 4  # a window scan costs about as much as this many slots drawn one by one
 
 _U64 = 2**64
 
@@ -194,6 +205,8 @@ class _PreparedChain:
     delays: tuple[float, ...]
     t_coh_end: float
     base_fids: tuple[float, ...]
+    # Per link, (threshold byte, bound): a draw succeeds iff its K < bound.
+    draw_tests: tuple[tuple[int, int], ...]
 
 
 def _adjusted_base_fidelity(config: model.ScenarioConfig, link: model.QuantumLinkSpec) -> float:
@@ -228,6 +241,7 @@ def _prepare(config: model.ScenarioConfig) -> _PreparedTwoParty | _PreparedChain
             delays=tuple(timing.parallel_totals(list(timings.hops), timings.t_decrypt_end)),
             t_coh_end=timings.t_coh_end,
             base_fids=tuple(_adjusted_base_fidelity(config, link) for link in links),
+            draw_tests=tuple(_draw_test(link.p_success) for link in links),
         )
 
     # Single hop or sequential rounds: the sender measures its qubit the
@@ -279,7 +293,7 @@ def _execute(
 ) -> TrialOutcome:
     rng = random.Random(trial_seed)
     if isinstance(prepared, _PreparedChain):
-        return _run_parallel_chain(prepared, rng, max_slots)
+        return _run_parallel_chain(prepared, _Draws(rng), max_slots)
     return _run_two_party(prepared, rng, max_slots)
 
 
@@ -313,12 +327,102 @@ def _expiry_gap(limit: float, tau: float) -> int:
     return d
 
 
-def _run_parallel_chain(run: _PreparedChain, rng: random.Random, max_slots: int) -> TrialOutcome:
+def _draw_test(p: float) -> tuple[int, int]:
+    """``(threshold byte, bound)`` of ``u < p``: the draw succeeds iff ``K < bound``.
+
+    A top byte ``K >> 45`` below the threshold byte means a success, one
+    above it a failure; only a tie needs the full ``K``.
+    """
+    bound = math.ceil(p * 2**53)
+    return (bound - 1) >> 45, bound
+
+
+@lru_cache(maxsize=None)
+def _candidate_table(threshold: int) -> bytes:
+    """``bytes.translate`` table mapping the top bytes that may mean a success to 0."""
+    return bytes(threshold + 1) + b"\x01" * (255 - threshold)
+
+
+def _draw_k(buf: bytes, d: int) -> int:
+    """``K`` of fetched draw ``d``: the uniform is ``K / 2**53``."""
+    x = int.from_bytes(buf[8 * d : 8 * d + 8], "little")
+    return (x & 0xFFFFFFFF) >> 5 << 26 | x >> 38
+
+
+class _Draws:
+    """One trial's uniforms: its ``random.Random`` and the words fetched ahead of it.
+
+    ``buf`` holds ``end`` fetched draws of eight bytes each, ``pos`` of them
+    already read.  ``marks`` has one byte per fetched draw, 0 where its top
+    byte is at most ``marks_threshold``: the only draws that can succeed for
+    a link of that threshold or below.  ``consumed`` counts the uniforms the
+    trial used, lookahead excluded; the chain engine keeps it.
+    """
+
+    __slots__ = ("rng", "buf", "marks", "marks_threshold", "pos", "end", "consumed")
+
+    def __init__(self, rng: random.Random):
+        self.rng = rng
+        self.buf = self.marks = b""
+        self.marks_threshold = -1
+        self.pos = self.end = self.consumed = 0
+
+    def random(self) -> float:
+        """The next uniform: the next fetched draw, else ``rng.random()``; the same value."""
+        d = self.pos
+        if d == self.end:
+            return self.rng.random()
+        self.pos = d + 1
+        return _draw_k(self.buf, d) * 2.0**-53
+
+    def first_success(self, tests: list[tuple[int, int]], budget: int, chunk: int) -> int | None:
+        """Offset of the first success among the next ``budget`` draws, or None.
+
+        Draw ``d`` of the window succeeds iff its ``K < bound`` for
+        ``tests[d % len(tests)]``.  Reads up to and including that draw, or
+        all ``budget`` draws; fetches at most ``chunk`` draws at a time, and
+        never past the window.
+        """
+        k = len(tests)
+        threshold = max(tests)[0]
+        scanned = 0
+        while scanned < budget:
+            pos = self.pos
+            if pos == self.end:
+                m = min(chunk, budget - scanned)
+                self.buf = self.rng.getrandbits(64 * m).to_bytes(8 * m, "little")
+                self.pos = pos = 0
+                self.end = m
+                self.marks_threshold = -1
+            buf = self.buf
+            if self.marks_threshold != threshold:
+                # Top bytes; a zero threshold needs no table, its candidates are the zero bytes.
+                marks = buf[3::8]
+                self.marks = marks.translate(_candidate_table(threshold)) if threshold else marks
+                self.marks_threshold = threshold
+            start = pos - scanned  # buffer index of the window's draw 0
+            stop = min(self.end, start + budget)
+            find = self.marks.find
+            d = find(0, pos, stop)
+            while d >= 0:
+                t, bound = tests[(d - start) % k]
+                top = buf[8 * d + 3]
+                if top < t or top == t and _draw_k(buf, d) < bound:
+                    self.pos = d + 1
+                    return d - start
+                d = find(0, d + 1, stop)
+            scanned += stop - pos
+            self.pos = stop
+        return None
+
+
+def _run_parallel_chain(run: _PreparedChain, draws: _Draws, max_slots: int) -> TrialOutcome:
     tau = run.tau
     p = run.p
     lo_tcoh = run.lo_tcoh
     hi_tcoh = run.hi_tcoh
     intact_limit = run.intact_limit
+    draw_tests = run.draw_tests
     n_links = len(p)
     n_reps = n_links - 1
     assert n_reps >= 1
@@ -329,8 +433,14 @@ def _run_parallel_chain(run: _PreparedChain, rng: random.Random, max_slots: int)
     bsm_slot = [0] * n_reps
     pending = n_reps
 
-    rand = rng.random
-    slot = idle = 0
+    # A quiet window ends in a given slot with probability about the sum of its
+    # down links' p.  A scan costs about _SCAN_MIN_SLOTS slots drawn one by one,
+    # so only windows expected to last longer are scanned; with every link
+    # denser than that, none is.
+    scans = min(p) * _SCAN_MIN_SLOTS <= 1.0
+    # Slots drawn one by one use rand: rng.random, or draws.random while a scan's lookahead lasts.
+    rand = rng_random = draws.rng.random
+    slot = 0
     while slot < max_slots:
         slot += 1
         # Live links whose stored qubits can expire: (link, age limit, fatal).
@@ -352,31 +462,35 @@ def _run_parallel_chain(run: _PreparedChain, rng: random.Random, max_slots: int)
                 if fatal:
                     return TrialOutcome(False, slot, failure_reason=FailureReason.MEMORY_EXPIRED)
                 up[j] = False
-        idle += 1
-        for j in range(n_links):
-            if not up[j] and rand() < p[j]:
-                up[j] = True
-                gen_slot[j] = slot
-                idle = 0
-        if idle > 1:
-            # Two idle slots in a row: until the next expiry the same down links
-            # draw every slot and nothing else happens, so skip to their first success.
-            due = min([max_slots + 1] + [gen_slot[j] + _expiry_gap(limit, tau) for j, limit, _ in stored if up[j]])
+        if scans:
             down = [j for j in range(n_links) if not up[j]]
+            rate = sum([p[j] for j in down])
+        if scans and rate * _SCAN_MIN_SLOTS <= 1.0:
+            # Until the next expiry nothing fires unless a pair is generated, and
+            # the same down links draw every slot: find their first success.
+            due = min([max_slots + 1] + [gen_slot[j] + _expiry_gap(limit, tau) for j, limit, _ in stored if up[j]])
             k = len(down)
-            quiet = min(due - slot - 1, _MAX_GAP // k)
-            draws = map(lt, iter(rand, -1.0), cycle([p[j] for j in down]))
-            hit = next(compress(count(), islice(draws, quiet * k)), None)
+            quiet = min(due - slot, _MAX_GAP // k)
+            chunk = int(min(_CHUNK_DRAWS, 2 * k / rate)) + 1
+            hit = draws.first_success([draw_tests[j] for j in down], quiet * k, chunk)
+            rand = draws.random if draws.pos < draws.end else rng_random
             if hit is None:
-                slot += quiet
+                draws.consumed += quiet * k
+                slot += quiet - 1
                 continue
             skipped, first = divmod(hit, k)
-            slot += skipped + 1
+            slot += skipped
+            draws.consumed += (skipped + 1) * k
             for j in down[first:]:  # the link that succeeded, then the rest of the slot
                 if j == down[first] or rand() < p[j]:
                     up[j] = True
                     gen_slot[j] = slot
-                    idle = 0
+        else:
+            draws.consumed += up.count(False)
+            for j in range(n_links):
+                if not up[j] and rand() < p[j]:
+                    up[j] = True
+                    gen_slot[j] = slot
 
         # Every live pair is fresh at this slot, so a repeater fires as soon
         # as both adjacent pairs are present.

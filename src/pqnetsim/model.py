@@ -330,19 +330,27 @@ def _parse_profile(raw: Any, where: str) -> CryptoProfile:
         kind = CryptoKind(raw["kind"])
     except (KeyError, ValueError) as exc:
         raise ParameterError(f"{where}: kind must be one of {[k.value for k in CryptoKind]}") from exc
-    try:
-        profile = CryptoProfile(
-            name=str(raw["name"]),
-            kind=kind,
-            t_encrypt=float(raw["t_encrypt"]),
-            t_decrypt=float(raw["t_decrypt"]),
-            public_key_bytes=int(raw["public_key_bytes"]),
-            ciphertext_or_sig_bytes=int(raw["ciphertext_or_sig_bytes"]),
-            claimed_security_bits=int(raw["claimed_security_bits"]),
-            illustrative=bool(raw.get("illustrative", False)),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParameterError(f"{where}: malformed profile: {exc}") from exc
+
+    def typed(key: str, ok, expected: str) -> Any:
+        # JSON types as scenario parsing takes them: strings and bools are not coerced.
+        if key not in raw:
+            raise ParameterError(f"{where}: malformed profile: missing {key!r}")
+        value = raw[key]
+        if not ok(value):
+            named = f" (profile {raw['name']!r})" if isinstance(raw.get("name"), str) else ""
+            raise ParameterError(f"{where}.{key}{named}: expected {expected}, got {type(value).__name__}")
+        return value
+
+    profile = CryptoProfile(
+        name=typed("name", lambda v: isinstance(v, str), "a string"),
+        kind=kind,
+        t_encrypt=float(typed("t_encrypt", _is_number, "a number")),
+        t_decrypt=float(typed("t_decrypt", _is_number, "a number")),
+        public_key_bytes=typed("public_key_bytes", _is_int, "an integer"),
+        ciphertext_or_sig_bytes=typed("ciphertext_or_sig_bytes", _is_int, "an integer"),
+        claimed_security_bits=typed("claimed_security_bits", _is_int, "an integer"),
+        illustrative="illustrative" in raw and typed("illustrative", lambda v: isinstance(v, bool), "a boolean"),
+    )
     for fname in ("t_encrypt", "t_decrypt"):
         v = getattr(profile, fname)
         if not math.isfinite(v) or v < 0:

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from pqnetsim import HopTiming, engine, timing
+from pqnetsim import HopTiming, ParameterError, engine, load_registry, timing
 from pqnetsim.cli import main
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -484,6 +484,29 @@ class TestProfilesCommand:
         payload = json.loads(capsys.readouterr().out)
         assert code == 0
         assert {p["name"] for p in payload} == {"test-sender", "test-receiver"}
+
+    @pytest.mark.parametrize(
+        "field, value, expected",
+        [
+            ("t_encrypt", "1e-3", "a number, got str"),
+            ("t_decrypt", True, "a number, got bool"),
+            ("public_key_bytes", 3.9, "an integer, got float"),
+            ("illustrative", "false", "a boolean, got str"),
+        ],
+    )
+    def test_registry_values_are_not_coerced(self, tmp_path, capsys, field, value, expected):
+        profiles = write_profiles(tmp_path, 0.25, 0.5)
+        payload = json.loads(profiles.read_text())
+        payload[1][field] = value
+        profiles.write_text(json.dumps(payload))
+        message = f"[1].{field} (profile 'test-receiver'): expected {expected}"
+        with pytest.raises(ParameterError) as info:
+            load_registry(profiles)
+        assert str(info.value) == message
+        assert main(["--profiles", str(profiles), "profiles"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
     def test_deeply_nested_registry_exits_two(self, tmp_path, capsys):
         profiles = tmp_path / "nested.json"

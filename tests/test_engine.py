@@ -403,12 +403,27 @@ class TestSweep:
 TAUS = (0.001, 0.1 / 3, 1e-3 / 7, 0.25)
 
 
+def dyadic(max_j: int):
+    """``2**-j`` for ``1 <= j <= max_j``, or one of its neighbours one ulp away."""
+    return st.integers(1, max_j).flatmap(
+        lambda j: st.sampled_from([2.0**-j, math.nextafter(2.0**-j, 0.0), math.nextafter(2.0**-j, 1.0)])
+    )
+
+
 @st.composite
 def chain_trials(draw):
     """A 1-6 repeater chain with mixed link probabilities and cutoffs, a seed and a slot budget."""
     n_reps = draw(st.integers(1, 6))
     tau = draw(st.sampled_from(TAUS))
-    probability = st.one_of(st.just(1.0), st.floats(0.0005, 0.002), st.floats(0.01, 0.99))
+    probability = st.one_of(
+        st.just(1.0),
+        st.floats(0.0005, 0.002),
+        st.floats(0.01, 0.99),
+        # Tiny: the threshold byte is 0, so every candidate draw is a tie; trials run to the horizon.
+        st.floats(1e-9, 1e-5),
+        # Dyadic or one ulp away: K lands next to the bound.
+        dyadic(20),
+    )
 
     def cutoff():
         # A multiple of tau, half-way between two, or a multiple of another slot length.
@@ -429,6 +444,14 @@ def chain_trials(draw):
     return config, draw(st.integers(0, 2**64 - 1)), max_slots
 
 
+def replayed_state(seed: int, draws: int):
+    """State of ``random.Random(seed)`` after ``draws`` calls to ``random()``."""
+    rng = random.Random(seed)
+    for _ in range(draws):
+        rng.random()
+    return rng.getstate()
+
+
 def first_firing_slot(gen: int, limit: float, tau: float) -> int:
     """Walk the slots after ``gen`` until the expiry sweep's own test fires."""
     slot = gen + 1
@@ -444,10 +467,12 @@ class TestFastForward:
         config, seed, max_slots = trial
         prepared = engine._prepare(config)
         assert engine._execute(prepared, seed, max_slots) == reference_execute(prepared, seed, max_slots)
-        fast, slow = random.Random(seed), random.Random(seed)
+        # The fast engine's generator runs ahead by the words it fetched and did
+        # not use, so compare the uniforms it used with the reference's stream.
+        fast, slow = engine._Draws(random.Random(seed)), random.Random(seed)
         engine._run_parallel_chain(prepared, fast, max_slots)
         reference_parallel_chain(prepared, slow, max_slots)
-        assert fast.getstate() == slow.getstate()
+        assert replayed_state(seed, fast.consumed) == slow.getstate()
 
     def test_seeded_mix_of_outcomes_matches_reference(self):
         rng = random.Random(20240611)
@@ -472,11 +497,11 @@ class TestFastForward:
     def test_long_quiet_run_to_the_horizon_matches_reference(self):
         config = chain_scenario([(0.0, 0.001)] * 3, p_success=1e-7)
         prepared = engine._prepare(config)
-        fast, slow = random.Random(11), random.Random(11)
+        fast, slow = engine._Draws(random.Random(11)), random.Random(11)
         outcome = engine._run_parallel_chain(prepared, fast, 100_000)
         assert outcome == reference_parallel_chain(prepared, slow, 100_000)
         assert outcome.failure_reason is FailureReason.HORIZON_EXCEEDED
-        assert fast.getstate() == slow.getstate()
+        assert replayed_state(11, fast.consumed) == slow.getstate()
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -508,6 +533,67 @@ class TestFastForward:
             run_trial(config, 1, max_slots=0)
         with pytest.raises(ParameterError, match="trial_seed"):
             run_trial(config, -1)
+
+
+def res53(x: int) -> float:
+    """CPython's ``random()`` from the two 32-bit words of ``x``, low word first."""
+    w0, w1 = x & 0xFFFFFFFF, x >> 32
+    return ((w0 >> 5) * 67108864.0 + (w1 >> 6)) * (1.0 / 9007199254740992.0)
+
+
+def loaded(words: bytes) -> engine._Draws:
+    """A draw source whose lookahead is ``words``, eight bytes per draw."""
+    draws = engine._Draws(random.Random(0))
+    draws.buf, draws.end = words, len(words) // 8
+    return draws
+
+
+@st.composite
+def draws_near_the_bound(draw, p):
+    """A 64-bit draw whose ``K`` lies within two of ``p``'s bound, with arbitrary discarded bits."""
+    bound = engine._draw_test(p)[1]
+    k = min(max(bound + draw(st.integers(-2, 2)), 0), 2**53 - 1)
+    w0 = (k >> 26) << 5 | draw(st.integers(0, 31))
+    w1 = (k & (2**26 - 1)) << 6 | draw(st.integers(0, 63))
+    return w0 | w1 << 32
+
+
+probabilities = st.one_of(st.just(1.0), st.floats(5e-324, 1e-12), dyadic(60), st.floats(0.0, 1.0, exclude_min=True))
+
+
+class TestBulkDraws:
+    def test_fetched_words_are_the_random_stream(self):
+        # The engine relies on this identity of CPython's Mersenne Twister; if a
+        # release changes random(), this fails instead of outputs changing silently.
+        m = 1000
+        for seed in range(24):
+            bulk, plain = random.Random(seed), random.Random(seed)
+            draws = loaded(bulk.getrandbits(64 * m).to_bytes(8 * m, "little"))
+            for _ in range(m):
+                assert draws.random().hex() == plain.random().hex()
+            assert draws.pos == draws.end == m
+            assert bulk.getstate() == plain.getstate()
+
+    @settings(max_examples=500, deadline=None)
+    @given(data=st.data(), p=probabilities)
+    def test_byte_test_agrees_with_u_below_p(self, data, p):
+        x = data.draw(st.one_of(st.integers(0, 2**64 - 1), draws_near_the_bound(p)))
+        u = res53(x)
+        words = x.to_bytes(8, "little")
+        assert loaded(words).random() == u
+        assert loaded(words).first_success([engine._draw_test(p)], 1, 1) == (0 if u < p else None)
+
+    def test_window_scan_reads_exactly_to_the_first_success(self):
+        ps = (0.002, 0.3, 2.0**-9)
+        for seed in range(20):
+            bulk, plain = random.Random(seed), random.Random(seed)
+            draws = engine._Draws(bulk)
+            hit = draws.first_success([engine._draw_test(p) for p in ps], 5000, 64)
+            us = [plain.random() for _ in range(5000)]
+            wins = [d for d, u in enumerate(us) if u < ps[d % 3]]
+            assert hit == wins[0]
+            # The lookahead continues the stream where the scan stopped.
+            assert [draws.random() for _ in range(100)] == us[hit + 1 : hit + 101]
 
 
 # ---------------------------------------------------------------------------
