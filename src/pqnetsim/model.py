@@ -5,9 +5,11 @@ channel specifications, the crypto-profile registry, the full scenario
 description, and the validation machinery that turns a JSON document into a
 checked :class:`ScenarioConfig`.
 
-Scenario files are strict JSON: keys are lower_snake_case and must match the
-dataclass field names exactly, durations are numbers in seconds, and unknown
-keys are reported as validation violations rather than silently ignored.
+Scenario files and profile registries are strict JSON read by one parser,
+:func:`_parse_record`: the dataclasses give both the keys (their field names)
+and the JSON type of each value (their type hints).  Durations are numbers in
+seconds, and unknown keys are reported as violations rather than silently
+ignored.
 Unordered node pairs (classical-channel keys and the adversary's
 ``intercept_link``) are encoded as the two node ids joined by a comma, e.g.
 ``"alice,relay"``; key order does not matter and is normalized on load.
@@ -19,10 +21,12 @@ import dataclasses
 import functools
 import json
 import math
+import types
+import typing
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from .errors import ParameterError, ProfileNotFoundError, ScenarioValidationError, Violation
 
@@ -124,12 +128,15 @@ class MemorySpec:
 
 @dataclass(frozen=True)
 class NodeSpec:
-    """One network node: identity, role, memory, and its crypto profile."""
+    """One network node: identity, role, memory, and its crypto profile.
+
+    In JSON, ``crypto`` is the name of a profile in the registry.
+    """
 
     id: str
     role: NodeRole
     memory: MemorySpec
-    crypto: CryptoProfile
+    crypto: CryptoProfile = field(metadata={"registry_name": True})
 
 
 @dataclass(frozen=True)
@@ -201,14 +208,8 @@ class ScenarioConfig:
     rounds_l: int = 1
     adversary: AdversaryConfig | None = None
 
-    def node(self, node_id: str) -> NodeSpec:
-        for n in self.nodes:
-            if n.id == node_id:
-                return n
-        raise ParameterError(f"unknown node id: {node_id!r}")
-
     def node_index(self) -> dict[str, NodeSpec]:
-        """Nodes by id, built in one pass; of duplicate ids the first wins, as in :meth:`node`."""
+        """Nodes by id, built in one pass; of duplicate ids the first wins."""
         return {n.id: n for n in reversed(self.nodes)}
 
     def channel_between(self, a: str, b: str) -> ClassicalChannelSpec:
@@ -301,8 +302,22 @@ def default_registry() -> CryptoRegistry:
     return CryptoRegistry(_DEFAULT_PROFILES)
 
 
+def _range_problems(profile: CryptoProfile) -> Iterable[tuple[str, str]]:
+    """The fields of ``profile`` out of range: latencies must be finite and >= 0, sizes >= 0."""
+    for fname in ("t_encrypt", "t_decrypt"):
+        v = getattr(profile, fname)
+        if not math.isfinite(v) or v < 0:
+            yield fname, "must be finite and >= 0"
+    for fname in ("public_key_bytes", "ciphertext_or_sig_bytes", "claimed_security_bits"):
+        if getattr(profile, fname) < 0:
+            yield fname, "must be >= 0"
+
+
 def load_registry(path: str | Path) -> CryptoRegistry:
     """Load a registry from a JSON array of profile objects.
+
+    Entries are read by the same type rules as scenario files, and every
+    problem in the file is reported together.
 
     Raises:
         ParameterError: on malformed JSON, unknown keys, bad field values or
@@ -310,55 +325,29 @@ def load_registry(path: str | Path) -> CryptoRegistry:
     """
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError, RecursionError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise ParameterError(f"cannot read profile registry {path}: {exc}") from exc
     if not isinstance(data, list):
         raise ParameterError("profile registry must be a JSON array of profile objects")
+    vios: list[Violation] = []
     profiles = []
     for i, raw in enumerate(data):
-        profiles.append(_parse_profile(raw, f"[{i}]"))
+        where = f"[{i}]"
+        unknown = raw.keys() - _field_names(CryptoProfile) if isinstance(raw, dict) else None
+        if unknown:
+            vios.append(Violation(where, f"unknown profile key(s): {sorted(unknown)}"))
+            continue
+        found: list[Violation] = []
+        profile = _parse_record(CryptoProfile, raw, where, found, None)
+        if profile is not None:
+            profiles.append(profile)
+            found += [Violation(f"{where}.{fname}", problem) for fname, problem in _range_problems(profile)]
+        name = raw.get("name") if isinstance(raw, dict) else None
+        named = f" (profile {name!r})" if isinstance(name, str) and name else ""
+        vios.extend(Violation(v.path + named, v.message) for v in found)
+    if vios:
+        raise ParameterError("; ".join(map(str, vios)))
     return CryptoRegistry(profiles)
-
-
-def _parse_profile(raw: Any, where: str) -> CryptoProfile:
-    if not isinstance(raw, dict):
-        raise ParameterError(f"{where}: profile must be an object")
-    unknown = raw.keys() - _field_names(CryptoProfile)
-    if unknown:
-        raise ParameterError(f"{where}: unknown profile key(s): {sorted(unknown)}")
-    try:
-        kind = CryptoKind(raw["kind"])
-    except (KeyError, ValueError) as exc:
-        raise ParameterError(f"{where}: kind must be one of {[k.value for k in CryptoKind]}") from exc
-
-    def typed(key: str, ok, expected: str) -> Any:
-        # JSON types as scenario parsing takes them: strings and bools are not coerced.
-        if key not in raw:
-            raise ParameterError(f"{where}: malformed profile: missing {key!r}")
-        value = raw[key]
-        if not ok(value):
-            named = f" (profile {raw['name']!r})" if isinstance(raw.get("name"), str) else ""
-            raise ParameterError(f"{where}.{key}{named}: expected {expected}, got {type(value).__name__}")
-        return value
-
-    profile = CryptoProfile(
-        name=typed("name", lambda v: isinstance(v, str), "a string"),
-        kind=kind,
-        t_encrypt=float(typed("t_encrypt", _is_number, "a number")),
-        t_decrypt=float(typed("t_decrypt", _is_number, "a number")),
-        public_key_bytes=typed("public_key_bytes", _is_int, "an integer"),
-        ciphertext_or_sig_bytes=typed("ciphertext_or_sig_bytes", _is_int, "an integer"),
-        claimed_security_bits=typed("claimed_security_bits", _is_int, "an integer"),
-        illustrative="illustrative" in raw and typed("illustrative", lambda v: isinstance(v, bool), "a boolean"),
-    )
-    for fname in ("t_encrypt", "t_decrypt"):
-        v = getattr(profile, fname)
-        if not math.isfinite(v) or v < 0:
-            raise ParameterError(f"{where}.{fname}: must be finite and non-negative")
-    for fname in ("public_key_bytes", "ciphertext_or_sig_bytes", "claimed_security_bits"):
-        if getattr(profile, fname) < 0:
-            raise ParameterError(f"{where}.{fname}: must be non-negative")
-    return profile
 
 
 # ---------------------------------------------------------------------------
@@ -382,207 +371,183 @@ def _field_names(cls: type) -> frozenset[str]:
     return frozenset(f.name for f in dataclasses.fields(cls))
 
 
-def _check_unknown(obj: Mapping[str, Any], cls: type, path: str, vios: list[Violation]) -> None:
-    for key in sorted(obj.keys() - _field_names(cls)):
-        vios.append(Violation(f"{path}.{key}", "unknown key"))
+def _mismatch(expected: str, value: Any) -> str:
+    return f"expected {expected}, got {'an empty string' if value == '' else type(value).__name__}"
 
 
-def _get_number(obj: Mapping[str, Any], key: str, path: str, vios: list[Violation]) -> float:
-    if key not in obj:
-        vios.append(Violation(f"{path}.{key}", "missing required number"))
-        return 0.0
-    value = obj[key]
+# A reader parses one JSON value: ``read(value, path, key, vios, registry)``
+# returns the value, or appends a violation at ``path + key`` (the path is
+# only built then) and returns None.  Readers of composite types are
+# ``functools.partial``s that bind what the type hint names.
+
+def _read_float(value, path, key, vios, registry):
     if not _is_number(value):
-        vios.append(Violation(f"{path}.{key}", f"expected a number, got {type(value).__name__}"))
-        return 0.0
-    return float(value)
+        vios.append(Violation(path + key, _mismatch("a number", value)))
+        return None
+    try:
+        return float(value)
+    except OverflowError:
+        vios.append(Violation(path + key, "integer too large for a float"))
 
 
-def _get_int(obj: Mapping[str, Any], key: str, path: str, vios: list[Violation], default=None):
-    if key not in obj:
-        if default is not None:
-            return default
-        vios.append(Violation(f"{path}.{key}", "missing required integer"))
-        return 0
-    value = obj[key]
-    if not _is_int(value):
-        vios.append(Violation(f"{path}.{key}", f"expected an integer, got {type(value).__name__}"))
-        return 0
-    return value
+def _read_checked(ok, expected, value, path, key, vios, registry):
+    """Take a JSON value as it is when ``ok`` accepts it."""
+    if ok(value):
+        return value
+    vios.append(Violation(path + key, _mismatch(expected, value)))
 
 
-def _get_str(obj: Mapping[str, Any], key: str, path: str, vios: list[Violation]) -> str:
-    value = obj.get(key)
-    if not isinstance(value, str) or not value:
-        vios.append(Violation(f"{path}.{key}", "missing or empty string"))
-        return ""
-    return value
+_SCALAR_READERS = {
+    float: _read_float,
+    int: functools.partial(_read_checked, _is_int, "an integer"),
+    bool: functools.partial(_read_checked, lambda v: isinstance(v, bool), "a boolean"),
+    str: functools.partial(_read_checked, lambda v: isinstance(v, str) and v != "", "a non-empty string"),
+}
+
+
+def _read_profile(value, path, key, vios, registry):
+    """``NodeSpec.crypto``: the name of a registry profile, resolved here."""
+    name = _SCALAR_READERS[str](value, path, key, vios, registry)
+    if name is not None:
+        try:
+            return registry.lookup(name)
+        except ProfileNotFoundError:
+            vios.append(Violation(path + key, f"unknown crypto profile {name!r}"))
+
+
+def _read_ids(value, path, key, vios, registry):
+    if isinstance(value, list) and len(value) == 2 and all(isinstance(e, str) and e for e in value):
+        return value[0], value[1]
+    vios.append(Violation(path + key, "must be a list of two node ids"))
+
+
+def _read_enum(members, value, path, key, vios, registry):
+    try:
+        return members[value]
+    except (KeyError, TypeError):
+        vios.append(Violation(path + key, f"must be one of {list(members)}, got {value!r}"))
+
+
+def _read_optional(read, value, path, key, vios, registry):
+    return None if value is None else read(value, path, key, vios, registry)
+
+
+def _read_record(cls, value, path, key, vios, registry):
+    return _parse_record(cls, value, path + key, vios, registry)
+
+
+def _read_list(read, value, path, key, vios, registry):
+    if not isinstance(value, list):
+        vios.append(Violation(path + key, _mismatch("a list", value)))
+        return None
+    path += key
+    return tuple([read(item, path, f"[{i}]", vios, registry) for i, item in enumerate(value)])
+
+
+def _read_pair_keyed(read, value, path, key, vios, registry):
+    """An object keyed by ``"a,b"`` node pairs; keys are canonicalised with :func:`pair_key`."""
+    if not isinstance(value, dict):
+        vios.append(Violation(path + key, _mismatch("an object keyed by 'a,b' node pairs", value)))
+        return None
+    path += key
+    out = {}
+    for text, item in value.items():
+        where = f"[{text!r}]"
+        pair = split_pair_key(text)
+        if pair is None or pair[0] == pair[1]:
+            vios.append(Violation(path + where, "key must name two distinct node ids joined by a comma"))
+            continue
+        canon = pair_key(*pair)
+        parsed = read(item, path, where, vios, registry)
+        if canon in out:
+            vios.append(Violation(path + where, "duplicate channel for this node pair"))
+        out[canon] = parsed
+    return out
+
+
+def _reader(hint: Any) -> Callable:
+    """The reader for a dataclass field's type hint."""
+    if hint in _SCALAR_READERS:
+        return _SCALAR_READERS[hint]
+    if isinstance(hint, type) and issubclass(hint, Enum):
+        return functools.partial(_read_enum, {m.value: m for m in hint})
+    if dataclasses.is_dataclass(hint):
+        return functools.partial(_read_record, hint)
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is types.UnionType and len(args) == 2 and args[1] is type(None):
+        return functools.partial(_read_optional, _reader(args[0]))
+    if origin is tuple and args == (str, str):
+        return _read_ids
+    if origin is tuple and len(args) == 2 and args[1] is Ellipsis:
+        return functools.partial(_read_list, _reader(args[0]))
+    if origin is dict and args[0] is str:
+        return functools.partial(_read_pair_keyed, _reader(args[1]))
+    raise TypeError(f"no JSON reader for type {hint!r}")
+
+
+@functools.cache
+def _plan(cls: type) -> tuple[tuple[str, str, Any, Callable], ...]:
+    """How to read a dataclass from JSON, built once per class.
+
+    One step per field, in field order: its name, its path suffix, its
+    default (``dataclasses.MISSING`` when it has none) and the reader of its
+    type hint.  A field marked ``registry_name`` is read as a profile name.
+    """
+    hints = typing.get_type_hints(cls)
+    steps = []
+    for f in dataclasses.fields(cls):
+        read = _read_profile if f.metadata.get("registry_name") else _reader(hints[f.name])
+        steps.append((f.name, "." + f.name, f.default, read))
+    return tuple(steps)
+
+
+def _parse_record(cls: type, raw: Any, path: str, vios: list[Violation], registry: CryptoRegistry | None) -> Any:
+    """Read the JSON object ``raw`` as dataclass ``cls``, by its fields and their type hints.
+
+    Unknown keys, then each missing or ill-typed field in field order, are
+    appended to ``vios`` at their paths under ``path``; the record is
+    returned only if there were none.  A missing field with a default takes it.
+    """
+    if not isinstance(raw, dict):
+        vios.append(Violation(path, _mismatch("an object", raw)))
+        return None
+    count = len(vios)
+    names = _field_names(cls)
+    if not raw.keys() <= names:
+        vios.extend(Violation(f"{path}.{key}", "unknown key") for key in sorted(raw.keys() - names))
+    values = {}
+    for name, key, default, read in _plan(cls):
+        value = raw.get(name, default)
+        if value is dataclasses.MISSING:
+            vios.append(Violation(path + key, "missing"))
+        else:
+            values[name] = read(value, path, key, vios, registry)
+    return cls(**values) if len(vios) == count else None
 
 
 def parse_scenario(data: Any, registry: CryptoRegistry) -> ScenarioConfig:
     """Build a :class:`ScenarioConfig` from decoded JSON, strictly.
 
-    Structural problems (wrong types, unknown keys, unknown crypto-profile
-    names, malformed pair keys) are collected and raised together as a
-    :class:`ScenarioValidationError`.  Range and referential invariants are
-    the job of :func:`validate_scenario`, which callers should run next.
+    Structural problems (wrong types, missing or unknown keys, unknown
+    crypto-profile names, malformed pair keys) are collected and raised
+    together as a :class:`ScenarioValidationError`.  Range and referential
+    invariants are the job of :func:`validate_scenario`, which callers
+    should run next.
     """
-    vios: list[Violation] = []
     if not isinstance(data, dict):
         raise ScenarioValidationError([Violation("$", "scenario must be a JSON object")])
-    _check_unknown(data, ScenarioConfig, "$", vios)
-
-    nodes: list[NodeSpec] = []
-    raw_nodes = data.get("nodes")
-    if not isinstance(raw_nodes, list):
-        vios.append(Violation("$.nodes", "missing or not a list"))
-    else:
-        for i, raw in enumerate(raw_nodes):
-            node = _parse_node(raw, f"$.nodes[{i}]", registry, vios)
-            if node is not None:
-                nodes.append(node)
-
-    links: list[QuantumLinkSpec] = []
-    raw_links = data.get("quantum_links")
-    if not isinstance(raw_links, list):
-        vios.append(Violation("$.quantum_links", "missing or not a list"))
-    else:
-        for i, raw in enumerate(raw_links):
-            link = _parse_link(raw, f"$.quantum_links[{i}]", vios)
-            if link is not None:
-                links.append(link)
-
-    channels: dict[str, ClassicalChannelSpec] = {}
-    raw_channels = data.get("classical_channels")
-    if raw_channels is None:
-        raw_channels = {}
-    if not isinstance(raw_channels, dict):
-        vios.append(Violation("$.classical_channels", "must be an object keyed by 'a,b' node pairs"))
-    else:
-        for key, raw in raw_channels.items():
-            path = f"$.classical_channels[{key!r}]"
-            pair = split_pair_key(key)
-            if pair is None or pair[0] == pair[1]:
-                vios.append(Violation(path, "key must name two distinct node ids joined by a comma"))
-                continue
-            if not isinstance(raw, dict):
-                vios.append(Violation(path, "channel spec must be an object"))
-                continue
-            _check_unknown(raw, ClassicalChannelSpec, path, vios)
-            spec = ClassicalChannelSpec(
-                propagation_delay=_get_number(raw, "propagation_delay", path, vios),
-                processing_delay=_get_number(raw, "processing_delay", path, vios),
-            )
-            canon = pair_key(*pair)
-            if canon in channels:
-                vios.append(Violation(path, "duplicate channel for this node pair"))
-            channels[canon] = spec
-
-    protocol = Protocol.SINGLE_HOP
-    raw_protocol = data.get("protocol")
-    try:
-        protocol = Protocol(raw_protocol)
-    except ValueError:
-        vios.append(
-            Violation("$.protocol", f"must be one of {[p.value for p in Protocol]}, got {raw_protocol!r}")
-        )
-
-    adversary = None
-    raw_adv = data.get("adversary")
-    if raw_adv is not None:
-        adversary = _parse_adversary(raw_adv, "$.adversary", vios)
-
-    seed = _get_int(data, "seed", "$", vios)
-    n_trials = _get_int(data, "n_trials", "$", vios)
-    slot_duration = _get_number(data, "slot_duration", "$", vios)
-    rounds_l = _get_int(data, "rounds_l", "$", vios, default=1)
-
+    vios: list[Violation] = []
+    config = _parse_record(ScenarioConfig, data, "$", vios, registry)
+    if config is not None and config.adversary is not None:
+        pair = split_pair_key(config.adversary.intercept_link)
+        if pair is None:
+            vios.append(Violation("$.adversary.intercept_link", "must name a link as 'a,b'"))
+        else:
+            adversary = dataclasses.replace(config.adversary, intercept_link=pair_key(*pair))
+            config = dataclasses.replace(config, adversary=adversary)
     if vios:
         raise ScenarioValidationError(vios)
-    return ScenarioConfig(
-        nodes=tuple(nodes),
-        quantum_links=tuple(links),
-        classical_channels=channels,
-        protocol=protocol,
-        seed=seed,
-        n_trials=n_trials,
-        slot_duration=slot_duration,
-        rounds_l=rounds_l,
-        adversary=adversary,
-    )
-
-
-def _parse_node(raw: Any, path: str, registry: CryptoRegistry, vios: list[Violation]) -> NodeSpec | None:
-    if not isinstance(raw, dict):
-        vios.append(Violation(path, "node must be an object"))
-        return None
-    _check_unknown(raw, NodeSpec, path, vios)
-    node_id = _get_str(raw, "id", path, vios)
-    role = NodeRole.END_NODE
-    try:
-        role = NodeRole(raw.get("role"))
-    except ValueError:
-        vios.append(Violation(f"{path}.role", f"must be one of {[r.value for r in NodeRole]}"))
-    raw_mem = raw.get("memory")
-    memory = MemorySpec(t_coh=1.0, tier=MemoryTier.SHORT_LIVED)
-    if not isinstance(raw_mem, dict):
-        vios.append(Violation(f"{path}.memory", "missing or not an object"))
-    else:
-        _check_unknown(raw_mem, MemorySpec, f"{path}.memory", vios)
-        tier = MemoryTier.SHORT_LIVED
-        try:
-            tier = MemoryTier(raw_mem.get("tier"))
-        except ValueError:
-            vios.append(Violation(f"{path}.memory.tier", f"must be one of {[t.value for t in MemoryTier]}"))
-        memory = MemorySpec(t_coh=_get_number(raw_mem, "t_coh", f"{path}.memory", vios), tier=tier)
-    crypto_name = _get_str(raw, "crypto", path, vios)
-    crypto = None
-    if crypto_name:
-        try:
-            crypto = registry.lookup(crypto_name)
-        except ProfileNotFoundError:
-            vios.append(Violation(f"{path}.crypto", f"unknown crypto profile {crypto_name!r}"))
-    if crypto is None or not node_id:
-        return None
-    return NodeSpec(id=node_id, role=role, memory=memory, crypto=crypto)
-
-
-def _parse_link(raw: Any, path: str, vios: list[Violation]) -> QuantumLinkSpec | None:
-    if not isinstance(raw, dict):
-        vios.append(Violation(path, "quantum link must be an object"))
-        return None
-    _check_unknown(raw, QuantumLinkSpec, path, vios)
-    raw_ep = raw.get("endpoints")
-    if (
-        not isinstance(raw_ep, list)
-        or len(raw_ep) != 2
-        or not all(isinstance(e, str) and e for e in raw_ep)
-    ):
-        vios.append(Violation(f"{path}.endpoints", "must be a list of two node ids"))
-        return None
-    return QuantumLinkSpec(
-        endpoints=(raw_ep[0], raw_ep[1]),
-        gen_rate=_get_number(raw, "gen_rate", path, vios),
-        p_success=_get_number(raw, "p_success", path, vios),
-        base_fidelity=_get_number(raw, "base_fidelity", path, vios),
-    )
-
-
-def _parse_adversary(raw: Any, path: str, vios: list[Violation]) -> AdversaryConfig | None:
-    if not isinstance(raw, dict):
-        vios.append(Violation(path, "adversary must be an object or null"))
-        return None
-    _check_unknown(raw, AdversaryConfig, path, vios)
-    intercept = _get_str(raw, "intercept_link", path, vios)
-    pair = split_pair_key(intercept) if intercept else None
-    if intercept and pair is None:
-        vios.append(Violation(f"{path}.intercept_link", "must name a link as 'a,b'"))
-    return AdversaryConfig(
-        t_eve=_get_number(raw, "t_eve", path, vios),
-        t_pqc=_get_number(raw, "t_pqc", path, vios),
-        t_coh_eve=_get_number(raw, "t_coh_eve", path, vios),
-        intercept_link=pair_key(*pair) if pair else intercept,
-    )
+    return config
 
 
 def load_scenario(path: str | Path, registry: CryptoRegistry | None = None) -> ScenarioConfig:
@@ -592,7 +557,7 @@ def load_scenario(path: str | Path, registry: CryptoRegistry | None = None) -> S
         data = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise ScenarioValidationError([Violation("$", f"cannot read {path}: {exc}")]) from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer literal beyond the digit limit
         raise ScenarioValidationError([Violation("$", f"not valid JSON: {exc}")]) from exc
     except RecursionError as exc:
         raise ScenarioValidationError([Violation("$", "JSON nested too deeply to decode")]) from exc
@@ -614,17 +579,8 @@ def validate_scenario(config: ScenarioConfig) -> list[Violation]:
         node_ids.add(node.id)
         if not math.isfinite(node.memory.t_coh) or node.memory.t_coh <= 0:
             vios.append(Violation(f"{path}.memory.t_coh", f"node {node.id!r}: t_coh must be finite and > 0"))
-        for fname in ("t_encrypt", "t_decrypt"):
-            v = getattr(node.crypto, fname)
-            if not math.isfinite(v) or v < 0:
-                vios.append(
-                    Violation(f"{path}.crypto.{fname}", f"profile {node.crypto.name!r}: must be finite and >= 0")
-                )
-        for fname in ("public_key_bytes", "ciphertext_or_sig_bytes", "claimed_security_bits"):
-            if getattr(node.crypto, fname) < 0:
-                vios.append(
-                    Violation(f"{path}.crypto.{fname}", f"profile {node.crypto.name!r}: must be >= 0")
-                )
+        for fname, problem in _range_problems(node.crypto):
+            vios.append(Violation(f"{path}.crypto.{fname}", f"profile {node.crypto.name!r}: {problem}"))
 
     seen_links: set[str] = set()
     for i, link in enumerate(config.quantum_links):

@@ -201,6 +201,53 @@ class TestCheck:
             {"path": "$", "message": "JSON nested too deeply to decode"}
         ]
 
+    @staticmethod
+    def argv_with_long_integer(tmp_path: Path, target: str, digits: int) -> list[str]:
+        """`check` on a scenario, or `profiles` on a registry, in which one number is a `digits`-digit integer."""
+        profiles = write_profiles(tmp_path, 0.001, 0.001)
+        scenario = write_scenario(tmp_path, scenario_dict())
+        if target == "scenario":
+            path, data = scenario, json.loads(scenario.read_text())
+            data["slot_duration"] = "LONG"
+            argv = ["check", str(scenario)]
+        else:
+            path, data = profiles, json.loads(profiles.read_text())
+            data[1]["t_encrypt"] = "LONG"
+            argv = ["profiles"]
+        path.write_text(json.dumps(data).replace('"LONG"', "9" * digits))
+        return ["--profiles", str(profiles), *argv]
+
+    @pytest.mark.parametrize(
+        "target, expected",
+        [
+            pytest.param("scenario", "$.slot_duration: integer too large for a float", id="scenario"),
+            pytest.param(
+                "registry", "error: [1].t_encrypt (profile 'test-receiver'): integer too large for a float", id="registry"
+            ),
+        ],
+    )
+    def test_integer_too_large_for_a_float_exits_two(self, tmp_path, capsys, target, expected):
+        assert main(self.argv_with_long_integer(tmp_path, target, 401)) == 2
+        captured = capsys.readouterr()
+        if target == "scenario":
+            violations = json.loads(captured.out)["violations"]
+            assert [f"{v['path']}: {v['message']}" for v in violations] == [expected]
+        else:
+            assert captured.out == ""
+            assert captured.err == expected + "\n"
+
+    @pytest.mark.parametrize("target", ["scenario", "registry"])
+    def test_integer_past_the_decoders_digit_limit_exits_two(self, tmp_path, capsys, target):
+        # Python refuses to convert integer literals of more than 4300 digits.
+        assert main(self.argv_with_long_integer(tmp_path, target, 5000)) == 2
+        captured = capsys.readouterr()
+        if target == "scenario":
+            [violation] = json.loads(captured.out)["violations"]
+            assert violation["path"] == "$" and violation["message"].startswith("not valid JSON: ")
+        else:
+            assert captured.out == ""
+            assert captured.err.startswith(f"error: cannot read profile registry {tmp_path / 'profiles.json'}: ")
+
 
 class TestSimulate:
     def test_reruns_are_byte_identical(self, tmp_path, capsys):

@@ -608,20 +608,14 @@ class TestSetupScaling:
         config = chain_scenario([(0.0, 0.001)] * n)
         assert model.validate_scenario(config) == []
         calls = 0
-        pair_key, node = model.pair_key, model.ScenarioConfig.node
+        pair_key = model.pair_key
 
         def counted_pair_key(a, b):
             nonlocal calls
             calls += 1
             return pair_key(a, b)
 
-        def counted_node(self, node_id):
-            nonlocal calls
-            calls += 1
-            return node(self, node_id)
-
         monkeypatch.setattr(model, "pair_key", counted_pair_key)
-        monkeypatch.setattr(model.ScenarioConfig, "node", counted_node)
         for step in (model.validate_scenario, timing.scenario_timings, engine._prepare):
             calls = 0
             step(config)

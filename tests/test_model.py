@@ -1,12 +1,13 @@
 """Domain model: security helper, registry, scenario parsing and validation."""
 
+import copy
 import dataclasses
 import json
 import random
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pqnetsim import (
     CryptoKind,
@@ -25,7 +26,7 @@ from pqnetsim import (
     set_config_value,
     validate_scenario,
 )
-from pqnetsim.model import resolve_path
+from pqnetsim.model import parse_scenario, resolve_path
 from pqnetsim.timing import scenario_timings
 
 from scenario_builders import chain_scenario, two_party_scenario
@@ -146,6 +147,26 @@ class TestRegistry:
         path.write_text(json.dumps(payload))
         with pytest.raises(ParameterError):
             load_registry(path)
+
+    def test_load_registry_reports_every_bad_profile_together(self, tmp_path):
+        good = {
+            "name": "a",
+            "kind": "kem",
+            "t_encrypt": 0.1,
+            "t_decrypt": 0.1,
+            "public_key_bytes": 1,
+            "ciphertext_or_sig_bytes": 1,
+            "claimed_security_bits": 128,
+        }
+        payload = [{**good, "t_encrypt": "0.1"}, {**good, "name": "b"}, {**good, "name": "c", "kind": "hash"}]
+        path = tmp_path / "profiles.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ParameterError) as info:
+            load_registry(path)
+        assert str(info.value) == (
+            "[0].t_encrypt (profile 'a'): expected a number, got str; "
+            "[2].kind (profile 'c'): must be one of ['kem', 'signature'], got 'hash'"
+        )
 
 
 class TestValidateScenario:
@@ -316,3 +337,155 @@ class TestPathsAndEditing:
         for bad in ("nodes.0.nickname", "nodes.9.memory.t_coh", "protocol", "nodes.0.id"):
             with pytest.raises(ParameterError, match=bad.split(".")[-1]):
                 set_config_value(config, bad, 1.0)
+
+
+DELETE = object()
+BOB_RELAY = "$.classical_channels['bob,relay']"
+CHANNEL = {"propagation_delay": 0.0003, "processing_delay": 0.0001}
+
+# One-field mutations of scenarios/intercepted_chain.json: (where, new value or
+# DELETE, expected violation paths, expected messages or None). Messages are
+# pinned only where they are part of the contract; paths are pinned always.
+MALFORMED = [
+    # a wrong JSON type for each kind of field
+    pytest.param(("slot_duration",), "0.001", ["$.slot_duration"], ["expected a number, got str"], id="number-str"),
+    pytest.param(("nodes", 1, "memory", "t_coh"), True, ["$.nodes[1].memory.t_coh"],
+                 ["expected a number, got bool"], id="number-bool"),
+    pytest.param(("quantum_links", 0, "p_success"), "0.5", ["$.quantum_links[0].p_success"],
+                 ["expected a number, got str"], id="link-number"),
+    pytest.param(("classical_channels", "bob,relay", "propagation_delay"), None,
+                 [f"{BOB_RELAY}.propagation_delay"], ["expected a number, got NoneType"], id="channel-number"),
+    pytest.param(("adversary", "t_eve"), [], ["$.adversary.t_eve"], ["expected a number, got list"],
+                 id="adversary-number"),
+    pytest.param(("seed",), 1.5, ["$.seed"], ["expected an integer, got float"], id="int-float"),
+    pytest.param(("n_trials",), True, ["$.n_trials"], ["expected an integer, got bool"], id="int-bool"),
+    pytest.param(("rounds_l",), "1", ["$.rounds_l"], ["expected an integer, got str"], id="int-str"),
+    pytest.param(("nodes", 0, "id"), 7, ["$.nodes[0].id"], None, id="string-int"),
+    pytest.param(("nodes", 0, "id"), "", ["$.nodes[0].id"], None, id="string-empty"),
+    pytest.param(("nodes", 0, "crypto"), 5, ["$.nodes[0].crypto"], None, id="crypto-int"),
+    pytest.param(("adversary", "intercept_link"), 3, ["$.adversary.intercept_link"], None, id="intercept-int"),
+    pytest.param(("protocol",), "mesh", ["$.protocol"],
+                 ["must be one of ['single_hop', 'parallel_chain', 'sequential_rounds'], got 'mesh'"], id="enum"),
+    pytest.param(("protocol",), None, ["$.protocol"],
+                 ["must be one of ['single_hop', 'parallel_chain', 'sequential_rounds'], got None"], id="enum-null"),
+    pytest.param(("nodes", 1, "role"), "router", ["$.nodes[1].role"], None, id="enum-role"),
+    pytest.param(("nodes", 1, "memory", "tier"), 3, ["$.nodes[1].memory.tier"], None, id="enum-tier"),
+    pytest.param(("nodes", 1), "relay", ["$.nodes[1]"], None, id="object-node"),
+    pytest.param(("nodes", 1, "memory"), 0.03, ["$.nodes[1].memory"], None, id="object-memory"),
+    pytest.param(("quantum_links", 0), [], ["$.quantum_links[0]"], None, id="object-link"),
+    pytest.param(("classical_channels", "bob,relay"), 1, [BOB_RELAY], None, id="object-channel"),
+    pytest.param(("adversary",), "eve", ["$.adversary"], None, id="object-adversary"),
+    pytest.param(("classical_channels",), [], ["$.classical_channels"], None, id="object-channels"),
+    pytest.param(("nodes",), {}, ["$.nodes"], None, id="list-nodes"),
+    pytest.param(("quantum_links",), "x", ["$.quantum_links"], None, id="list-links"),
+    pytest.param(("quantum_links", 0, "endpoints"), ["alice"], ["$.quantum_links[0].endpoints"],
+                 ["must be a list of two node ids"], id="endpoints-short"),
+    pytest.param(("quantum_links", 0, "endpoints"), "alice,relay", ["$.quantum_links[0].endpoints"],
+                 ["must be a list of two node ids"], id="endpoints-str"),
+    pytest.param(("quantum_links", 0, "endpoints"), ["alice", 3], ["$.quantum_links[0].endpoints"],
+                 ["must be a list of two node ids"], id="endpoints-int"),
+    # a missing field, and null or a list where an object belongs
+    pytest.param(("slot_duration",), DELETE, ["$.slot_duration"], None, id="missing-number"),
+    pytest.param(("seed",), DELETE, ["$.seed"], None, id="missing-int"),
+    pytest.param(("protocol",), DELETE, ["$.protocol"], None, id="missing-enum"),
+    pytest.param(("nodes",), DELETE, ["$.nodes"], None, id="missing-list"),
+    pytest.param(("nodes", 0, "memory"), DELETE, ["$.nodes[0].memory"], None, id="missing-object"),
+    pytest.param(("nodes", 2, "crypto"), DELETE, ["$.nodes[2].crypto"], None, id="missing-crypto"),
+    pytest.param(("quantum_links", 1, "base_fidelity"), DELETE, ["$.quantum_links[1].base_fidelity"], None,
+                 id="missing-link-number"),
+    pytest.param(("adversary", "t_pqc"), DELETE, ["$.adversary.t_pqc"], None, id="missing-adversary-number"),
+    pytest.param(("classical_channels",), DELETE, ["$.classical_channels"], None, id="missing-channels"),
+    pytest.param(("classical_channels",), None, ["$.classical_channels"], None, id="null-channels"),
+    pytest.param(("nodes", 0, "memory"), None, ["$.nodes[0].memory"], None, id="null-memory"),
+    pytest.param(("nodes", 2), None, ["$.nodes[2]"], None, id="null-node"),
+    pytest.param(("adversary",), [], ["$.adversary"], None, id="list-adversary"),
+    # bad pair keys, a duplicate channel and an unknown profile
+    pytest.param(("classical_channels",), {"bob": CHANNEL}, ["$.classical_channels['bob']"],
+                 ["key must name two distinct node ids joined by a comma"], id="pair-key-one-id"),
+    pytest.param(("classical_channels",), {"bob,bob": CHANNEL}, ["$.classical_channels['bob,bob']"],
+                 ["key must name two distinct node ids joined by a comma"], id="pair-key-same-id"),
+    pytest.param(("adversary", "intercept_link"), "alice-relay", ["$.adversary.intercept_link"],
+                 ["must name a link as 'a,b'"], id="intercept-not-a-pair"),
+    pytest.param(("classical_channels",), {"bob,relay": CHANNEL, "relay,bob": CHANNEL},
+                 ["$.classical_channels['relay,bob']"], ["duplicate channel for this node pair"], id="duplicate-channel"),
+    pytest.param(("nodes", 2, "crypto"), "nope", ["$.nodes[2].crypto"], ["unknown crypto profile 'nope'"],
+                 id="unknown-profile"),
+]
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("where, value, paths, messages", MALFORMED)
+    def test_one_field_mutation_exits_two_at_its_path(self, tmp_path, capsys, where, value, paths, messages):
+        from pqnetsim.cli import main
+
+        data = json.loads((SCENARIO_DIR / "intercepted_chain.json").read_text())
+        record = data
+        for step in where[:-1]:
+            record = record[step]
+        if value is DELETE:
+            del record[where[-1]]
+        else:
+            record[where[-1]] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        assert main(["check", str(path)]) == 2
+        violations = json.loads(capsys.readouterr().out)["violations"]
+        assert [v["path"] for v in violations] == paths
+        if messages is not None:
+            assert [v["message"] for v in violations] == messages
+
+
+# The shipped scenarios and the shipped registry, as the JSON documents a user writes.
+DOCUMENTS = {p.name: json.loads(p.read_text()) for p in sorted(SCENARIO_DIR.glob("*.json"))}
+DOCUMENTS["registry"] = [
+    {**dataclasses.asdict(p), "kind": p.kind.value} for p in default_registry().profiles()
+]
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=3) | st.dictionaries(st.text(max_size=8), children, max_size=3),
+    max_leaves=6,
+)
+
+
+def subtree_paths(node, prefix=()):
+    """The path of every subtree of a JSON document, the document itself included."""
+    yield prefix
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield from subtree_paths(child, (*prefix, key))
+
+
+@st.composite
+def one_part_replaced(draw):
+    name = draw(st.sampled_from(sorted(DOCUMENTS)))
+    where = draw(st.sampled_from(list(subtree_paths(DOCUMENTS[name]))))
+    return name, where, draw(JSON_VALUES)
+
+
+class TestParserFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(mutation=one_part_replaced())
+    @example(mutation=("repeater_chain.json", ("slot_duration",), 10**400))
+    @example(mutation=("intercepted_chain.json", ("adversary", "t_coh_eve"), 10**400))
+    @example(mutation=("registry", (2, "t_encrypt"), 10**400))
+    def test_replacing_any_part_parses_or_fails_as_bad_input(self, tmp_path_factory, mutation):
+        name, where, value = mutation
+        if not where:
+            document = value
+        else:
+            document = copy.deepcopy(DOCUMENTS[name])
+            record = document
+            for step in where[:-1]:
+                record = record[step]
+            record[where[-1]] = value
+        # A result or bad input (ScenarioValidationError is a ParameterError); any other exception fails.
+        try:
+            if name == "registry":
+                path = tmp_path_factory.getbasetemp() / "fuzzed_profiles.json"
+                path.write_text(json.dumps(document))
+                load_registry(path)
+            else:
+                validate_scenario(parse_scenario(document, default_registry()))
+        except ParameterError:
+            pass
