@@ -23,7 +23,7 @@ from typing import Sequence
 
 from . import fidelity
 from .errors import ParameterError
-from .model import AdversaryConfig
+from .model import AdversaryConfig, _range_problems
 
 __all__ = [
     "AdversaryConfig",
@@ -61,12 +61,10 @@ class DetectionReport:
 
 
 def _check_adversary(adv: AdversaryConfig) -> None:
-    for name in ("t_eve", "t_pqc"):
-        value = getattr(adv, name)
-        if not math.isfinite(value) or value < 0:
-            raise ParameterError(f"adversary {name} must be finite and >= 0, got {value!r}")
-    if not math.isfinite(adv.t_coh_eve) or adv.t_coh_eve <= 0:
-        raise ParameterError(f"adversary t_coh_eve must be finite and > 0, got {adv.t_coh_eve!r}")
+    problems = _range_problems(adv)
+    if problems:
+        name, message = problems[0]
+        raise ParameterError(f"adversary {name} {message}, got {getattr(adv, name)!r}")
 
 
 def attack_outcome(adv: AdversaryConfig) -> AttackOutcome:

@@ -5,11 +5,10 @@ channel specifications, the crypto-profile registry, the full scenario
 description, and the validation machinery that turns a JSON document into a
 checked :class:`ScenarioConfig`.
 
-Scenario files and profile registries are strict JSON read by one parser,
-:func:`_parse_record`: the dataclasses give both the keys (their field names)
-and the JSON type of each value (their type hints).  Durations are numbers in
-seconds, and unknown keys are reported as violations rather than silently
-ignored.
+The dataclasses are the schema: their field names give the keys, their type
+hints the JSON type of each value (read by :func:`_parse_record`), and their
+``range`` metadata each value's legal range (checked by :func:`_range_problems`).
+Durations are numbers in seconds; unknown keys are violations, never ignored.
 Unordered node pairs (classical-channel keys and the adversary's
 ``intercept_link``) are encoded as the two node ids joined by a comma, e.g.
 ``"alice,relay"``; key order does not matter and is normalized on load.
@@ -21,6 +20,7 @@ import dataclasses
 import functools
 import json
 import math
+import sys
 import types
 import typing
 from dataclasses import dataclass, field
@@ -56,6 +56,19 @@ __all__ = [
     "message_senders",
     "set_config_value",
 ]
+
+
+def _range(low: Any, high: Any, message: str) -> dict:
+    """Field metadata: a legal value has ``low <= value <= high`` (never NaN); ``message`` says so otherwise.
+
+    ``math.ulp(0.0)`` as ``low`` reads "> 0", ``sys.float_info.max`` as ``high`` reads "finite".
+    """
+    return {"range": (low, high, message)}
+
+
+_NON_NEGATIVE = _range(0.0, sys.float_info.max, "must be finite and >= 0")
+_POSITIVE = _range(math.ulp(0.0), sys.float_info.max, "must be finite and > 0")
+_COUNT = _range(0, math.inf, "must be >= 0")
 
 
 class CryptoKind(Enum):
@@ -110,11 +123,11 @@ class CryptoProfile:
 
     name: str
     kind: CryptoKind
-    t_encrypt: float
-    t_decrypt: float
-    public_key_bytes: int
-    ciphertext_or_sig_bytes: int
-    claimed_security_bits: int
+    t_encrypt: float = field(metadata=_NON_NEGATIVE)
+    t_decrypt: float = field(metadata=_NON_NEGATIVE)
+    public_key_bytes: int = field(metadata=_COUNT)
+    ciphertext_or_sig_bytes: int = field(metadata=_COUNT)
+    claimed_security_bits: int = field(metadata=_COUNT)
     illustrative: bool = False
 
 
@@ -122,7 +135,7 @@ class CryptoProfile:
 class MemorySpec:
     """Quantum-memory parameters of one node: coherence time and tier."""
 
-    t_coh: float
+    t_coh: float = field(metadata=_POSITIVE)
     tier: MemoryTier
 
 
@@ -143,8 +156,8 @@ class NodeSpec:
 class ClassicalChannelSpec:
     """Classical channel delays between one node pair."""
 
-    propagation_delay: float
-    processing_delay: float
+    propagation_delay: float = field(metadata=_NON_NEGATIVE)
+    processing_delay: float = field(metadata=_NON_NEGATIVE)
 
     @property
     def t_comm(self) -> float:
@@ -163,9 +176,9 @@ class QuantumLinkSpec:
     """
 
     endpoints: tuple[str, str]
-    gen_rate: float
-    p_success: float
-    base_fidelity: float
+    gen_rate: float = field(metadata=_POSITIVE)
+    p_success: float = field(metadata=_range(math.ulp(0.0), 1.0, "must be in (0, 1]"))
+    base_fidelity: float = field(metadata=_range(0.25, 1.0, "must be in [0.25, 1]"))
 
     @property
     def key(self) -> str:
@@ -183,9 +196,9 @@ class AdversaryConfig:
     names the attacked link by its comma-joined endpoint pair.
     """
 
-    t_eve: float
-    t_pqc: float
-    t_coh_eve: float
+    t_eve: float = field(metadata=_NON_NEGATIVE)
+    t_pqc: float = field(metadata=_NON_NEGATIVE)
+    t_coh_eve: float = field(metadata=_POSITIVE)
     intercept_link: str
 
     @property
@@ -202,10 +215,10 @@ class ScenarioConfig:
     quantum_links: tuple[QuantumLinkSpec, ...]
     classical_channels: dict[str, ClassicalChannelSpec]
     protocol: Protocol
-    seed: int
-    n_trials: int
-    slot_duration: float
-    rounds_l: int = 1
+    seed: int = field(metadata=_range(0, 2**64 - 1, "must fit in an unsigned 64-bit integer"))
+    n_trials: int = field(metadata=_range(1, math.inf, "must be >= 1"))
+    slot_duration: float = field(metadata=_POSITIVE)
+    rounds_l: int = field(default=1, metadata=_range(1, 10**6, "must be in [1, 1000000]"))
     adversary: AdversaryConfig | None = None
 
     def node_index(self) -> dict[str, NodeSpec]:
@@ -274,17 +287,8 @@ class CryptoRegistry:
         except KeyError:
             raise ProfileNotFoundError(f"profile not found: {name!r}") from None
 
-    def names(self) -> list[str]:
-        return list(self._profiles)
-
     def profiles(self) -> list[CryptoProfile]:
         return list(self._profiles.values())
-
-    def __len__(self) -> int:
-        return len(self._profiles)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._profiles
 
 
 # Shipped defaults. The latencies are illustrative configuration values, not
@@ -300,17 +304,6 @@ _DEFAULT_PROFILES = (
 def default_registry() -> CryptoRegistry:
     """Registry holding the shipped illustrative profiles."""
     return CryptoRegistry(_DEFAULT_PROFILES)
-
-
-def _range_problems(profile: CryptoProfile) -> Iterable[tuple[str, str]]:
-    """The fields of ``profile`` out of range: latencies must be finite and >= 0, sizes >= 0."""
-    for fname in ("t_encrypt", "t_decrypt"):
-        v = getattr(profile, fname)
-        if not math.isfinite(v) or v < 0:
-            yield fname, "must be finite and >= 0"
-    for fname in ("public_key_bytes", "ciphertext_or_sig_bytes", "claimed_security_bits"):
-        if getattr(profile, fname) < 0:
-            yield fname, "must be >= 0"
 
 
 def load_registry(path: str | Path) -> CryptoRegistry:
@@ -354,9 +347,6 @@ def load_registry(path: str | Path) -> CryptoRegistry:
 # Scenario parsing (structure) and validation (invariants)
 # ---------------------------------------------------------------------------
 
-_MAX_SEED = 2**64 - 1
-
-
 def _is_number(value: Any) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
@@ -369,6 +359,21 @@ def _is_int(value: Any) -> bool:
 def _field_names(cls: type) -> frozenset[str]:
     """A dataclass's field names, built once per class: the keys its JSON object may carry."""
     return frozenset(f.name for f in dataclasses.fields(cls))
+
+
+@functools.cache
+def _ranges(cls: type) -> tuple[tuple[str, Any, Any, str], ...]:
+    """A dataclass's range-checked fields, built once per class: name, low, high, message."""
+    return tuple((f.name, *f.metadata["range"]) for f in dataclasses.fields(cls) if "range" in f.metadata)
+
+
+def _range_problems(record: Any) -> list[tuple[str, str]]:
+    """``(field name, message)`` for each field of ``record`` outside its declared range, in field order."""
+    problems = []
+    for name, low, high, message in _ranges(type(record)):
+        if not low <= getattr(record, name) <= high:
+            problems.append((name, message))
+    return problems
 
 
 def _mismatch(expected: str, value: Any) -> str:
@@ -572,21 +577,29 @@ def validate_scenario(config: ScenarioConfig) -> list[Violation]:
     """
     vios: list[Violation] = []
     node_ids: set[str] = set()
+    profile_problems: dict[int, list[tuple[str, str]]] = {}
     for i, node in enumerate(config.nodes):
         path = f"$.nodes[{i}]"
         if node.id in node_ids:
             vios.append(Violation(f"{path}.id", f"duplicate node id {node.id!r}"))
         node_ids.add(node.id)
-        if not math.isfinite(node.memory.t_coh) or node.memory.t_coh <= 0:
-            vios.append(Violation(f"{path}.memory.t_coh", f"node {node.id!r}: t_coh must be finite and > 0"))
-        for fname, problem in _range_problems(node.crypto):
-            vios.append(Violation(f"{path}.crypto.{fname}", f"profile {node.crypto.name!r}: {problem}"))
+        for name, message in _range_problems(node.memory):
+            vios.append(Violation(f"{path}.memory.{name}", f"node {node.id!r}: {name} {message}"))
+        # Many nodes share one profile object; check each once.
+        crypto = node.crypto
+        problems = profile_problems.get(id(crypto))
+        if problems is None:
+            problems = profile_problems[id(crypto)] = _range_problems(crypto)
+        for name, message in problems:
+            vios.append(Violation(f"{path}.crypto.{name}", f"profile {crypto.name!r}: {message}"))
 
     seen_links: set[str] = set()
+    links_clean = True
     for i, link in enumerate(config.quantum_links):
         path = f"$.quantum_links[{i}]"
         a, b = link.endpoints
         key = link.key
+        count = len(vios)
         if a == b:
             vios.append(Violation(f"{path}.endpoints", f"link {key!r}: endpoints must be distinct"))
         for endpoint in (a, b):
@@ -595,14 +608,9 @@ def validate_scenario(config: ScenarioConfig) -> list[Violation]:
         if key in seen_links:
             vios.append(Violation(f"{path}.endpoints", f"duplicate quantum link {key!r}"))
         seen_links.add(key)
-        if not math.isfinite(link.gen_rate) or link.gen_rate <= 0:
-            vios.append(Violation(f"{path}.gen_rate", f"link {key!r}: gen_rate must be finite and > 0"))
-        if not math.isfinite(link.p_success) or not (0.0 < link.p_success <= 1.0):
-            vios.append(Violation(f"{path}.p_success", f"link {key!r}: p_success must be in (0, 1]"))
-        if not math.isfinite(link.base_fidelity) or not (0.25 <= link.base_fidelity <= 1.0):
-            vios.append(
-                Violation(f"{path}.base_fidelity", f"link {key!r}: base_fidelity must be in [0.25, 1]")
-            )
+        links_clean = links_clean and len(vios) == count
+        for name, message in _range_problems(link):
+            vios.append(Violation(f"{path}.{name}", f"link {key!r}: {name} {message}"))
 
     for key, spec in config.classical_channels.items():
         path = f"$.classical_channels[{key!r}]"
@@ -613,85 +621,42 @@ def validate_scenario(config: ScenarioConfig) -> list[Violation]:
         for endpoint in pair:
             if endpoint not in node_ids:
                 vios.append(Violation(path, f"channel references unknown node id {endpoint!r}"))
-        for fname in ("propagation_delay", "processing_delay"):
-            v = getattr(spec, fname)
-            if not math.isfinite(v) or v < 0:
-                vios.append(Violation(f"{path}.{fname}", "must be finite and >= 0"))
+        for name, message in _range_problems(spec):
+            vios.append(Violation(f"{path}.{name}", message))
 
-    if config.rounds_l < 1:
-        vios.append(Violation("$.rounds_l", "must be >= 1"))
-    if not (0 <= config.seed <= _MAX_SEED):
-        vios.append(Violation("$.seed", "must fit in an unsigned 64-bit integer"))
-    if config.n_trials < 1:
-        vios.append(Violation("$.n_trials", "must be >= 1"))
-    if not math.isfinite(config.slot_duration) or config.slot_duration <= 0:
-        vios.append(Violation("$.slot_duration", "must be finite and > 0"))
-
+    vios.extend(Violation(f"$.{name}", message) for name, message in _range_problems(config))
     if config.adversary is not None:
         adv = config.adversary
-        for fname in ("t_eve", "t_pqc"):
-            v = getattr(adv, fname)
-            if not math.isfinite(v) or v < 0:
-                vios.append(Violation(f"$.adversary.{fname}", "must be finite and >= 0"))
-        if not math.isfinite(adv.t_coh_eve) or adv.t_coh_eve <= 0:
-            vios.append(Violation("$.adversary.t_coh_eve", "must be finite and > 0"))
+        vios.extend(Violation(f"$.adversary.{name}", message) for name, message in _range_problems(adv))
         pair = split_pair_key(adv.intercept_link)
         if pair is None or pair_key(*pair) not in seen_links:
             vios.append(
                 Violation("$.adversary.intercept_link", f"no quantum link matches {adv.intercept_link!r}")
             )
 
-    vios.extend(_validate_topology(config, node_ids))
+    # Referential problems are already reported; shape checks need clean links.
+    if links_clean:
+        vios.extend(_validate_topology(config))
     return vios
 
 
-def _validate_topology(config: ScenarioConfig, node_ids: set[str]) -> list[Violation]:
-    """Protocol-shape checks: path structure, roles, and required channels."""
-    vios: list[Violation] = []
-    # Referential problems are already reported; shape checks need clean links.
-    links = [
-        l
-        for l in config.quantum_links
-        if l.endpoints[0] != l.endpoints[1] and all(e in node_ids for e in l.endpoints)
-    ]
-    if len(links) != len(config.quantum_links) or len({l.key for l in links}) != len(links):
-        return vios
+def _validate_topology(config: ScenarioConfig) -> list[Violation]:
+    """Protocol-shape checks on links that name distinct known nodes: path, roles, required channels."""
+    links = config.quantum_links
+    chain = config.protocol is Protocol.PARALLEL_CHAIN
+    if not chain and len(links) != 1:
+        problem = f"requires exactly one quantum link, found {len(links)}"
+        return [Violation("$.quantum_links", f"protocol {config.protocol.value!r} {problem}")]
+    if chain and len(links) < 2:
+        return [Violation("$.quantum_links", "protocol 'parallel_chain' requires a chain of at least two links")]
 
-    if config.protocol in (Protocol.SINGLE_HOP, Protocol.SEQUENTIAL_ROUNDS):
-        if len(links) != 1:
-            vios.append(
-                Violation(
-                    "$.quantum_links",
-                    f"protocol {config.protocol.value!r} requires exactly one quantum link, found {len(links)}",
-                )
-            )
-            return vios
-    elif len(links) < 2:
-        vios.append(
-            Violation("$.quantum_links", "protocol 'parallel_chain' requires a chain of at least two links")
-        )
-        return vios
-
-    degree, ends = _degrees_and_ends(config, links)
-    for node_id, deg in degree.items():
-        if deg == 0:
-            vios.append(Violation("$.nodes", f"node {node_id!r} is not attached to any quantum link"))
-        elif deg > 2:
-            vios.append(Violation("$.quantum_links", f"node {node_id!r} has degree {deg}; links must form a path"))
-    if len(ends) != 2:
-        vios.append(Violation("$.quantum_links", "links must form a simple path with exactly two endpoints"))
-        return vios
-    if any(deg > 2 for deg in degree.values()):
-        return vios
-
-    path = _walk_path(config, links, ends)
+    path, vios = _walk(config, links)
     if path is None:
-        vios.append(Violation("$.quantum_links", "links must form one connected path (no cycles or islands)"))
         return vios
-    for end in ends:
-        if end.role is not NodeRole.END_NODE:
-            vios.append(Violation("$.nodes", f"path endpoint {end.id!r} must have role 'end_node'"))
     nodes = config.node_index()
+    for end_id in (path[0], path[-1]):
+        if nodes[end_id].role is not NodeRole.END_NODE:
+            vios.append(Violation("$.nodes", f"path endpoint {end_id!r} must have role 'end_node'"))
     for interior_id in path[1:-1]:
         if nodes[interior_id].role is NodeRole.END_NODE:
             vios.append(Violation("$.nodes", f"interior node {interior_id!r} must not have role 'end_node'"))
@@ -703,46 +668,47 @@ def _validate_topology(config: ScenarioConfig, node_ids: set[str]) -> list[Viola
     return vios
 
 
-def _degrees_and_ends(
-    config: ScenarioConfig, links: Iterable[QuantumLinkSpec]
-) -> tuple[dict[str, int], list[NodeSpec]]:
-    """Quantum-link count per node id, and the nodes (in node order) with one link."""
-    degree: dict[str, int] = {n.id: 0 for n in config.nodes}
-    for a, b in (link.endpoints for link in links):
-        degree[a] += 1
-        degree[b] += 1
-    return degree, [n for n in config.nodes if degree[n.id] == 1]
+def _walk(config: ScenarioConfig, links: Sequence[QuantumLinkSpec]) -> tuple[list[str] | None, list[Violation]]:
+    """The links as one path of node ids (None if they form none), and the shape violations found.
 
-
-def _walk_path(
-    config: ScenarioConfig, links: Sequence[QuantumLinkSpec], ends: list[NodeSpec]
-) -> list[str] | None:
-    """Order path nodes between the two endpoints, lexicographically oriented.
-
-    The endpoint whose id sorts first becomes the sender side; orientation
-    therefore never depends on list order, keeping validation and simulation
-    invariant under node/link permutations.
+    The violations name each node with no link or more than two, and links
+    that are not one simple path.  The end whose id sorts first starts the
+    path, so orientation never depends on list order.  A link naming an
+    unknown node id raises KeyError.
     """
-    start, finish = sorted((ends[0].id, ends[1].id))
-    adjacency: dict[str, list[str]] = {}
-    for link in links:
-        a, b = link.endpoints
-        adjacency.setdefault(a, []).append(b)
-        adjacency.setdefault(b, []).append(a)
+    adjacency: dict[str, list[str]] = {n.id: [] for n in config.nodes}
+    for a, b in (link.endpoints for link in links):
+        adjacency[a].append(b)
+        adjacency[b].append(a)
+    vios = []
+    branching = False
+    for node_id, neighbours in adjacency.items():
+        if not neighbours:
+            vios.append(Violation("$.nodes", f"node {node_id!r} is not attached to any quantum link"))
+        elif len(neighbours) > 2:
+            branching = True
+            vios.append(
+                Violation("$.quantum_links", f"node {node_id!r} has degree {len(neighbours)}; links must form a path")
+            )
+    ends = sorted(n.id for n in config.nodes if len(adjacency[n.id]) == 1)
+    if len(ends) != 2:
+        vios.append(Violation("$.quantum_links", "links must form a simple path with exactly two endpoints"))
+        return None, vios
+    if branching:
+        return None, vios
+    start, finish = ends
     path = [start]
     previous = None
-    current = start
-    while current != finish:
-        candidates = [n for n in adjacency.get(current, []) if n != previous]
+    while path[-1] != finish and len(path) <= len(links):
+        candidates = [n for n in adjacency[path[-1]] if n != previous]
         if len(candidates) != 1:
-            return None
-        previous, current = current, candidates[0]
-        path.append(current)
-        if len(path) > len(config.nodes):
-            return None
-    if len(path) != len(links) + 1:
-        return None
-    return path
+            break
+        previous = path[-1]
+        path.append(candidates[0])
+    if path[-1] != finish or len(path) != len(links) + 1:
+        vios.append(Violation("$.quantum_links", "links must form one connected path (no cycles or islands)"))
+        return None, vios
+    return path, vios
 
 
 def resolve_path(config: ScenarioConfig) -> list[str]:
@@ -753,10 +719,9 @@ def resolve_path(config: ScenarioConfig) -> list[str]:
     raises :class:`ParameterError` when no simple path over known nodes exists.
     """
     try:
-        _, ends = _degrees_and_ends(config, config.quantum_links)
+        path, _ = _walk(config, config.quantum_links)
     except KeyError as exc:
         raise ParameterError(f"quantum link references unknown node id {exc.args[0]!r}") from None
-    path = _walk_path(config, config.quantum_links, ends) if len(ends) == 2 else None
     if path is None:
         raise ParameterError("quantum links do not form a simple path")
     return path

@@ -18,7 +18,7 @@ of the binding message for aggregated checks.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
 from . import model
@@ -41,17 +41,17 @@ __all__ = [
 class HopTiming:
     """Per-message delay components, all in seconds and non-negative."""
 
-    t_encrypt: float
-    t_comm: float
-    t_decrypt: float
+    t_encrypt: float = field(metadata=model._NON_NEGATIVE)
+    t_comm: float = field(metadata=model._NON_NEGATIVE)
+    t_decrypt: float = field(metadata=model._NON_NEGATIVE)
 
     def __post_init__(self):
-        for name in ("t_encrypt", "t_comm", "t_decrypt"):
+        for name, low, high, message in model._ranges(HopTiming):
             value = getattr(self, name)
             if not isinstance(value, (int, float)) or isinstance(value, bool):
                 raise ParameterError(f"HopTiming.{name} must be a number, got {value!r}")
-            if not math.isfinite(value) or value < 0:
-                raise ParameterError(f"HopTiming.{name} must be finite and >= 0, got {value!r}")
+            if not low <= value <= high:
+                raise ParameterError(f"HopTiming.{name} {message}, got {value!r}")
 
 
 @dataclass(frozen=True)

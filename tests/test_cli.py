@@ -1,12 +1,16 @@
 """Command-line interface: exit codes, artifacts, reproducibility."""
 
+import contextlib
 import csv
+import dataclasses
+import io
 import json
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from pqnetsim import HopTiming, ParameterError, engine, load_registry, timing
+from pqnetsim import HopTiming, ParameterError, engine, load_registry, load_scenario, timing
 from pqnetsim.cli import main
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -563,3 +567,79 @@ class TestProfilesCommand:
         assert code == 2
         assert "Traceback" not in err
         assert err.startswith(f"error: cannot read profile registry {profiles}:")
+
+
+class TestRoundsCap:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param(["check"], id="check"),
+            pytest.param(["sweep", "--param", "rounds_l", "--values", "1e20", "--trials", "1"], id="sweep"),
+        ],
+    )
+    def test_rounds_past_the_cap_exit_two_at_rounds_l(self, tmp_path, capsys, argv):
+        data = json.loads((SCENARIO_DIR / "purification_rounds.json").read_text())
+        if argv[0] == "check":
+            data["rounds_l"] = 10**20
+        scenario = write_scenario(tmp_path, data)
+        code = main([argv[0], str(scenario), *argv[1:], "--out", str(tmp_path / "out")])
+        violations = json.loads(capsys.readouterr().out)["violations"]
+        assert code == 2
+        assert [v["path"] for v in violations] == ["$.rounds_l"]
+
+
+SHIPPED = sorted(p.name for p in SCENARIO_DIR.glob("*.json"))
+
+
+def numeric_paths(value, prefix=()):
+    """The ``sweep --param`` path of every numeric field under a parsed scenario."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        yield ".".join(prefix)
+    elif dataclasses.is_dataclass(value):
+        for f in dataclasses.fields(value):
+            yield from numeric_paths(getattr(value, f.name), (*prefix, f.name))
+    elif isinstance(value, tuple):
+        for i, item in enumerate(value):
+            yield from numeric_paths(item, (*prefix, str(i)))
+    elif isinstance(value, dict):
+        for key, item in value.items():
+            yield from numeric_paths(item, (*prefix, key))
+
+
+NUMERIC_PATHS = {name: sorted(numeric_paths(load_scenario(SCENARIO_DIR / name))) for name in SHIPPED}
+SWEEP_VALUES = (
+    st.floats().map(repr)
+    | st.sampled_from(["1e308", "-1e308", "5e-324", "-5e-324", "1e20"])
+    | st.integers(min_value=-(10**400), max_value=10**400).map(str)
+)
+
+
+@st.composite
+def argv_vectors(draw):
+    """A ``sweep`` or ``simulate`` command line on a shipped scenario, kept small in trials and slots."""
+    name = draw(st.sampled_from(SHIPPED))
+    scenario = str(SCENARIO_DIR / name)
+    if draw(st.booleans()):
+        values = ",".join(draw(st.lists(SWEEP_VALUES, min_size=1, max_size=3)))
+        return ["sweep", scenario, "--param", draw(st.sampled_from(NUMERIC_PATHS[name])), f"--values={values}",
+                "--trials", str(draw(st.integers(1, 3))), "--max-slots", str(draw(st.integers(1, 50)))]
+    argv = ["simulate", scenario, "--trials", str(draw(st.integers(-1, 4))),
+            "--max-slots", str(draw(st.integers(-1, 60)))]
+    if draw(st.booleans()):
+        argv += ["--seed", str(draw(st.integers(-1, 2**64)))]
+    return argv
+
+
+class TestArgvFuzz:
+    @settings(max_examples=120, deadline=None)
+    @given(argv=argv_vectors())
+    @example(argv=["sweep", str(SCENARIO_DIR / "purification_rounds.json"), "--param", "rounds_l",
+                   "--values=1e20", "--trials", "1", "--max-slots", "1"])
+    def test_any_command_line_exits_zero_one_or_two(self, tmp_path_factory, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main([*argv, "--out", str(tmp_path_factory.getbasetemp() / "argv_fuzz")])
+            except SystemExit as exc:  # argparse rejects a malformed command line with exit 2
+                code = exc.code
+        assert code in (0, 1, 2), err.getvalue()

@@ -3,7 +3,10 @@
 import copy
 import dataclasses
 import json
+import math
 import random
+import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -13,6 +16,7 @@ from pqnetsim import (
     CryptoKind,
     CryptoProfile,
     CryptoRegistry,
+    NodeRole,
     ParameterError,
     ProfileNotFoundError,
     Protocol,
@@ -235,6 +239,18 @@ class TestValidateScenario:
         paths = {v.path for v in validate_scenario(config)}
         assert {"$.n_trials", "$.slot_duration", "$.rounds_l"} <= paths
 
+    def test_scalars_are_listed_in_field_order(self):
+        config = dataclasses.replace(two_party_scenario(), seed=-1, n_trials=0, slot_duration=0.0, rounds_l=0)
+        assert [v.path for v in validate_scenario(config)] == ["$.seed", "$.n_trials", "$.slot_duration", "$.rounds_l"]
+
+    def test_end_roles_are_listed_in_path_order(self):
+        config = two_party_scenario()
+        repeaters = [dataclasses.replace(n, role=NodeRole.REPEATER) for n in reversed(config.nodes)]
+        assert [v.message for v in validate_scenario(dataclasses.replace(config, nodes=tuple(repeaters)))] == [
+            "path endpoint 'alice' must have role 'end_node'",
+            "path endpoint 'bob' must have role 'end_node'",
+        ]
+
 
 class TestScenarioFiles:
     @pytest.mark.parametrize("name", sorted(p.name for p in SCENARIO_DIR.glob("*.json")))
@@ -413,21 +429,32 @@ MALFORMED = [
 ]
 
 
-class TestMalformedInput:
-    @pytest.mark.parametrize("where, value, paths, messages", MALFORMED)
-    def test_one_field_mutation_exits_two_at_its_path(self, tmp_path, capsys, where, value, paths, messages):
-        from pqnetsim.cli import main
+def edited_scenario(edits):
+    """scenarios/intercepted_chain.json with each ``(where, value)`` edit applied.
 
-        data = json.loads((SCENARIO_DIR / "intercepted_chain.json").read_text())
+    A value of DELETE removes the key; an index one past the end of a list appends.
+    """
+    data = json.loads((SCENARIO_DIR / "intercepted_chain.json").read_text())
+    for where, value in edits:
         record = data
         for step in where[:-1]:
             record = record[step]
         if value is DELETE:
             del record[where[-1]]
+        elif isinstance(record, list) and where[-1] == len(record):
+            record.append(value)
         else:
             record[where[-1]] = value
+    return data
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("where, value, paths, messages", MALFORMED)
+    def test_one_field_mutation_exits_two_at_its_path(self, tmp_path, capsys, where, value, paths, messages):
+        from pqnetsim.cli import main
+
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps(data))
+        path.write_text(json.dumps(edited_scenario([(where, value)])))
         assert main(["check", str(path)]) == 2
         violations = json.loads(capsys.readouterr().out)["violations"]
         assert [v["path"] for v in violations] == paths
@@ -489,3 +516,176 @@ class TestParserFuzz:
                 validate_scenario(parse_scenario(document, default_registry()))
         except ParameterError:
             pass
+
+
+# ---------------------------------------------------------------------------
+# Range and topology violations, pinned through `check`
+# ---------------------------------------------------------------------------
+
+NAN, INF = float("nan"), float("inf")
+ALICE_RELAY = "link 'alice,relay'"
+RELAY_NODE = {"id": "relay", "role": "repeater", "memory": {"t_coh": 0.03, "tier": "short_lived"},
+              "crypto": "dilithium-class"}
+CAROL = {**RELAY_NODE, "id": "carol", "role": "end_node"}
+
+
+def _range_rows(where, path, message, bad_values, types=()):
+    """One table row per bad value of a range-checked field; ``types`` are values the parser rejects."""
+    rows = [pytest.param([(where, v)], [(path, message)], id=f"{path}={v!r}") for v in bad_values]
+    rows += [pytest.param([(where, v)], [(path, f"expected an integer, got {type(v).__name__}")],
+                          id=f"{path}={v!r}") for v in types]
+    return rows
+
+
+def _links(*pairs):
+    return [{"endpoints": list(pair), "gen_rate": 1000.0, "p_success": 0.5, "base_fidelity": 0.95} for pair in pairs]
+
+
+CHAIN_LINKS = _links(("alice", "relay"), ("relay", "bob"))
+ISLAND = [{**RELAY_NODE, "id": node_id} for node_id in ("x", "y", "z")]
+
+# Edits of scenarios/intercepted_chain.json (where, new value), and the exact
+# violations `check` reports for them, in order.
+VALIDATION_TABLE = [
+    *_range_rows(("nodes", 1, "memory", "t_coh"), "$.nodes[1].memory.t_coh",
+                 "node 'relay': t_coh must be finite and > 0", [NAN, INF, -1, 0]),
+    *_range_rows(("quantum_links", 0, "gen_rate"), "$.quantum_links[0].gen_rate",
+                 f"{ALICE_RELAY}: gen_rate must be finite and > 0", [NAN, INF, -1, 0]),
+    *_range_rows(("quantum_links", 0, "p_success"), "$.quantum_links[0].p_success",
+                 f"{ALICE_RELAY}: p_success must be in (0, 1]", [NAN, INF, -1, 0, 1.5]),
+    *_range_rows(("quantum_links", 0, "base_fidelity"), "$.quantum_links[0].base_fidelity",
+                 f"{ALICE_RELAY}: base_fidelity must be in [0.25, 1]", [NAN, INF, -1, 0.2]),
+    *_range_rows(("classical_channels", "bob,relay", "propagation_delay"), f"{BOB_RELAY}.propagation_delay",
+                 "must be finite and >= 0", [NAN, INF, -1]),
+    *_range_rows(("classical_channels", "bob,relay", "processing_delay"), f"{BOB_RELAY}.processing_delay",
+                 "must be finite and >= 0", [NAN, INF, -1]),
+    *_range_rows(("adversary", "t_eve"), "$.adversary.t_eve", "must be finite and >= 0", [NAN, INF, -1]),
+    *_range_rows(("adversary", "t_pqc"), "$.adversary.t_pqc", "must be finite and >= 0", [NAN, INF, -1]),
+    *_range_rows(("adversary", "t_coh_eve"), "$.adversary.t_coh_eve", "must be finite and > 0", [NAN, INF, -1, 0]),
+    *_range_rows(("seed",), "$.seed", "must fit in an unsigned 64-bit integer", [-1, 2**64], [NAN, INF]),
+    *_range_rows(("n_trials",), "$.n_trials", "must be >= 1", [-1, 0], [NAN, INF]),
+    *_range_rows(("slot_duration",), "$.slot_duration", "must be finite and > 0", [NAN, INF, -1, 0]),
+    *_range_rows(("rounds_l",), "$.rounds_l", "must be in [1, 1000000]", [-1, 0, 10**6 + 1, 10**20], [NAN, INF]),
+    pytest.param([(("nodes", 3), CAROL)], [("$.nodes", "node 'carol' is not attached to any quantum link")],
+                 id="node-without-link"),
+    pytest.param([(("nodes", 3), CAROL), (("quantum_links",), _links(("alice", "relay"), ("relay", "bob"),
+                                                                      ("relay", "carol")))],
+                 [("$.quantum_links", "node 'relay' has degree 3; links must form a path"),
+                  ("$.quantum_links", "links must form a simple path with exactly two endpoints")],
+                 id="degree-three"),
+    pytest.param([(("nodes",), [*json.loads((SCENARIO_DIR / "intercepted_chain.json").read_text())["nodes"],
+                                *ISLAND]),
+                  (("quantum_links",), [*CHAIN_LINKS, *_links(("x", "y"), ("y", "z"), ("z", "x"))])],
+                 [("$.quantum_links", "links must form one connected path (no cycles or islands)")],
+                 id="cycle-and-island"),
+    pytest.param([(("quantum_links",), [*CHAIN_LINKS, *_links(("bob", "alice"))])],
+                 [("$.quantum_links", "links must form a simple path with exactly two endpoints")],
+                 id="cycle"),
+    pytest.param([(("nodes", 1, "role"), "end_node")],
+                 [("$.nodes", "interior node 'relay' must not have role 'end_node'")], id="end-node-interior"),
+    pytest.param([(("nodes", 0, "role"), "repeater")],
+                 [("$.nodes", "path endpoint 'alice' must have role 'end_node'")], id="repeater-at-end"),
+    pytest.param([(("classical_channels",), {})],
+                 [("$.classical_channels", "missing classical channel for message pair 'bob,relay'")],
+                 id="missing-message-channel"),
+    pytest.param([(("nodes", 3), RELAY_NODE)], [("$.nodes[3].id", "duplicate node id 'relay'")],
+                 id="duplicate-interior-id"),
+    pytest.param([(("nodes", 3), {**RELAY_NODE, "id": "alice"})],
+                 [("$.nodes[3].id", "duplicate node id 'alice'"),
+                  ("$.quantum_links", "links must form a simple path with exactly two endpoints")],
+                 id="duplicate-end-id"),
+]
+
+
+
+
+class TestValidationTable:
+    @pytest.mark.parametrize("edits, expected", VALIDATION_TABLE)
+    def test_check_reports_exact_violations(self, tmp_path, capsys, edits, expected):
+        from pqnetsim.cli import main
+
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(edited_scenario(edits)))
+        assert main(["check", str(path)]) == 2
+        violations = json.loads(capsys.readouterr().out)["violations"]
+        assert [(v["path"], v["message"]) for v in violations] == expected
+
+    def test_registry_ranges_through_profiles(self, tmp_path, capsys):
+        from pqnetsim.cli import main
+
+        good = {"name": "ok", "kind": "kem", "t_encrypt": 0.0, "t_decrypt": 0.0, "public_key_bytes": 0,
+                "ciphertext_or_sig_bytes": 0, "claimed_security_bits": 0}
+        bad_sizes = {**good, "name": "sizes", "public_key_bytes": -1, "ciphertext_or_sig_bytes": -5,
+                     "claimed_security_bits": -128}
+        bad_latencies = {**good, "name": "latencies", "t_encrypt": NAN, "t_decrypt": -1e-9}
+        path = tmp_path / "profiles.json"
+        path.write_text(json.dumps([good, bad_sizes, {**good, "name": "inf", "t_decrypt": INF}, bad_latencies]))
+        assert main(["--profiles", str(path), "profiles"]) == 2
+        assert capsys.readouterr().err == (
+            "error: [1].public_key_bytes (profile 'sizes'): must be >= 0; "
+            "[1].ciphertext_or_sig_bytes (profile 'sizes'): must be >= 0; "
+            "[1].claimed_security_bits (profile 'sizes'): must be >= 0; "
+            "[2].t_decrypt (profile 'inf'): must be finite and >= 0; "
+            "[3].t_encrypt (profile 'latencies'): must be finite and >= 0; "
+            "[3].t_decrypt (profile 'latencies'): must be finite and >= 0\n"
+        )
+
+    def test_profile_ranges_in_a_built_scenario(self):
+        config = two_party_scenario()
+        bad = dataclasses.replace(config.nodes[1].crypto, t_decrypt=NAN, ciphertext_or_sig_bytes=-1)
+        nodes = (config.nodes[0], dataclasses.replace(config.nodes[1], crypto=bad))
+        assert validate_scenario(dataclasses.replace(config, nodes=nodes)) == [
+            Violation("$.nodes[1].crypto.t_decrypt", "profile 'receiver-profile': must be finite and >= 0"),
+            Violation("$.nodes[1].crypto.ciphertext_or_sig_bytes", "profile 'receiver-profile': must be >= 0"),
+        ]
+
+    def test_library_entry_points_keep_their_messages(self):
+        from pqnetsim import AdversaryConfig, HopTiming
+        from pqnetsim.adversary import attack_outcome, intercepted_fidelity
+
+        cases = [
+            (lambda: HopTiming(-1.0, 0.0, 0.0), "HopTiming.t_encrypt must be finite and >= 0, got -1.0"),
+            (lambda: HopTiming(0.0, INF, 0.0), "HopTiming.t_comm must be finite and >= 0, got inf"),
+            (lambda: HopTiming(0.0, 0.0, NAN), "HopTiming.t_decrypt must be finite and >= 0, got nan"),
+            (lambda: HopTiming(0.0, "1", -1.0), "HopTiming.t_comm must be a number, got '1'"),
+            (lambda: attack_outcome(AdversaryConfig(-1.0, 0.0, 1.0, "a,b")),
+             "adversary t_eve must be finite and >= 0, got -1.0"),
+            (lambda: attack_outcome(AdversaryConfig(0.0, NAN, 1.0, "a,b")),
+             "adversary t_pqc must be finite and >= 0, got nan"),
+            (lambda: intercepted_fidelity(0.9, AdversaryConfig(0.0, 0.0, 0.0, "a,b")),
+             "adversary t_coh_eve must be finite and > 0, got 0.0"),
+            (lambda: intercepted_fidelity(0.9, AdversaryConfig(INF, 0.0, -1.0, "a,b")),
+             "adversary t_eve must be finite and >= 0, got inf"),
+        ]
+        for call, message in cases:
+            with pytest.raises(ParameterError) as info:
+                call()
+            assert str(info.value) == message
+
+
+def range_text(low, high):
+    """A declared range as README writes it: ``> 0`` or ``>= low``, then ``finite``, ``<= high`` or nothing."""
+    def number(x):
+        return str(int(x)) if x == int(x) else repr(x)
+
+    parts = ["> 0" if low == math.ulp(0.0) else f">= {number(low)}"]
+    if high == sys.float_info.max:
+        parts.append("finite")
+    elif high != math.inf:
+        parts.append(f"<= {number(high)}")
+    return ", ".join(parts)
+
+
+def test_readme_lists_every_declared_range():
+    from pqnetsim import model
+    from pqnetsim.timing import HopTiming
+
+    classes = [c for c in vars(model).values() if dataclasses.is_dataclass(c)] + [HopTiming]
+    declared = [
+        f"* `{cls.__name__}.{name}`: {range_text(low, high)}"
+        for cls in classes
+        for name, low, high, _ in model._ranges(cls)
+    ]
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    listed = re.findall(r"^\* `[A-Za-z]+\.\w+`: .*$", readme, flags=re.MULTILINE)
+    assert sorted(listed) == sorted(declared)
