@@ -541,6 +541,7 @@ def _links(*pairs):
     return [{"endpoints": list(pair), "gen_rate": 1000.0, "p_success": 0.5, "base_fidelity": 0.95} for pair in pairs]
 
 
+CHAIN_NODES = json.loads((SCENARIO_DIR / "intercepted_chain.json").read_text())["nodes"]
 CHAIN_LINKS = _links(("alice", "relay"), ("relay", "bob"))
 ISLAND = [{**RELAY_NODE, "id": node_id} for node_id in ("x", "y", "z")]
 
@@ -568,16 +569,18 @@ VALIDATION_TABLE = [
     *_range_rows(("rounds_l",), "$.rounds_l", "must be in [1, 1000000]", [-1, 0, 10**6 + 1, 10**20], [NAN, INF]),
     pytest.param([(("nodes", 3), CAROL)], [("$.nodes", "node 'carol' is not attached to any quantum link")],
                  id="node-without-link"),
-    pytest.param([(("nodes", 3), CAROL), (("quantum_links",), _links(("alice", "relay"), ("relay", "bob"),
-                                                                      ("relay", "carol")))],
+    pytest.param([(("nodes", 3), CAROL), (("quantum_links",), [*CHAIN_LINKS, *_links(("relay", "carol"))])],
                  [("$.quantum_links", "node 'relay' has degree 3; links must form a path"),
                   ("$.quantum_links", "links must form a simple path with exactly two endpoints")],
                  id="degree-three"),
-    pytest.param([(("nodes",), [*json.loads((SCENARIO_DIR / "intercepted_chain.json").read_text())["nodes"],
-                                *ISLAND]),
+    pytest.param([(("nodes",), [*CHAIN_NODES, *ISLAND]),
                   (("quantum_links",), [*CHAIN_LINKS, *_links(("x", "y"), ("y", "z"), ("z", "x"))])],
                  [("$.quantum_links", "links must form one connected path (no cycles or islands)")],
                  id="cycle-and-island"),
+    pytest.param([(("nodes",), [*CHAIN_NODES, *ISLAND[:2]]),
+                  (("quantum_links",), [*CHAIN_LINKS, *_links(("relay", "x"), ("x", "y"), ("y", "relay"))])],
+                 [("$.quantum_links", "node 'relay' has degree 4; links must form a path")],
+                 id="loop-on-interior-node"),
     pytest.param([(("quantum_links",), [*CHAIN_LINKS, *_links(("bob", "alice"))])],
                  [("$.quantum_links", "links must form a simple path with exactly two endpoints")],
                  id="cycle"),
