@@ -23,7 +23,7 @@ from typing import Sequence
 
 from . import fidelity
 from .errors import ParameterError
-from .model import AdversaryConfig, _range_problems
+from .model import _FIDELITY, _FINITE, _POSITIVE, AdversaryConfig, _check_arg, _ranges
 
 __all__ = [
     "AdversaryConfig",
@@ -61,10 +61,8 @@ class DetectionReport:
 
 
 def _check_adversary(adv: AdversaryConfig) -> None:
-    problems = _range_problems(adv)
-    if problems:
-        name, message = problems[0]
-        raise ParameterError(f"adversary {name} {message}, got {getattr(adv, name)!r}")
+    for name, spec in _ranges(AdversaryConfig):
+        _check_arg(getattr(adv, name), f"adversary {name}", spec)
 
 
 def attack_outcome(adv: AdversaryConfig) -> AttackOutcome:
@@ -90,10 +88,7 @@ def qber_of(f: float) -> float:
 
     Strictly decreasing, mapping [0.25, 1] onto [0, 0.5].
     """
-    if not isinstance(f, (int, float)) or isinstance(f, bool):
-        raise ParameterError(f"fidelity must be a number, got {f!r}")
-    if not math.isfinite(f) or not (fidelity.FIDELITY_FLOOR <= f <= 1.0):
-        raise ParameterError(f"fidelity must be in [0.25, 1], got {f!r}")
+    _check_arg(f, "fidelity", _FIDELITY)
     return (2.0 * (1.0 - f)) / 3.0
 
 
@@ -121,12 +116,10 @@ def detect(
     """
     if len(baseline_samples) < 2 or len(observed_samples) < 2:
         raise ParameterError("detect requires at least 2 samples on each side")
-    if not math.isfinite(threshold_sigma) or threshold_sigma <= 0:
-        raise ParameterError(f"threshold_sigma must be finite and > 0, got {threshold_sigma!r}")
-    for name, samples in (("baseline", baseline_samples), ("observed", observed_samples)):
-        for value in samples:
-            if not isinstance(value, (int, float)) or isinstance(value, bool) or not math.isfinite(value):
-                raise ParameterError(f"{name} samples must be finite numbers, got {value!r}")
+    _check_arg(threshold_sigma, "threshold_sigma", _POSITIVE)
+    for name, samples in (("baseline_samples", baseline_samples), ("observed_samples", observed_samples)):
+        for i, value in enumerate(samples):
+            _check_arg(value, f"{name}[{i}]", _FINITE)
 
     baseline_mean = statistics.fmean(baseline_samples)
     observed_mean = statistics.fmean(observed_samples)

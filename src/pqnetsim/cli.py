@@ -237,10 +237,10 @@ def cmd_profiles(args) -> CommandResult:
 # ---------------------------------------------------------------------------
 
 def _seed_type(text: str) -> int:
-    value = int(text)
-    if not (0 <= value < 2**64):
-        raise argparse.ArgumentTypeError("seed must fit in an unsigned 64-bit integer")
-    return value
+    try:
+        return model._check_arg(int(text), "seed", model._SEED)
+    except ParameterError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _add_global_options(parser: argparse.ArgumentParser, suppress: bool) -> None:

@@ -97,8 +97,6 @@ _MAX_GAP = 2**52  # cap on a slot count to an expiry, and on the draws of one wi
 _CHUNK_DRAWS = 4096  # most uniforms one fetch of a quiet window reads (32 KiB of words)
 _SCAN_MIN_SLOTS = 4  # a window scan costs about as much as this many slots drawn one by one
 
-_U64 = 2**64
-
 
 class FailureReason(Enum):
     MEMORY_EXPIRED = "memory_expired"
@@ -148,11 +146,6 @@ class RunSummary:
         return asdict(self)
 
 
-def _check_seed(value: int, name: str) -> None:
-    if not isinstance(value, int) or isinstance(value, bool) or not (0 <= value < _U64):
-        raise ParameterError(f"{name} must be an unsigned 64-bit integer, got {value!r}")
-
-
 def trial_seed_for(master_seed: int, trial_index: int) -> int:
     """Derive the seed of one trial from the run's master seed.
 
@@ -161,15 +154,15 @@ def trial_seed_for(master_seed: int, trial_index: int) -> int:
     little-endian unsigned 64-bit integers.  Fixed forever; changing it
     would silently change every published result.
     """
-    _check_seed(master_seed, "master_seed")
-    _check_seed(trial_index, "trial_index")
+    model._check_arg(master_seed, "master_seed", model._SEED)
+    model._check_arg(trial_index, "trial_index", model._SEED)
     payload = master_seed.to_bytes(8, "little") + trial_index.to_bytes(8, "little")
     return int.from_bytes(hashlib.sha256(payload).digest()[:8], "little")
 
 
 def derive_stream_seed(master_seed: int, label: str) -> int:
     """Derive an independent named seed stream (e.g. baseline vs observed)."""
-    _check_seed(master_seed, "master_seed")
+    model._check_arg(master_seed, "master_seed", model._SEED)
     payload = master_seed.to_bytes(8, "little") + label.encode("utf-8")
     return int.from_bytes(hashlib.sha256(payload).digest()[:8], "little")
 
@@ -276,9 +269,8 @@ def run_trial(
     with the same draws: one uniform per regenerating link per slot, in path order.
     """
     _require_valid(config)
-    _check_seed(trial_seed, "trial_seed")
-    if max_slots < 1:
-        raise ParameterError(f"max_slots must be >= 1, got {max_slots!r}")
+    model._check_arg(trial_seed, "trial_seed", model._SEED)
+    model._check_arg(max_slots, "max_slots", model._AT_LEAST_ONE)
     return _execute(_prepare(config), trial_seed, max_slots)
 
 
@@ -546,11 +538,9 @@ def run_trials(
     _require_valid(config)
     n = config.n_trials if n_trials is None else n_trials
     seed = config.seed if master_seed is None else master_seed
-    if n < 1:
-        raise ParameterError(f"n_trials must be >= 1, got {n!r}")
-    _check_seed(seed, "master_seed")
-    if max_slots < 1:
-        raise ParameterError(f"max_slots must be >= 1, got {max_slots!r}")
+    model._check_arg(n, "n_trials", model._AT_LEAST_ONE)
+    model._check_arg(seed, "master_seed", model._SEED)
+    model._check_arg(max_slots, "max_slots", model._AT_LEAST_ONE)
     prepared = _prepare(config)
     return [_execute(prepared, trial_seed_for(seed, i), max_slots) for i in range(n)]
 

@@ -18,23 +18,18 @@ chain never exceeds its weakest link.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Iterable
 
 from .errors import ParameterError
+from .model import _FIDELITY, _NON_NEGATIVE, _POSITIVE, _check_arg
 
 __all__ = ["FIDELITY_FLOOR", "decay", "swap", "chain_fidelity"]
 
 # Fidelity of the maximally mixed two-qubit state; below this the Werner
 # parameterization is meaningless.
 FIDELITY_FLOOR = 0.25
-
-
-def _check_fidelity(value: float, name: str) -> None:
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ParameterError(f"{name} must be a number, got {value!r}")
-    if not math.isfinite(value) or not (FIDELITY_FLOOR <= value <= 1.0):
-        raise ParameterError(f"{name} must be in [0.25, 1], got {value!r}")
 
 
 def decay(f0: float, wait: float, t_coh: float) -> float:
@@ -48,11 +43,9 @@ def decay(f0: float, wait: float, t_coh: float) -> float:
     Returns:
         The decayed fidelity, in [0.25, f0].
     """
-    _check_fidelity(f0, "f0")
-    if not math.isfinite(wait) or wait < 0:
-        raise ParameterError(f"wait must be finite and >= 0, got {wait!r}")
-    if not math.isfinite(t_coh) or t_coh <= 0:
-        raise ParameterError(f"t_coh must be finite and > 0, got {t_coh!r}")
+    _check_arg(f0, "f0", _FIDELITY)
+    _check_arg(wait, "wait", _NON_NEGATIVE)
+    _check_arg(t_coh, "t_coh", _POSITIVE)
     return _decay(f0, wait, t_coh)
 
 
@@ -62,8 +55,8 @@ def swap(f1: float, f2: float) -> float:
     Symmetric in its arguments and monotone non-decreasing in each; a
     perfect pair (F = 1) acts as identity.
     """
-    _check_fidelity(f1, "f1")
-    _check_fidelity(f2, "f2")
+    _check_arg(f1, "f1", _FIDELITY)
+    _check_arg(f2, "f2", _FIDELITY)
     return _swap(f1, f2)
 
 
@@ -76,12 +69,9 @@ def chain_fidelity(links: Iterable[float]) -> float:
     values = list(links)
     if not values:
         raise ParameterError("chain_fidelity requires at least one link fidelity")
-    _check_fidelity(values[0], "links[0]")
-    result = float(values[0])
-    for i, value in enumerate(values[1:], start=1):
-        _check_fidelity(value, f"links[{i}]")
-        result = _swap(result, value)
-    return result
+    for i, value in enumerate(values):
+        _check_arg(value, f"links[{i}]", _FIDELITY)
+    return functools.reduce(_swap, values[1:], float(values[0]))
 
 
 # Unchecked kernels: the public functions above check their arguments, and

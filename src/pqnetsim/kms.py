@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 
 from .errors import ParameterError
+from .model import _AT_LEAST_ONE, _NON_NEGATIVE, _check_arg, _range
 
 __all__ = [
     "full_mesh_handshakes",
@@ -23,9 +24,9 @@ __all__ = [
 ]
 
 
-def _check_int(value, name: str, minimum: int) -> None:
-    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
-        raise ParameterError(f"{name} must be an integer >= {minimum}, got {value!r}")
+# Caps that keep handshake counts, and the cycle times derived from them, inside float range.
+_SIZE = _range(2, 10**9, "must be in [2, 1000000000]")
+_HANDSHAKES = _range(0, 10**18, "must be in [0, 1000000000000000000]")
 
 
 def full_mesh_handshakes(n: int) -> int:
@@ -34,7 +35,7 @@ def full_mesh_handshakes(n: int) -> int:
     One handshake establishes both directions of a pair, so the count is
     n * (n - 1) / 2.
     """
-    _check_int(n, "n", 2)
+    _check_arg(n, "n", _SIZE)
     return n * (n - 1) // 2
 
 
@@ -45,8 +46,8 @@ def hierarchical_handshakes(n: int, cluster_size: int) -> int:
     node handshakes with its head, and the heads form a full mesh among
     themselves.  With a single cluster this degenerates to a star (n - 1).
     """
-    _check_int(n, "n", 2)
-    _check_int(cluster_size, "cluster_size", 2)
+    _check_arg(n, "n", _SIZE)
+    _check_arg(cluster_size, "cluster_size", _SIZE)
     if cluster_size > n:
         raise ParameterError(f"cluster_size must be <= n, got {cluster_size} > {n}")
     heads = math.ceil(n / cluster_size)
@@ -64,11 +65,9 @@ def rekey_cycle_time(
     ``parallelism`` lanes: ``ceil(handshakes / parallelism)`` batches, each
     taking ``per_handshake_time + t_auth`` seconds.
     """
-    _check_int(handshakes, "handshakes", 0)
-    _check_int(parallelism, "parallelism", 1)
-    if not math.isfinite(per_handshake_time) or per_handshake_time < 0:
-        raise ParameterError(f"per_handshake_time must be finite and >= 0, got {per_handshake_time!r}")
-    if not math.isfinite(t_auth) or t_auth < 0:
-        raise ParameterError(f"t_auth must be finite and >= 0, got {t_auth!r}")
+    _check_arg(handshakes, "handshakes", _HANDSHAKES)
+    _check_arg(parallelism, "parallelism", _AT_LEAST_ONE)
+    _check_arg(per_handshake_time, "per_handshake_time", _NON_NEGATIVE)
+    _check_arg(t_auth, "t_auth", _NON_NEGATIVE)
     batches = -(-handshakes // parallelism)
     return batches * (per_handshake_time + t_auth)

@@ -62,13 +62,34 @@ def _range(low: Any, high: Any, message: str) -> dict:
     """Field metadata: a legal value has ``low <= value <= high`` (never NaN); ``message`` says so otherwise.
 
     ``math.ulp(0.0)`` as ``low`` reads "> 0", ``sys.float_info.max`` as ``high`` reads "finite".
+    An int ``low`` declares an integer range.  The same dict is the ``spec`` of :func:`_check_arg`.
     """
     return {"range": (low, high, message)}
 
 
 _NON_NEGATIVE = _range(0.0, sys.float_info.max, "must be finite and >= 0")
 _POSITIVE = _range(math.ulp(0.0), sys.float_info.max, "must be finite and > 0")
+_FINITE = _range(-sys.float_info.max, sys.float_info.max, "must be finite")
+_FIDELITY = _range(0.25, 1.0, "must be in [0.25, 1]")
 _COUNT = _range(0, math.inf, "must be >= 0")
+_AT_LEAST_ONE = _range(1, math.inf, "must be >= 1")
+_SEED = _range(0, 2**64 - 1, "must fit in an unsigned 64-bit integer")
+
+
+def _check_arg(value: Any, name: str, spec: dict) -> Any:
+    """``value`` if it is a number (an int for an integer range) inside ``spec``; else a :class:`ParameterError`.
+
+    The message shows an integer past 128 bits by its size: ``repr`` fails past 4300 digits.
+    """
+    low, high, message = spec["range"]
+    integer = type(low) is int
+    if not (_is_int(value) if integer else _is_number(value)):
+        message = f"must be {'an integer' if integer else 'a number'}"
+    elif low <= value <= high:
+        return value
+    big = _is_int(value) and value.bit_length() > 128
+    shown = f"{'a negative' if value < 0 else 'an'} integer of {value.bit_length()} bits" if big else repr(value)
+    raise ParameterError(f"{name} {message}, got {shown}")
 
 
 class CryptoKind(Enum):
@@ -178,7 +199,7 @@ class QuantumLinkSpec:
     endpoints: tuple[str, str]
     gen_rate: float = field(metadata=_POSITIVE)
     p_success: float = field(metadata=_range(math.ulp(0.0), 1.0, "must be in (0, 1]"))
-    base_fidelity: float = field(metadata=_range(0.25, 1.0, "must be in [0.25, 1]"))
+    base_fidelity: float = field(metadata=_FIDELITY)
 
     @property
     def key(self) -> str:
@@ -215,8 +236,8 @@ class ScenarioConfig:
     quantum_links: tuple[QuantumLinkSpec, ...]
     classical_channels: dict[str, ClassicalChannelSpec]
     protocol: Protocol
-    seed: int = field(metadata=_range(0, 2**64 - 1, "must fit in an unsigned 64-bit integer"))
-    n_trials: int = field(metadata=_range(1, math.inf, "must be >= 1"))
+    seed: int = field(metadata=_SEED)
+    n_trials: int = field(metadata=_AT_LEAST_ONE)
     slot_duration: float = field(metadata=_POSITIVE)
     rounds_l: int = field(default=1, metadata=_range(1, 10**6, "must be in [1, 1000000]"))
     adversary: AdversaryConfig | None = None
@@ -258,8 +279,7 @@ def effective_security(claimed_bits: int, family: SecurityFamily) -> int:
     attacks zero out that family entirely, and PQC schemes keep their
     claimed level.
     """
-    if not isinstance(claimed_bits, int) or isinstance(claimed_bits, bool) or claimed_bits < 0:
-        raise ParameterError(f"claimed_bits must be a non-negative integer, got {claimed_bits!r}")
+    _check_arg(claimed_bits, "claimed_bits", _COUNT)
     if family is SecurityFamily.SYMMETRIC:
         return claimed_bits // 2
     if family is SecurityFamily.FACTORING_OR_DLOG_BASED:
@@ -362,15 +382,16 @@ def _field_names(cls: type) -> frozenset[str]:
 
 
 @functools.cache
-def _ranges(cls: type) -> tuple[tuple[str, Any, Any, str], ...]:
-    """A dataclass's range-checked fields, built once per class: name, low, high, message."""
-    return tuple((f.name, *f.metadata["range"]) for f in dataclasses.fields(cls) if "range" in f.metadata)
+def _ranges(cls: type) -> tuple[tuple[str, dict], ...]:
+    """A dataclass's range-checked fields, built once per class: name and :func:`_range` metadata."""
+    return tuple((f.name, f.metadata) for f in dataclasses.fields(cls) if "range" in f.metadata)
 
 
 def _range_problems(record: Any) -> list[tuple[str, str]]:
     """``(field name, message)`` for each field of ``record`` outside its declared range, in field order."""
     problems = []
-    for name, low, high, message in _ranges(type(record)):
+    for name, spec in _ranges(type(record)):
+        low, high, message = spec["range"]
         if not low <= getattr(record, name) <= high:
             problems.append((name, message))
     return problems

@@ -17,7 +17,6 @@ of the binding message for aggregated checks.
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
@@ -46,12 +45,8 @@ class HopTiming:
     t_decrypt: float = field(metadata=model._NON_NEGATIVE)
 
     def __post_init__(self):
-        for name, low, high, message in model._ranges(HopTiming):
-            value = getattr(self, name)
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise ParameterError(f"HopTiming.{name} must be a number, got {value!r}")
-            if not low <= value <= high:
-                raise ParameterError(f"HopTiming.{name} {message}, got {value!r}")
+        for name, spec in model._ranges(HopTiming):
+            model._check_arg(getattr(self, name), f"HopTiming.{name}", spec)
 
 
 @dataclass(frozen=True)
@@ -72,13 +67,6 @@ class FeasibilityResult:
         return asdict(self)
 
 
-def _check_t_coh(t_coh: float, name: str = "t_coh") -> None:
-    if not isinstance(t_coh, (int, float)) or isinstance(t_coh, bool):
-        raise ParameterError(f"{name} must be a number, got {t_coh!r}")
-    if not math.isfinite(t_coh) or t_coh <= 0:
-        raise ParameterError(f"{name} must be finite and > 0, got {t_coh!r}")
-
-
 def hop_total(hop: HopTiming) -> float:
     """Total delay of one message: encrypt, transmit, decrypt."""
     return (hop.t_encrypt + hop.t_comm) + hop.t_decrypt
@@ -91,8 +79,7 @@ def parallel_totals(messages: Sequence[HopTiming], t_decrypt_end: float) -> list
     decrypts every broadcast message, independently (fully parallel
     decryption; serial decryption can be emulated by inflating the value).
     """
-    if not math.isfinite(t_decrypt_end) or t_decrypt_end < 0:
-        raise ParameterError(f"t_decrypt_end must be finite and >= 0, got {t_decrypt_end!r}")
+    model._check_arg(t_decrypt_end, "t_decrypt_end", model._NON_NEGATIVE)
     return [(m.t_encrypt + m.t_comm) + t_decrypt_end for m in messages]
 
 
@@ -106,7 +93,7 @@ def sequential_total(rounds: Sequence[HopTiming]) -> float:
 
 def check_single_hop(hop: HopTiming, t_coh: float) -> FeasibilityResult:
     """Can a stored qubit survive one protected message exchange?"""
-    _check_t_coh(t_coh)
+    model._check_arg(t_coh, "t_coh", model._POSITIVE)
     slack = t_coh - hop_total(hop)
     return FeasibilityResult(feasible=slack > 0.0, slack=slack)
 
@@ -121,7 +108,7 @@ def check_parallel(
     """
     if not messages:
         raise ParameterError("check_parallel requires at least one message")
-    _check_t_coh(t_coh_end, "t_coh_end")
+    model._check_arg(t_coh_end, "t_coh_end", model._POSITIVE)
     totals = parallel_totals(messages, t_decrypt_end)
     worst = max(totals)
     binding = totals.index(worst)
@@ -133,7 +120,7 @@ def check_sequential(rounds: Sequence[HopTiming], t_coh: float) -> FeasibilityRe
     """Can a stored qubit survive L dependent message rounds?"""
     if not rounds:
         raise ParameterError("check_sequential requires at least one round")
-    _check_t_coh(t_coh)
+    model._check_arg(t_coh, "t_coh", model._POSITIVE)
     slack = t_coh - sequential_total(rounds)
     return FeasibilityResult(feasible=slack > 0.0, slack=slack)
 

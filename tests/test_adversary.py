@@ -60,12 +60,6 @@ class TestAttackOutcome:
         if base is AttackOutcome.UNDETECTABLE_SUCCESS:
             assert patient is AttackOutcome.UNDETECTABLE_SUCCESS
 
-    def test_invalid_config_rejected(self):
-        with pytest.raises(ParameterError):
-            attack_outcome(adv(-1.0, 0.0, 1.0))
-        with pytest.raises(ParameterError):
-            attack_outcome(adv(0.0, 0.0, 0.0))
-
 
 class TestInterceptedFidelity:
     def test_zero_delay_is_identity(self):
@@ -111,11 +105,6 @@ class TestQber:
         assert all(a > b for a, b in zip(values, values[1:]))
         assert all(0.0 <= v <= 0.5 for v in values)
 
-    def test_out_of_range_rejected(self):
-        for bad in (0.2, 1.01, float("nan")):
-            with pytest.raises(ParameterError):
-                qber_of(bad)
-
 
 class TestDetect:
     def test_identical_samples_not_flagged(self):
@@ -150,10 +139,6 @@ class TestDetect:
             detect([0.1], [0.1, 0.2], 3.0)
         with pytest.raises(ParameterError):
             detect([0.1, 0.2], [0.1], 3.0)
-
-    def test_bad_threshold_rejected(self):
-        with pytest.raises(ParameterError):
-            detect([0.1, 0.2], [0.1, 0.2], 0.0)
 
     def test_null_false_positive_rate_is_small(self):
         # Two independent draws from the same distribution should rarely flag.

@@ -453,6 +453,11 @@ class TestKmsCommand:
         rows = list(csv.DictReader((out / "kms.csv").read_text().splitlines()))
         assert rows[0]["handshakes"] == "5850"
 
+    def test_network_past_the_size_cap_exits_two(self, tmp_path, capsys):
+        code = main(["--out", str(tmp_path), "kms", "--nodes", str(10**200)])
+        assert code == 2
+        assert capsys.readouterr().err == "error: n must be in [2, 1000000000], got an integer of 665 bits\n"
+
 
 class TestSweepCommand:
     def test_single_point_sweep_matches_simulate(self, tmp_path, capsys):
@@ -630,6 +635,23 @@ def argv_vectors(draw):
     return argv
 
 
+KMS_INTS = st.integers(min_value=-(10**400), max_value=10**400).map(str) | st.sampled_from(
+    ["0", "1", "2", str(10**9), str(10**9 + 1)]
+)
+KMS_FLOATS = st.floats().map(repr) | st.sampled_from(["1e308", "5e-324", "1e20"])
+
+
+@st.composite
+def kms_vectors(draw):
+    """A ``kms`` command line with arbitrary sizes, times and lane counts."""
+    argv = ["kms", "--nodes", *draw(st.lists(KMS_INTS, min_size=1, max_size=3)),
+            f"--handshake-time={draw(KMS_FLOATS)}", f"--auth-time={draw(KMS_FLOATS)}",
+            f"--parallelism={draw(KMS_INTS)}"]
+    if draw(st.booleans()):
+        argv += ["--mode", "hierarchical", f"--cluster-size={draw(KMS_INTS)}"]
+    return argv
+
+
 class TestArgvFuzz:
     @settings(max_examples=120, deadline=None)
     @given(argv=argv_vectors())
@@ -643,3 +665,16 @@ class TestArgvFuzz:
             except SystemExit as exc:  # argparse rejects a malformed command line with exit 2
                 code = exc.code
         assert code in (0, 1, 2), err.getvalue()
+
+    @settings(max_examples=150, deadline=None)
+    @given(argv=kms_vectors())
+    @example(argv=["kms", "--nodes", str(10**200)])
+    @example(argv=["kms", "--nodes", "1000", "--mode", "hierarchical", f"--cluster-size={10**200}"])
+    def test_any_kms_command_line_exits_zero_or_two(self, tmp_path_factory, argv):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            try:
+                code = main(["--out", str(tmp_path_factory.getbasetemp() / "kms_fuzz"), *argv])
+            except SystemExit as exc:  # argparse rejects a malformed command line with exit 2
+                code = exc.code
+        assert code in (0, 2), err.getvalue()

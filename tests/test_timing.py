@@ -39,15 +39,6 @@ class TestSingleHop:
         result = check_single_hop(HopTiming(4.0, 4.0, 4.0), 10.0)
         assert not result.feasible and result.slack == -2.0
 
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
-    def test_nonfinite_or_negative_components_rejected(self, bad):
-        with pytest.raises(ParameterError):
-            HopTiming(bad, 0.0, 0.0)
-
-    @pytest.mark.parametrize("bad_tcoh", [0.0, -1.0, float("nan"), float("inf")])
-    def test_bad_coherence_rejected(self, bad_tcoh):
-        with pytest.raises(ParameterError):
-            check_single_hop(HopTiming(1.0, 1.0, 1.0), bad_tcoh)
 
 
 class TestParallel:
