@@ -17,13 +17,13 @@ from __future__ import annotations
 
 import math
 import statistics
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass
 from enum import Enum
-from typing import Sequence
 
 from . import fidelity
 from .errors import ParameterError
-from .model import _FIDELITY, _FINITE, _POSITIVE, AdversaryConfig, _check_arg, _ranges
+from .model import _FIDELITY, _FINITE, _POSITIVE, AdversaryConfig, _check_arg, _check_type, _ranges
 
 __all__ = [
     "AdversaryConfig",
@@ -61,6 +61,7 @@ class DetectionReport:
 
 
 def _check_adversary(adv: AdversaryConfig) -> None:
+    _check_type(adv, "adversary", AdversaryConfig)
     for name, spec in _ranges(AdversaryConfig):
         _check_arg(getattr(adv, name), f"adversary {name}", spec)
 
@@ -79,6 +80,7 @@ def attack_outcome(adv: AdversaryConfig) -> AttackOutcome:
 
 def intercepted_fidelity(f_in: float, adv: AdversaryConfig) -> float:
     """Fidelity of a pair after sitting in the adversary's memory for delta_t."""
+    _check_arg(f_in, "f_in", _FIDELITY)
     _check_adversary(adv)
     return fidelity.decay(f_in, adv.delta_t, adv.t_coh_eve)
 
@@ -114,10 +116,10 @@ def detect(
         ParameterError: on short sample lists, non-finite samples, or a
             non-positive threshold.
     """
-    if len(baseline_samples) < 2 or len(observed_samples) < 2:
-        raise ParameterError("detect requires at least 2 samples on each side")
     _check_arg(threshold_sigma, "threshold_sigma", _POSITIVE)
     for name, samples in (("baseline_samples", baseline_samples), ("observed_samples", observed_samples)):
+        if len(_check_type(samples, name, Sequence)) < 2:
+            raise ParameterError(f"{name} must hold at least 2 samples, got {len(samples)}")
         for i, value in enumerate(samples):
             _check_arg(value, f"{name}[{i}]", _FINITE)
 

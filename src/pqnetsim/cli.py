@@ -20,7 +20,6 @@ import csv
 import dataclasses
 import json
 import sys
-from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
@@ -28,7 +27,7 @@ from . import engine, kms, model, timing
 from .adversary import detect, qber_of
 from .errors import ParameterError, ScenarioValidationError
 
-__all__ = ["CommandResult", "main", "build_parser"]
+__all__ = ["main", "build_parser"]
 
 EXIT_OK = 0
 EXIT_NEGATIVE_VERDICT = 1
@@ -36,14 +35,6 @@ EXIT_INPUT_ERROR = 2
 EXIT_INTERNAL_ERROR = 3
 
 TRIALS_CSV_COLUMNS = ["trial_index", "success", "failure_reason", "slots_used", "t_dist_s", "f_end"]
-
-
-@dataclass(frozen=True)
-class CommandResult:
-    """Exit code plus the files a command wrote."""
-
-    exit_code: int
-    artifacts: tuple[str, ...] = ()
 
 
 def _plain(value):
@@ -98,11 +89,7 @@ def _load_registry(args) -> model.CryptoRegistry:
 
 
 def _load_valid_scenario(args) -> model.ScenarioConfig:
-    config = model.load_scenario(args.scenario, _load_registry(args))
-    violations = model.validate_scenario(config)
-    if violations:
-        raise ScenarioValidationError(violations)
-    return config
+    return model._require_valid(model.load_scenario(args.scenario, _load_registry(args)))
 
 
 def _print_violations(exc: ScenarioValidationError) -> None:
@@ -113,16 +100,16 @@ def _print_violations(exc: ScenarioValidationError) -> None:
 # Commands
 # ---------------------------------------------------------------------------
 
-def cmd_check(args) -> CommandResult:
+def cmd_check(args) -> int:
     config = _load_valid_scenario(args)
     result = timing.check_scenario(config)
     payload = result.as_dict()
     payload["protocol"] = config.protocol.value
     print(_dump_json(payload))
-    return CommandResult(EXIT_OK if result.feasible else EXIT_NEGATIVE_VERDICT)
+    return EXIT_OK if result.feasible else EXIT_NEGATIVE_VERDICT
 
 
-def cmd_simulate(args) -> CommandResult:
+def cmd_simulate(args) -> int:
     config = _load_valid_scenario(args)
     out = _out_dir(args)
     outcomes = engine.run_trials(config, args.trials, args.seed, max_slots=args.max_slots)
@@ -136,10 +123,10 @@ def cmd_simulate(args) -> CommandResult:
 
     print(_dump_json(summary.as_dict()))
     print(f"wrote {trials_path} and {summary_path}", file=sys.stderr)
-    return CommandResult(EXIT_OK, (str(trials_path), str(summary_path)))
+    return EXIT_OK
 
 
-def cmd_adversary(args) -> CommandResult:
+def cmd_adversary(args) -> int:
     config = _load_valid_scenario(args)
     if config.adversary is None:
         raise ParameterError("scenario has no adversary block; nothing to detect")
@@ -169,8 +156,7 @@ def cmd_adversary(args) -> CommandResult:
 
     print(_dump_json(report.as_dict()))
     print(f"wrote {samples_path} and {report_path}", file=sys.stderr)
-    code = EXIT_NEGATIVE_VERDICT if report.flagged else EXIT_OK
-    return CommandResult(code, (str(samples_path), str(report_path)))
+    return EXIT_NEGATIVE_VERDICT if report.flagged else EXIT_OK
 
 
 def _qber_of_outcome(outcome: engine.TrialOutcome) -> float:
@@ -178,7 +164,7 @@ def _qber_of_outcome(outcome: engine.TrialOutcome) -> float:
     return qber_of(outcome.f_end)
 
 
-def cmd_kms(args) -> CommandResult:
+def cmd_kms(args) -> int:
     out = _out_dir(args)
     rows = []
     for n in args.nodes:
@@ -195,10 +181,10 @@ def cmd_kms(args) -> CommandResult:
     path = out / "kms.csv"
     _write_csv(path, ["n", "mode", "cluster_size", "handshakes", "t_key_s"], rows)
     print(f"wrote {path}", file=sys.stderr)
-    return CommandResult(EXIT_OK, (str(path),))
+    return EXIT_OK
 
 
-def cmd_sweep(args) -> CommandResult:
+def cmd_sweep(args) -> int:
     config = _load_valid_scenario(args)
     out = _out_dir(args)
     try:
@@ -219,17 +205,17 @@ def cmd_sweep(args) -> CommandResult:
         ],
     )
     print(f"wrote {path}", file=sys.stderr)
-    return CommandResult(EXIT_OK, (str(path),))
+    return EXIT_OK
 
 
-def cmd_profiles(args) -> CommandResult:
+def cmd_profiles(args) -> int:
     profiles = _load_registry(args).profiles()
     if args.format == "csv":
         header = [f.name for f in dataclasses.fields(model.CryptoProfile)]
         _write_rows(sys.stdout, header, [dataclasses.astuple(p) for p in profiles])
     else:
         print(_dump_json([{k: _plain(v) for k, v in dataclasses.asdict(p).items()} for p in profiles]))
-    return CommandResult(EXIT_OK)
+    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +314,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        result: CommandResult = args.func(args)
+        return args.func(args)
     except ScenarioValidationError as exc:
         _print_violations(exc)
         return EXIT_INPUT_ERROR
@@ -338,7 +324,6 @@ def main(argv: list[str] | None = None) -> int:
     except Exception as exc:  # any other failure is a bug; it must not pass for a verdict
         print(" ".join(f"internal error: {type(exc).__name__}: {exc}".split()), file=sys.stderr)
         return EXIT_INTERNAL_ERROR
-    return result.exit_code
 
 
 if __name__ == "__main__":

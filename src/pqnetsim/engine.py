@@ -73,7 +73,7 @@ from typing import Sequence
 
 from . import fidelity, model, timing
 from .adversary import intercepted_fidelity
-from .errors import ParameterError, ScenarioValidationError
+from .errors import ParameterError
 
 __all__ = [
     "DEFAULT_MAX_SLOTS",
@@ -215,8 +215,9 @@ def _adjusted_base_fidelity(config: model.ScenarioConfig, link: model.QuantumLin
 
 
 def _prepare(config: model.ScenarioConfig) -> _PreparedTwoParty | _PreparedChain:
-    path = model.resolve_path(config)
+    # The path and message waits are the static check's own numbers.
     timings = timing.scenario_timings(config)
+    path = timings.path
     nodes = config.node_index()
     if config.protocol is model.Protocol.PARALLEL_CHAIN:
         links_by_key = {link.key: link for link in config.quantum_links}
@@ -230,8 +231,7 @@ def _prepare(config: model.ScenarioConfig) -> _PreparedTwoParty | _PreparedChain
             lo_tcoh=lo_tcoh,
             hi_tcoh=hi_tcoh,
             intact_limit=tuple(min(lo, hi) for lo, hi in zip(lo_tcoh, hi_tcoh)),
-            # Per-repeater message delays, identical arithmetic to the check.
-            delays=tuple(timing.parallel_totals(list(timings.hops), timings.t_decrypt_end)),
+            delays=timings.totals,
             t_coh_end=timings.t_coh_end,
             base_fids=tuple(_adjusted_base_fidelity(config, link) for link in links),
             draw_tests=tuple(_draw_test(link.p_success) for link in links),
@@ -239,12 +239,9 @@ def _prepare(config: model.ScenarioConfig) -> _PreparedTwoParty | _PreparedChain
 
     # Single hop or sequential rounds: the sender measures its qubit the
     # moment the pair exists, so the receiver's window starts at generation
-    # and covers the full (single or accumulated) message delay.
+    # and covers the one total wait (all rounds, for sequential rounds).
     link = config.quantum_links[0]
-    if config.protocol is model.Protocol.SINGLE_HOP:
-        total_delay = timing.hop_total(timings.hops[0])
-    else:
-        total_delay = timing.sequential_total(timings.hops)
+    (total_delay,) = timings.totals
     f = _adjusted_base_fidelity(config, link)
     if config.protocol is model.Protocol.SEQUENTIAL_ROUNDS:
         # Both parties keep their qubit through all rounds.
@@ -268,16 +265,10 @@ def run_trial(
     does both once for a whole run.  Quiet chain slots are fast-forwarded,
     with the same draws: one uniform per regenerating link per slot, in path order.
     """
-    _require_valid(config)
+    model._require_valid(config)
     model._check_arg(trial_seed, "trial_seed", model._SEED)
     model._check_arg(max_slots, "max_slots", model._AT_LEAST_ONE)
     return _execute(_prepare(config), trial_seed, max_slots)
-
-
-def _require_valid(config: model.ScenarioConfig) -> None:
-    violations = model.validate_scenario(config)
-    if violations:
-        raise ScenarioValidationError(violations)
 
 
 def _execute(
@@ -535,7 +526,7 @@ def run_trials(
     ``n_trials`` and ``master_seed`` default to the scenario's own fields.
     The scenario is validated once up front.
     """
-    _require_valid(config)
+    model._require_valid(config)
     n = config.n_trials if n_trials is None else n_trials
     seed = config.seed if master_seed is None else master_seed
     model._check_arg(n, "n_trials", model._AT_LEAST_ONE)

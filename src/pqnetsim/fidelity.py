@@ -20,10 +20,10 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Iterable
+from collections.abc import Iterable
 
 from .errors import ParameterError
-from .model import _FIDELITY, _NON_NEGATIVE, _POSITIVE, _check_arg
+from .model import _FIDELITY, _NON_NEGATIVE, _POSITIVE, _check_arg, _check_type
 
 __all__ = ["FIDELITY_FLOOR", "decay", "swap", "chain_fidelity"]
 
@@ -66,7 +66,7 @@ def chain_fidelity(links: Iterable[float]) -> float:
     A singleton chain returns its only element unchanged.  The result is
     bounded above by the weakest link in the chain.
     """
-    values = list(links)
+    values = list(_check_type(links, "links", Iterable))
     if not values:
         raise ParameterError("chain_fidelity requires at least one link fidelity")
     for i, value in enumerate(values):

@@ -63,11 +63,12 @@ def rekey_cycle_time(
 
     Independent handshakes of uniform duration are batched greedily across
     ``parallelism`` lanes: ``ceil(handshakes / parallelism)`` batches, each
-    taking ``per_handshake_time + t_auth`` seconds.
+    taking ``per_handshake_time + t_auth`` seconds.  A cycle time past the
+    float range is refused.
     """
     _check_arg(handshakes, "handshakes", _HANDSHAKES)
     _check_arg(parallelism, "parallelism", _AT_LEAST_ONE)
     _check_arg(per_handshake_time, "per_handshake_time", _NON_NEGATIVE)
     _check_arg(t_auth, "t_auth", _NON_NEGATIVE)
     batches = -(-handshakes // parallelism)
-    return batches * (per_handshake_time + t_auth)
+    return _check_arg(batches * (per_handshake_time + t_auth), "rekey cycle time", _NON_NEGATIVE)

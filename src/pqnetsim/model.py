@@ -92,6 +92,13 @@ def _check_arg(value: Any, name: str, spec: dict) -> Any:
     raise ParameterError(f"{name} {message}, got {shown}")
 
 
+def _check_type(value: Any, name: str, cls: type) -> Any:
+    """``value`` if it is a ``cls`` (a string never counts as a collection); else a :class:`ParameterError`."""
+    if isinstance(value, str) or not isinstance(value, cls):
+        raise ParameterError(f"{name} must be of type {cls.__name__}, got {type(value).__name__}")
+    return value
+
+
 class CryptoKind(Enum):
     KEM = "kem"
     SIGNATURE = "signature"
@@ -661,6 +668,14 @@ def validate_scenario(config: ScenarioConfig) -> list[Violation]:
     return vios
 
 
+def _require_valid(config: ScenarioConfig) -> ScenarioConfig:
+    """``config`` if :func:`validate_scenario` finds nothing; else a :class:`ScenarioValidationError`."""
+    violations = validate_scenario(config)
+    if violations:
+        raise ScenarioValidationError(violations)
+    return config
+
+
 def _validate_topology(config: ScenarioConfig) -> list[Violation]:
     """Protocol-shape checks on links that name distinct known nodes: path, roles, required channels."""
     links = config.quantum_links
@@ -773,12 +788,9 @@ def set_config_value(config: ScenarioConfig, parameter_path: str, value: float) 
     tokens = parameter_path.split(".") if parameter_path else []
     if not tokens:
         raise ParameterError("empty parameter path")
-    try:
-        return _with_value(config, tokens, value, parameter_path)
-    except ParameterError:
-        raise
-    except Exception as exc:
-        raise ParameterError(f"invalid parameter path {parameter_path!r}: {exc}") from exc
+    if not _is_number(value):
+        raise ParameterError(f"value for {parameter_path!r} must be a number, got {type(value).__name__}")
+    return _with_value(config, tokens, value, parameter_path)
 
 
 def _with_value(obj: Any, tokens: list[str], value: float, full_path: str) -> Any:
@@ -786,9 +798,11 @@ def _with_value(obj: Any, tokens: list[str], value: float, full_path: str) -> An
         if not _is_number(obj):
             raise ParameterError(f"parameter path {full_path!r} does not address a numeric field")
         if _is_int(obj):
-            if float(value) != int(value):
-                raise ParameterError(f"parameter path {full_path!r} addresses an integer field")
+            if not (_is_int(value) or value.is_integer()):  # also refuses inf and nan
+                raise ParameterError(f"parameter path {full_path!r} addresses an integer field, got {value!r}")
             return int(value)
+        if _is_int(value) and abs(value) > sys.float_info.max:
+            raise ParameterError(f"value for {full_path!r} is too large for a float field")
         return float(value)
     head, rest = tokens[0], tokens[1:]
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
@@ -796,12 +810,12 @@ def _with_value(obj: Any, tokens: list[str], value: float, full_path: str) -> An
             raise ParameterError(f"invalid parameter path {full_path!r}: no field {head!r}")
         return dataclasses.replace(obj, **{head: _with_value(getattr(obj, head), rest, value, full_path)})
     if isinstance(obj, tuple):
-        try:
-            index = int(head)
-            current = obj[index]
-        except (ValueError, IndexError):
-            raise ParameterError(f"invalid parameter path {full_path!r}: bad index {head!r}") from None
-        return obj[:index] + (_with_value(current, rest, value, full_path),) + obj[index + 1 :]
+        # Plain non-negative indices only: a negative one would splice the tuple
+        # wrongly, and no tuple here is long enough for a ten-digit index.
+        index = int(head) if head.isdecimal() and len(head) <= 9 else len(obj)
+        if index >= len(obj):
+            raise ParameterError(f"invalid parameter path {full_path!r}: bad index {head!r}")
+        return obj[:index] + (_with_value(obj[index], rest, value, full_path),) + obj[index + 1 :]
     if isinstance(obj, dict):
         if head not in obj:
             raise ParameterError(f"invalid parameter path {full_path!r}: no key {head!r}")

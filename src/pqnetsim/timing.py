@@ -12,13 +12,16 @@ covered, each with a strict inequality (equality counts as infeasible):
 
 Results carry a signed slack (negative values quantify the deficit) so
 planners can see how far a configuration is from feasibility, plus the index
-of the binding message for aggregated checks.
+of the binding message for aggregated checks.  For a whole scenario,
+:func:`scenario_timings` derives one total wait per correction message;
+:func:`check_scenario` and the simulation engine both read them.
 """
 
 from __future__ import annotations
 
+import itertools
+from collections.abc import Iterable, Sequence
 from dataclasses import asdict, dataclass, field
-from typing import Sequence
 
 from . import model
 from .errors import ParameterError
@@ -83,7 +86,7 @@ def parallel_totals(messages: Sequence[HopTiming], t_decrypt_end: float) -> list
     return [(m.t_encrypt + m.t_comm) + t_decrypt_end for m in messages]
 
 
-def sequential_total(rounds: Sequence[HopTiming]) -> float:
+def sequential_total(rounds: Iterable[HopTiming]) -> float:
     """Accumulated delay of dependent rounds, summed in round order."""
     total = 0.0
     for hop in rounds:
@@ -91,11 +94,26 @@ def sequential_total(rounds: Sequence[HopTiming]) -> float:
     return total
 
 
+def _verdict(t_coh: float, totals: Sequence[float], binding: bool) -> FeasibilityResult:
+    """Strict verdict on the slowest of ``totals``; with ``binding``, its index (lowest on ties)."""
+    worst = max(totals)
+    slack = t_coh - worst
+    return FeasibilityResult(slack > 0.0, slack, totals.index(worst) if binding else None)
+
+
+def _check_hops(hops: Sequence[HopTiming], name: str) -> None:
+    """A :class:`ParameterError` unless ``hops`` is a non-empty sequence of :class:`HopTiming`."""
+    if not model._check_type(hops, name, Sequence):
+        raise ParameterError(f"{name} must hold at least one HopTiming")
+    for i, hop in enumerate(hops):
+        model._check_type(hop, f"{name}[{i}]", HopTiming)
+
+
 def check_single_hop(hop: HopTiming, t_coh: float) -> FeasibilityResult:
     """Can a stored qubit survive one protected message exchange?"""
+    model._check_type(hop, "hop", HopTiming)
     model._check_arg(t_coh, "t_coh", model._POSITIVE)
-    slack = t_coh - hop_total(hop)
-    return FeasibilityResult(feasible=slack > 0.0, slack=slack)
+    return _verdict(t_coh, [hop_total(hop)], binding=False)
 
 
 def check_parallel(
@@ -106,23 +124,16 @@ def check_parallel(
     The slowest message is binding; ties resolve to the lowest index so
     reports are reproducible.
     """
-    if not messages:
-        raise ParameterError("check_parallel requires at least one message")
+    _check_hops(messages, "messages")
     model._check_arg(t_coh_end, "t_coh_end", model._POSITIVE)
-    totals = parallel_totals(messages, t_decrypt_end)
-    worst = max(totals)
-    binding = totals.index(worst)
-    slack = t_coh_end - worst
-    return FeasibilityResult(feasible=slack > 0.0, slack=slack, binding_index=binding)
+    return _verdict(t_coh_end, parallel_totals(messages, t_decrypt_end), binding=True)
 
 
 def check_sequential(rounds: Sequence[HopTiming], t_coh: float) -> FeasibilityResult:
     """Can a stored qubit survive L dependent message rounds?"""
-    if not rounds:
-        raise ParameterError("check_sequential requires at least one round")
+    _check_hops(rounds, "rounds")
     model._check_arg(t_coh, "t_coh", model._POSITIVE)
-    slack = t_coh - sequential_total(rounds)
-    return FeasibilityResult(feasible=slack > 0.0, slack=slack)
+    return _verdict(t_coh, [sequential_total(rounds)], binding=False)
 
 
 def min_required_coherence(
@@ -142,11 +153,8 @@ def min_required_coherence(
         t_decrypt_end: required for ``parallel_chain``, ignored otherwise.
     """
     if protocol is model.Protocol.SINGLE_HOP:
-        if not isinstance(timings, HopTiming):
-            raise ParameterError("single_hop expects one HopTiming")
-        return hop_total(timings)
-    if isinstance(timings, HopTiming) or not timings:
-        raise ParameterError(f"{protocol.value} expects a non-empty sequence of HopTiming")
+        return hop_total(model._check_type(timings, "timings", HopTiming))
+    _check_hops(timings, "timings")
     if protocol is model.Protocol.PARALLEL_CHAIN:
         if t_decrypt_end is None:
             raise ParameterError("parallel_chain requires t_decrypt_end")
@@ -160,45 +168,45 @@ def min_required_coherence(
 
 @dataclass(frozen=True)
 class ScenarioTimings:
-    """Message timings derived from a scenario, shaped for its protocol.
+    """What the receiver of a validated scenario waits for.
 
-    ``hops`` holds one entry for the single-hop message, one per repeater
-    (in path order) for parallel chains, or one per round for sequential
-    protocols.  The simulation engine consumes the same structure, so the
-    static checks and the dynamic enforcement always see identical numbers.
+    ``path`` is the resolved node path; its last node is the receiver, whose
+    coherence time is ``t_coh_end``.  ``totals`` holds one wait per
+    correction message, from encryption to decryption at the receiver: one
+    for a single hop, one per repeater (in path order) for a parallel chain,
+    and one for all ``rounds_l`` sequential rounds, summed round by round.
+    The static check and the engine both read these numbers, so they agree
+    bit for bit.
     """
 
     protocol: model.Protocol
-    hops: tuple[HopTiming, ...]
-    t_decrypt_end: float
+    path: tuple[str, ...]
+    totals: tuple[float, ...]
     t_coh_end: float
 
 
 def scenario_timings(config: model.ScenarioConfig) -> ScenarioTimings:
-    """Extract the protocol's message timings from a validated scenario."""
+    """The receiver's message waits, from a validated scenario."""
     path = model.resolve_path(config)
     nodes = config.node_index()
     receiver = nodes[path[-1]]
-    t_coh_end = receiver.memory.t_coh
-    dec_end = receiver.crypto.t_decrypt
-    hops = tuple(
+    hops = [
         HopTiming(
             t_encrypt=nodes[sender].crypto.t_encrypt,
             t_comm=config.channel_between(sender, receiver.id).t_comm,
-            t_decrypt=dec_end,
+            t_decrypt=receiver.crypto.t_decrypt,
         )
         for sender in model.message_senders(config.protocol, path)
-    )
+    ]
     if config.protocol is model.Protocol.SEQUENTIAL_ROUNDS:
-        hops *= config.rounds_l
-    return ScenarioTimings(protocol=config.protocol, hops=hops, t_decrypt_end=dec_end, t_coh_end=t_coh_end)
+        totals = (sequential_total(itertools.repeat(hops[0], config.rounds_l)),)
+    else:
+        totals = tuple(map(hop_total, hops))
+    return ScenarioTimings(config.protocol, tuple(path), totals, receiver.memory.t_coh)
 
 
 def check_scenario(config: model.ScenarioConfig) -> FeasibilityResult:
     """Run the timing check matching the scenario's protocol."""
-    timings = scenario_timings(config)
-    if timings.protocol is model.Protocol.SINGLE_HOP:
-        return check_single_hop(timings.hops[0], timings.t_coh_end)
-    if timings.protocol is model.Protocol.PARALLEL_CHAIN:
-        return check_parallel(list(timings.hops), timings.t_decrypt_end, timings.t_coh_end)
-    return check_sequential(list(timings.hops), timings.t_coh_end)
+    t = scenario_timings(config)
+    model._check_arg(t.t_coh_end, "t_coh_end", model._POSITIVE)
+    return _verdict(t.t_coh_end, t.totals, binding=t.protocol is model.Protocol.PARALLEL_CHAIN)

@@ -104,13 +104,7 @@ def random_deterministic_scenario(rng: random.Random) -> model.ScenarioConfig:
             p_success=1.0,
         )
     if rng.random() < 0.25:
-        timings = timing.scenario_timings(config)
-        if protocol is Protocol.SINGLE_HOP:
-            boundary = timing.hop_total(timings.hops[0])
-        elif protocol is Protocol.PARALLEL_CHAIN:
-            boundary = max(timing.parallel_totals(list(timings.hops), timings.t_decrypt_end))
-        else:
-            boundary = timing.sequential_total(timings.hops)
+        boundary = max(timing.scenario_timings(config).totals)
         receiver = model.resolve_path(config)[-1]
         index = [n.id for n in config.nodes].index(receiver)
         config = model.set_config_value(config, f"nodes.{index}.memory.t_coh", boundary)

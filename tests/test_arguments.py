@@ -107,7 +107,7 @@ ARGS = {
     "intercepted_fidelity.adversary": Arg(
         "adversary t_eve", lambda v: intercepted_fidelity(0.9, adversary(t_eve=v))
     ),
-    "intercepted_fidelity.f_in": Arg("f0", lambda v: intercepted_fidelity(v, adversary()), edges=FIDELITY_EDGES),
+    "intercepted_fidelity.f_in": Arg("f_in", lambda v: intercepted_fidelity(v, adversary()), edges=FIDELITY_EDGES),
     "full_mesh_handshakes.n": Arg("n", full_mesh_handshakes, edges=(1, 2.0, 10**9 + 1)),
     "hierarchical_handshakes.n": Arg("n", lambda v: hierarchical_handshakes(v, 2), edges=(1, 10**9 + 1)),
     "hierarchical_handshakes.cluster_size": Arg(
@@ -144,6 +144,27 @@ ARGS = {
     "effective_security.claimed_bits": Arg(
         "claimed_bits", lambda v: effective_security(v, SecurityFamily.PQC), legal=HUGE, edges=(128.0,)
     ),
+    # Structural arguments: every value of BAD is of the wrong type.
+    "check_single_hop.hop": Arg("hop", lambda v: check_single_hop(v, 1.0)),
+    "check_parallel.messages": Arg("messages", lambda v: check_parallel(v, 0.0, 1.0), edges=([], HOP)),
+    "check_parallel.messages[1]": Arg("messages[1]", lambda v: check_parallel([HOP, v], 0.0, 1.0)),
+    "check_sequential.rounds": Arg("rounds", lambda v: check_sequential(v, 1.0), edges=([], HOP)),
+    "check_sequential.rounds[0]": Arg("rounds[0]", lambda v: check_sequential([v], 1.0)),
+    "min_required_coherence.timings": Arg(
+        "timings", lambda v: min_required_coherence(Protocol.SINGLE_HOP, v), edges=([HOP],)
+    ),
+    "min_required_coherence.timings[0]": Arg(
+        "timings[0]", lambda v: min_required_coherence(Protocol.SEQUENTIAL_ROUNDS, [v])
+    ),
+    "chain_fidelity.links": Arg("links", chain_fidelity),
+    "detect.baseline_samples.sequence": Arg(
+        "baseline_samples", lambda v: detect(v, [0.1, 0.2], 3.0), edges=([0.1],)
+    ),
+    "detect.observed_samples.sequence": Arg(
+        "observed_samples", lambda v: detect([0.1, 0.2], v, 3.0), edges=([0.1],)
+    ),
+    "attack_outcome.adversary": Arg("adversary", attack_outcome),
+    "intercepted_fidelity.adversary.type": Arg("adversary", lambda v: intercepted_fidelity(0.9, v)),
 }
 
 
@@ -192,6 +213,31 @@ def test_changed_messages_are_pinned():
         (lambda: full_mesh_handshakes(1), "n must be in [2, 1000000000], got 1"),
         (lambda: effective_security(-1, SecurityFamily.PQC), "claimed_bits must be >= 0, got -1"),
         (lambda: detect([0.1, math.nan], [0.1, 0.2], 3.0), "baseline_samples[1] must be finite, got nan"),
+    ]
+    for call, message in cases:
+        with pytest.raises(ParameterError) as info:
+            call()
+        assert str(info.value) == message
+
+
+def test_structural_messages_are_pinned():
+    cases = [
+        (
+            lambda: detect((q for q in [0.1, 0.2]), [0.1, 0.2], 3.0),
+            "baseline_samples must be of type Sequence, got generator",
+        ),
+        (lambda: detect([0.1, 0.2], [0.1], 3.0), "observed_samples must hold at least 2 samples, got 1"),
+        (lambda: chain_fidelity(None), "links must be of type Iterable, got NoneType"),
+        (lambda: check_parallel([HOP, None], 0.0, 1.0), "messages[1] must be of type HopTiming, got NoneType"),
+        (lambda: check_sequential([1.0], 1.0), "rounds[0] must be of type HopTiming, got float"),
+        (lambda: check_sequential([], 1.0), "rounds must hold at least one HopTiming"),
+        (
+            lambda: min_required_coherence(Protocol.SEQUENTIAL_ROUNDS, [1.0]),
+            "timings[0] must be of type HopTiming, got float",
+        ),
+        (lambda: attack_outcome(None), "adversary must be of type AdversaryConfig, got NoneType"),
+        (lambda: intercepted_fidelity(2.0, adversary()), "f_in must be in [0.25, 1], got 2.0"),
+        (lambda: rekey_cycle_time(10, 1e308, 1e308, 1), "rekey cycle time must be finite and >= 0, got inf"),
     ]
     for call, message in cases:
         with pytest.raises(ParameterError) as info:

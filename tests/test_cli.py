@@ -458,6 +458,12 @@ class TestKmsCommand:
         assert code == 2
         assert capsys.readouterr().err == "error: n must be in [2, 1000000000], got an integer of 665 bits\n"
 
+    def test_overflowing_cycle_time_exits_two_and_writes_nothing(self, tmp_path, capsys):
+        argv = ["kms", "--nodes", "10", "--handshake-time", "1e308", "--auth-time", "1e308"]
+        assert main(["--out", str(tmp_path), *argv]) == 2
+        assert capsys.readouterr().err == "error: rekey cycle time must be finite and >= 0, got inf\n"
+        assert not (tmp_path / "kms.csv").exists()
+
 
 class TestSweepCommand:
     def test_single_point_sweep_matches_simulate(self, tmp_path, capsys):

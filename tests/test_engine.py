@@ -618,3 +618,24 @@ class TestSetupScaling:
             calls = 0
             step(config)
             assert calls <= 4 * n, f"{step.__name__}: {calls} lookups for {n} repeaters"
+
+    def test_prepare_walks_the_path_once(self, monkeypatch):
+        # _prepare reads the path from scenario_timings rather than resolving it again.
+        walks = 0
+        resolve_path = model.resolve_path
+
+        def counted_resolve_path(config):
+            nonlocal walks
+            walks += 1
+            return resolve_path(config)
+
+        monkeypatch.setattr(model, "resolve_path", counted_resolve_path)
+        configs = (
+            two_party_scenario(),
+            two_party_scenario(protocol=Protocol.SEQUENTIAL_ROUNDS, rounds_l=3),
+            chain_scenario([(0.001, 0.001)] * 2),
+        )
+        for config in configs:
+            walks = 0
+            engine._prepare(config)
+            assert walks == 1, config.protocol

@@ -122,3 +122,10 @@ class TestRekeyCycle:
 
     def test_auth_overhead_counts_per_handshake(self):
         assert rekey_cycle_time(4, 0.002, 0.001, 2) == pytest.approx(2 * 0.003)
+
+    def test_cycle_time_past_the_float_range_is_refused(self):
+        # Two finite per-handshake times whose sum overflows to inf.
+        with pytest.raises(ParameterError, match="rekey cycle time must be finite"):
+            rekey_cycle_time(10, 1e308, 1e308, 1)
+        with pytest.raises(ParameterError, match="rekey cycle time must be finite"):
+            rekey_cycle_time(10**18, 1e300, 0.0, 1)

@@ -347,6 +347,18 @@ class TestPathsAndEditing:
         for bad in ("nodes.0.nickname", "nodes.9.memory.t_coh", "protocol", "nodes.0.id"):
             with pytest.raises(ParameterError, match=bad.split(".")[-1]):
                 set_config_value(config, bad, 1.0)
+        # A negative index must not splice the tuple: on 4 nodes, -1 gave 8 nodes and -3 edited r1.
+        chain = chain_scenario([(0.001, 0.001), (0.001, 0.001)])
+        for index in ("-1", "-3", "-4", "+1"):
+            with pytest.raises(ParameterError, match="bad index"):
+                set_config_value(chain, f"nodes.{index}.memory.t_coh", 1.0)
+        for value in (math.inf, math.nan, 1.5):
+            with pytest.raises(ParameterError, match="rounds_l' addresses an integer field"):
+                set_config_value(config, "rounds_l", value)
+        with pytest.raises(ParameterError, match="slot_duration"):
+            set_config_value(config, "slot_duration", "0.5")
+        with pytest.raises(ParameterError, match="slot_duration"):
+            set_config_value(config, "slot_duration", 10**400)
 
 
 DELETE = object()

@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
@@ -12,10 +13,13 @@ from pqnetsim import (
     ParameterError,
     Protocol,
     check_parallel,
+    check_scenario,
     check_sequential,
     check_single_hop,
     min_required_coherence,
+    scenario_timings,
 )
+from scenario_builders import chain_scenario, two_party_scenario
 
 delays = st.floats(min_value=0.0, max_value=1e3, allow_nan=False, allow_infinity=False)
 coherences = st.floats(min_value=1e-9, max_value=1e4, allow_nan=False, allow_infinity=False)
@@ -182,3 +186,49 @@ def test_slack_sign_encodes_feasibility_invariant():
         result = check_single_hop(hop, t_coh)
         assert result.feasible == (result.slack > 0.0)
         assert math.isfinite(result.slack)
+
+
+class TestScenarioWaits:
+    def test_chain_has_one_total_per_repeater_in_path_order(self):
+        config = chain_scenario([(0.001, 0.002), (0.003, 0.0005)], dec_end=0.0004, t_coh_end=0.004)
+        timings = scenario_timings(config)
+        assert timings.path == ("alice", "r1", "r2", "bob")
+        assert timings.totals == ((0.001 + 0.002) + 0.0004, (0.003 + 0.0005) + 0.0004)
+        assert timings.t_coh_end == 0.004
+        assert check_scenario(config) == FeasibilityResult(True, 0.004 - timings.totals[1], binding_index=1)
+
+    def test_single_hop_has_one_total(self):
+        config = two_party_scenario(enc=0.001, comm=0.002, dec=0.0005, t_coh_end=0.01)
+        timings = scenario_timings(config)
+        assert timings.path == ("alice", "bob")
+        assert timings.totals == ((0.001 + 0.002) + 0.0005,)
+        assert check_scenario(config) == FeasibilityResult(True, 0.01 - timings.totals[0])
+
+    @pytest.mark.parametrize("rounds_l", [1, 3, 10, 1000, 10**6])
+    def test_sequential_slack_is_the_left_fold_over_rounds(self, rounds_l):
+        # A hop total of 0.1 is not exact in binary, so the fold drifts from 0.1 * L.
+        config = two_party_scenario(
+            protocol=Protocol.SEQUENTIAL_ROUNDS, enc=0.1, t_coh_end=1.0, rounds_l=rounds_l
+        )
+        fold = 0.0
+        for _ in range(rounds_l):
+            fold += 0.1
+        result = check_scenario(config)
+        assert result == FeasibilityResult(1.0 - fold > 0.0, 1.0 - fold)
+        if rounds_l >= 10:
+            assert result.slack != 1.0 - 0.1 * rounds_l  # a product shortcut fails here
+
+    def test_sequential_check_does_not_hold_the_rounds_in_memory(self):
+        config = two_party_scenario(protocol=Protocol.SEQUENTIAL_ROUNDS, enc=0.1, rounds_l=10**6)
+        tracemalloc.start()
+        try:
+            check_scenario(config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000, f"peak {peak} bytes"
+
+    def test_non_positive_receiver_coherence_is_refused(self):
+        for protocol in (Protocol.SINGLE_HOP, Protocol.SEQUENTIAL_ROUNDS):
+            with pytest.raises(ParameterError, match="t_coh_end must be finite and > 0"):
+                check_scenario(two_party_scenario(protocol=protocol, t_coh_end=0.0))
