@@ -6,6 +6,10 @@ legitimate negative verdict (timing infeasible, intrusion flagged) so
 pipelines can branch without parsing JSON, 2 for malformed input, and 3 for
 an internal error, a fault of the program that is never a verdict.
 
+Each command parses its input, computes, then writes.  The library function
+that runs a scenario validates it, and ``--out`` is created just before the
+first write, so a refused command leaves nothing behind.
+
 Every command is a pure function of its input files and flags: all
 randomness flows from the scenario seed or the ``--seed`` override, outputs
 are assembled in deterministic order, and re-running an invocation
@@ -88,8 +92,8 @@ def _load_registry(args) -> model.CryptoRegistry:
     return model.default_registry()
 
 
-def _load_valid_scenario(args) -> model.ScenarioConfig:
-    return model._require_valid(model.load_scenario(args.scenario, _load_registry(args)))
+def _load_scenario(args) -> model.ScenarioConfig:
+    return model.load_scenario(args.scenario, _load_registry(args))
 
 
 def _print_violations(exc: ScenarioValidationError) -> None:
@@ -101,7 +105,7 @@ def _print_violations(exc: ScenarioValidationError) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_check(args) -> int:
-    config = _load_valid_scenario(args)
+    config = _load_scenario(args)
     result = timing.check_scenario(config)
     payload = result.as_dict()
     payload["protocol"] = config.protocol.value
@@ -110,12 +114,12 @@ def cmd_check(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    config = _load_valid_scenario(args)
-    out = _out_dir(args)
+    config = _load_scenario(args)
     outcomes = engine.run_trials(config, args.trials, args.seed, max_slots=args.max_slots)
     summary = engine.summarize(config, outcomes)
 
     rows = [[i, o.success, o.failure_reason, o.slots_used, o.t_dist, o.f_end] for i, o in enumerate(outcomes)]
+    out = _out_dir(args)
     trials_path = out / "trials.csv"
     _write_csv(trials_path, TRIALS_CSV_COLUMNS, rows)
     summary_path = out / "summary.json"
@@ -127,19 +131,20 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_adversary(args) -> int:
-    config = _load_valid_scenario(args)
+    config = _load_scenario(args)
     if config.adversary is None:
         raise ParameterError("scenario has no adversary block; nothing to detect")
-    out = _out_dir(args)
     master = config.seed if args.seed is None else args.seed
     baseline_config = dataclasses.replace(config, adversary=None)
 
-    baseline_seed = engine.derive_stream_seed(master, "baseline")
-    observed_seed = engine.derive_stream_seed(master, "observed")
-    baseline = engine.run_trials(baseline_config, args.baseline_trials, baseline_seed, max_slots=args.max_slots)
+    # The observed run validates the full scenario first, so a bad file reports every violation;
+    # `% 2**64` is the identity on a valid seed, and keeps a bad file seed from failing before that.
+    observed_seed = engine.derive_stream_seed(master % 2**64, "observed")
     observed = engine.run_trials(config, args.observed_trials, observed_seed, max_slots=args.max_slots)
-    baseline_qber = [_qber_of_outcome(o) for o in baseline if o.success]
-    observed_qber = [_qber_of_outcome(o) for o in observed if o.success]
+    baseline_seed = engine.derive_stream_seed(master, "baseline")
+    baseline = engine.run_trials(baseline_config, args.baseline_trials, baseline_seed, max_slots=args.max_slots)
+    baseline_qber = [qber_of(o.f_end) for o in baseline if o.success]
+    observed_qber = [qber_of(o.f_end) for o in observed if o.success]
     if len(baseline_qber) < 2 or len(observed_qber) < 2:
         raise ParameterError(
             "not enough successful trials to form QBER samples "
@@ -147,6 +152,7 @@ def cmd_adversary(args) -> int:
         )
 
     report = detect(baseline_qber, observed_qber, args.threshold_sigma)
+    out = _out_dir(args)
     samples_path = out / "samples.csv"
     rows = [["baseline", i, q] for i, q in enumerate(baseline_qber)]
     rows += [["observed", i, q] for i, q in enumerate(observed_qber)]
@@ -159,13 +165,7 @@ def cmd_adversary(args) -> int:
     return EXIT_NEGATIVE_VERDICT if report.flagged else EXIT_OK
 
 
-def _qber_of_outcome(outcome: engine.TrialOutcome) -> float:
-    assert outcome.f_end is not None
-    return qber_of(outcome.f_end)
-
-
 def cmd_kms(args) -> int:
-    out = _out_dir(args)
     rows = []
     for n in args.nodes:
         if args.mode == "hierarchical":
@@ -178,24 +178,22 @@ def cmd_kms(args) -> int:
             cluster = None
         t_key = kms.rekey_cycle_time(handshakes, args.handshake_time, args.auth_time, args.parallelism)
         rows.append([n, args.mode, cluster, handshakes, t_key])
-    path = out / "kms.csv"
+    path = _out_dir(args) / "kms.csv"
     _write_csv(path, ["n", "mode", "cluster_size", "handshakes", "t_key_s"], rows)
     print(f"wrote {path}", file=sys.stderr)
     return EXIT_OK
 
 
 def cmd_sweep(args) -> int:
-    config = _load_valid_scenario(args)
-    out = _out_dir(args)
+    config = _load_scenario(args)
     try:
         values = [float(v) for v in args.values.split(",") if v != ""]
     except ValueError as exc:
         raise ParameterError(f"--values must be a comma-separated list of numbers: {exc}") from exc
     if not values:
         raise ParameterError("--values must contain at least one number")
-    master = config.seed if args.seed is None else args.seed
-    rows = engine.sweep(config, args.param, values, args.trials, master, max_slots=args.max_slots)
-    path = out / "sweep.csv"
+    rows = engine.sweep(config, args.param, values, args.trials, args.seed, max_slots=args.max_slots)
+    path = _out_dir(args) / "sweep.csv"
     _write_csv(
         path,
         ["param", "value", "n_trials", "success_rate", "mean_t_dist_s", "f_end_mean", "f_end_min"],

@@ -55,9 +55,9 @@ it for all but one value in 256.  Words fetched past the first success are
 the next uniforms of the stream: the slots after it read them before drawing
 afresh.  The draws, and so every outcome, are those of the slot-by-slot loop.
 
-Every public entry point validates the scenario first.  Set-up is then
-linear in the chain length, and the trial loops trust the validated data:
-they call the unchecked fidelity kernels, not the checked public functions.
+Each public function that runs a scenario (:func:`run_trial`, :func:`run_trials`,
+:func:`run_monte_carlo`, :func:`sweep`) validates it first; set-up is then linear in
+the chain length, and the trial loops call the unchecked fidelity kernels on trusted data.
 """
 
 from __future__ import annotations
@@ -163,6 +163,7 @@ def trial_seed_for(master_seed: int, trial_index: int) -> int:
 def derive_stream_seed(master_seed: int, label: str) -> int:
     """Derive an independent named seed stream (e.g. baseline vs observed)."""
     model._check_arg(master_seed, "master_seed", model._SEED)
+    model._check_type(label, "label", str)
     payload = master_seed.to_bytes(8, "little") + label.encode("utf-8")
     return int.from_bytes(hashlib.sha256(payload).digest()[:8], "little")
 
@@ -538,7 +539,8 @@ def run_trials(
 
 def summarize(config: model.ScenarioConfig, outcomes: Sequence[TrialOutcome]) -> RunSummary:
     """Aggregate trial outcomes; order-independent for the reported statistics."""
-    if not outcomes:
+    model._check_type(config, "config", model.ScenarioConfig)
+    if not model._check_type(outcomes, "outcomes", Sequence):
         raise ParameterError("summarize requires at least one outcome")
     successes = [o for o in outcomes if o.success]
     t_coh = {n.id: n.memory.t_coh for n in config.nodes}
@@ -582,8 +584,10 @@ def sweep(
 
     Raises:
         ParameterError: when the path does not address a numeric field, or
-            when a substituted value produces an invalid scenario.
+            when the scenario, or one with a value substituted, is invalid.
     """
+    model._require_valid(config)
+    model._check_type(values, "values", Sequence)
     rows: list[tuple[float, RunSummary]] = []
     for value in values:
         modified = model.set_config_value(config, parameter_path, value)

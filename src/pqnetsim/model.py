@@ -93,8 +93,8 @@ def _check_arg(value: Any, name: str, spec: dict) -> Any:
 
 
 def _check_type(value: Any, name: str, cls: type) -> Any:
-    """``value`` if it is a ``cls`` (a string never counts as a collection); else a :class:`ParameterError`."""
-    if isinstance(value, str) or not isinstance(value, cls):
+    """``value`` if it is a ``cls`` (a string counts only as a ``str``); else a :class:`ParameterError`."""
+    if not isinstance(value, cls) or (isinstance(value, str) and cls is not str):
         raise ParameterError(f"{name} must be of type {cls.__name__}, got {type(value).__name__}")
     return value
 
@@ -603,6 +603,7 @@ def validate_scenario(config: ScenarioConfig) -> list[Violation]:
     Idempotent and order-independent: permuting node or link lists changes
     only the index part of violation paths, never the violation set.
     """
+    _check_type(config, "config", ScenarioConfig)
     vios: list[Violation] = []
     node_ids: set[str] = set()
     profile_problems: dict[int, list[tuple[str, str]]] = {}
@@ -785,6 +786,7 @@ def set_config_value(config: ScenarioConfig, parameter_path: str, value: float) 
     Raises:
         ParameterError: when the path does not resolve to a numeric field.
     """
+    _check_type(parameter_path, "parameter_path", str)
     tokens = parameter_path.split(".") if parameter_path else []
     if not tokens:
         raise ParameterError("empty parameter path")

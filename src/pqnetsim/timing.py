@@ -14,7 +14,7 @@ Results carry a signed slack (negative values quantify the deficit) so
 planners can see how far a configuration is from feasibility, plus the index
 of the binding message for aggregated checks.  For a whole scenario,
 :func:`scenario_timings` derives one total wait per correction message;
-:func:`check_scenario` and the simulation engine both read them.
+:func:`check_scenario` validates the scenario, then reads them as the engine does.
 """
 
 from __future__ import annotations
@@ -206,7 +206,6 @@ def scenario_timings(config: model.ScenarioConfig) -> ScenarioTimings:
 
 
 def check_scenario(config: model.ScenarioConfig) -> FeasibilityResult:
-    """Run the timing check matching the scenario's protocol."""
-    t = scenario_timings(config)
-    model._check_arg(t.t_coh_end, "t_coh_end", model._POSITIVE)
+    """Validate the scenario, then run the timing check matching its protocol."""
+    t = scenario_timings(model._require_valid(config))
     return _verdict(t.t_coh_end, t.totals, binding=t.protocol is model.Protocol.PARALLEL_CHAIN)

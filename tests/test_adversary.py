@@ -128,6 +128,12 @@ class TestDetect:
             report = detect(baseline, observed, threshold)
             assert report.flagged == (report.z_score > threshold)
 
+    def test_z_exactly_at_threshold_is_not_flagged(self):
+        # Baseline mean 1, sample std sqrt(2), standard error 1; the shift of 3 gives z = 3.0 exactly.
+        report = detect([0.0, 2.0], [4.0, 4.0], 3.0)
+        assert report.z_score == 3.0
+        assert not report.flagged
+
     def test_obvious_shift_is_flagged(self):
         rng = random.Random(4)
         baseline = [0.05 + rng.gauss(0, 0.005) for _ in range(200)]

@@ -21,6 +21,7 @@ from pqnetsim import (
     attack_outcome,
     chain_fidelity,
     check_parallel,
+    check_scenario,
     check_sequential,
     check_single_hop,
     decay,
@@ -34,8 +35,12 @@ from pqnetsim import (
     rekey_cycle_time,
     run_trial,
     run_trials,
+    set_config_value,
+    summarize,
     swap,
+    sweep,
     trial_seed_for,
+    validate_scenario,
 )
 from pqnetsim.engine import derive_stream_seed
 from pqnetsim.timing import parallel_totals
@@ -238,6 +243,14 @@ def test_structural_messages_are_pinned():
         (lambda: attack_outcome(None), "adversary must be of type AdversaryConfig, got NoneType"),
         (lambda: intercepted_fidelity(2.0, adversary()), "f_in must be in [0.25, 1], got 2.0"),
         (lambda: rekey_cycle_time(10, 1e308, 1e308, 1), "rekey cycle time must be finite and >= 0, got inf"),
+        (lambda: validate_scenario(None), "config must be of type ScenarioConfig, got NoneType"),
+        (lambda: run_trials(None), "config must be of type ScenarioConfig, got NoneType"),
+        (lambda: check_scenario(5), "config must be of type ScenarioConfig, got int"),
+        (lambda: derive_stream_seed(1, None), "label must be of type str, got NoneType"),
+        (lambda: set_config_value(CONFIG, 5, 0.1), "parameter_path must be of type str, got int"),
+        (lambda: sweep(CONFIG, "slot_duration", None), "values must be of type Sequence, got NoneType"),
+        (lambda: summarize(CONFIG, 5), "outcomes must be of type Sequence, got int"),
+        (lambda: summarize(None, []), "config must be of type ScenarioConfig, got NoneType"),
     ]
     for call, message in cases:
         with pytest.raises(ParameterError) as info:

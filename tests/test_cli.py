@@ -10,7 +10,16 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from pqnetsim import HopTiming, ParameterError, engine, load_registry, load_scenario, timing
+from pqnetsim import (
+    HopTiming,
+    ParameterError,
+    engine,
+    load_registry,
+    load_scenario,
+    model,
+    timing,
+    validate_scenario,
+)
 from pqnetsim.cli import main
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -578,6 +587,73 @@ class TestProfilesCommand:
         assert code == 2
         assert "Traceback" not in err
         assert err.startswith(f"error: cannot read profile registry {profiles}:")
+
+
+class TestValidateOnceWriteLast:
+    """Each scenario is validated once per run of it, and a refused command writes nothing."""
+
+    INTERCEPTED = str(SCENARIO_DIR / "intercepted_chain.json")
+    SWEEP = ["sweep", INTERCEPTED, "--param", "slot_duration", "--values"]
+
+    @pytest.mark.parametrize(
+        "argv, calls",
+        [
+            pytest.param(["check", INTERCEPTED], 1, id="check"),
+            pytest.param(["simulate", INTERCEPTED, "--trials", "3"], 1, id="simulate"),
+            pytest.param(
+                ["adversary", INTERCEPTED, "--baseline-trials", "40", "--observed-trials", "40"], 2, id="adversary"
+            ),
+            pytest.param([*SWEEP, "0.001", "--trials", "3"], 2, id="sweep-1"),
+            pytest.param([*SWEEP, "0.001,0.002,0.003", "--trials", "3"], 4, id="sweep-3"),
+        ],
+    )
+    def test_validation_calls_per_command(self, tmp_path, capsys, monkeypatch, argv, calls):
+        seen = []
+        validate = model.validate_scenario
+
+        def counting(config):
+            seen.append(config)
+            return validate(config)
+
+        monkeypatch.setattr(model, "validate_scenario", counting)
+        assert main(["--out", str(tmp_path / "out"), *argv]) in (0, 1)
+        capsys.readouterr()
+        assert len(seen) == calls
+
+    @staticmethod
+    def invalid_scenario(tmp_path: Path) -> str:
+        data = json.loads((SCENARIO_DIR / "intercepted_chain.json").read_text())
+        data["nodes"][1]["memory"]["t_coh"] = -1.0
+        data["slot_duration"] = 0.0
+        data["seed"] = -1  # adversary derives its stream seeds from it before any run
+        return str(write_scenario(tmp_path, data, "invalid.json"))
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param(["simulate", INTERCEPTED, "--trials", "0"], id="simulate-trials"),
+            pytest.param(["simulate", INTERCEPTED, "--max-slots", "0"], id="simulate-max-slots"),
+            pytest.param(["adversary", INTERCEPTED, "--baseline-trials", "0"], id="adversary-baseline-trials"),
+            pytest.param([*SWEEP, "x"], id="sweep-values"),
+            pytest.param(
+                ["kms", "--nodes", "10", "--handshake-time", "1e308", "--auth-time", "1e308"], id="kms-overflow"
+            ),
+            pytest.param(["simulate", None], id="simulate-invalid-file"),
+            pytest.param(["adversary", None], id="adversary-invalid-file"),
+            pytest.param(["sweep", None, "--param", "slot_duration", "--values", "0.001"], id="sweep-invalid-file"),
+        ],
+    )
+    def test_refused_command_leaves_no_out_dir(self, tmp_path, capsys, argv):
+        """A ``None`` scenario stands for an invalid file, whose full violation list must be printed."""
+        scenario = self.invalid_scenario(tmp_path) if None in argv else None
+        out = tmp_path / "fresh"
+        assert main(["--out", str(out), *[scenario if a is None else a for a in argv]]) == 2
+        assert not out.exists()
+        if scenario is not None:
+            violations = json.loads(capsys.readouterr().out)["violations"]
+            expected = validate_scenario(load_scenario(scenario))
+            assert len(expected) == 3
+            assert violations == [{"path": v.path, "message": v.message} for v in expected]
 
 
 class TestRoundsCap:

@@ -13,6 +13,7 @@ from pqnetsim import (
     ParameterError,
     Protocol,
     ScenarioValidationError,
+    TrialOutcome,
     chain_fidelity,
     check_scenario,
     decay,
@@ -236,6 +237,13 @@ class TestRunInvariants:
         succ = [o for o in outcomes if o.success]
         assert summary.f_end_min == min(o.f_end for o in succ)
         assert summary.mean_t_dist == pytest.approx(sum(o.t_dist for o in succ) / len(succ))
+
+    def test_f_end_min_counts_the_first_success(self):
+        failure = TrialOutcome(False, 3, failure_reason=FailureReason.MEMORY_EXPIRED)
+        successes = [TrialOutcome(True, 1, t_dist=0.01, f_end=f) for f in (0.6, 0.7, 0.9)]
+        summary = summarize(chain_scenario([(0.001, 0.001)]), [failure, *successes])
+        assert summary.f_end_min == 0.6
+        assert summary.success_rate == 0.75
 
     def test_re_tcoh_diagnostic_uses_weakest_memory(self, mixed_outcomes):
         config, outcomes = mixed_outcomes

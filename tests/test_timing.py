@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 import tracemalloc
 
 import pytest
@@ -229,6 +230,9 @@ class TestScenarioWaits:
         assert peak < 1_000_000, f"peak {peak} bytes"
 
     def test_non_positive_receiver_coherence_is_refused(self):
+        message = (
+            "invalid scenario (1 violation(s)): $.nodes[1].memory.t_coh: node 'bob': t_coh must be finite and > 0"
+        )
         for protocol in (Protocol.SINGLE_HOP, Protocol.SEQUENTIAL_ROUNDS):
-            with pytest.raises(ParameterError, match="t_coh_end must be finite and > 0"):
+            with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
                 check_scenario(two_party_scenario(protocol=protocol, t_coh_end=0.0))
