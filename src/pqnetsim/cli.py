@@ -244,9 +244,6 @@ def _add_global_options(parser: argparse.ArgumentParser, suppress: bool) -> None
         "--out", default=dflt("."), help="directory for written artifacts (default: current dir)"
     )
     parser.add_argument(
-        "--format", choices=("csv", "json"), default=dflt("json"), help="stdout format where applicable"
-    )
-    parser.add_argument(
         "--profiles", default=dflt(None), help="crypto-profile registry JSON (default: shipped profiles)"
     )
 
@@ -303,6 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_prof = sub.add_parser("profiles", parents=[common], help="list the crypto-profile registry")
+    p_prof.add_argument("--format", choices=("csv", "json"), default="json", help="stdout format")
     p_prof.set_defaults(func=cmd_profiles)
 
     return parser

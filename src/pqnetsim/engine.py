@@ -9,12 +9,15 @@ slot boundaries as ``(slot - birth_slot) * slot_duration``.
 
 Memory policy is a hard cutoff: a stored qubit becomes unusable the moment
 its age reaches the storing node's coherence time (strict survival,
-``age < t_coh``, matching the strict feasibility inequalities).  An expired
-pair that no measurement has touched yet simply resets its link to the
-regenerating state; once one side has been consumed by a Bell-state
-measurement, expiry of the remaining qubit aborts the trial
-(``memory_expired``).  Storage at the non-designated end node never aborts a
-trial; its decoherence shows up only in the delivered fidelity.
+``age < t_coh``, matching the strict feasibility inequalities).  Each run
+states that rule once per node as a slot gap, the least ``d >= 1`` with
+``d * slot_duration >= t_coh``: a qubit born in slot ``b`` is expired from
+slot ``b + d`` on.  Gaps are capped at ``2**52``, which no trial reaches
+(``max_slots <= 2**52``).  An expired pair that no measurement has touched
+yet simply resets its link to the regenerating state; once one side has been
+consumed by a Bell-state measurement, expiry of the remaining qubit aborts
+the trial (``memory_expired``).  Storage at the non-designated end node never
+aborts a trial; its decoherence shows up only in the delivered fidelity.
 
 A repeater performs its Bell-state measurement (taken as instantaneous) in
 the first slot where both adjacent pairs are present and unexpired, then
@@ -32,7 +35,7 @@ past the window edge fail the trial (``message_late``).
 message decryption.  Delivered fidelity applies exponential memory decay
 for every qubit's individual storage wait and composes links with the
 Werner swap formula.  Trials that never complete within ``max_slots`` slots
-(default one million) end as ``horizon_exceeded``.
+(default one million, at most ``2**52``) end as ``horizon_exceeded``.
 
 Per-trial randomness comes from ``random.Random(trial_seed)`` where
 ``trial_seed`` is derived from the master seed by a fixed, documented hash
@@ -92,7 +95,8 @@ __all__ = [
 # Bounds runtime when generation probabilities are near zero.
 DEFAULT_MAX_SLOTS = 1_000_000
 
-_MAX_GAP = 2**52  # cap on a slot count to an expiry, and on the draws of one window scan
+_MAX_GAP = 2**52  # cap on a slot count to an expiry; no trial lasts that long
+_MAX_SLOTS = model._range(1, _MAX_GAP, f"must be in [1, {_MAX_GAP}]")
 
 _CHUNK_DRAWS = 4096  # most uniforms one fetch of a quiet window reads (32 KiB of words)
 _SCAN_MIN_SLOTS = 4  # a window scan costs about as much as this many slots drawn one by one
@@ -195,7 +199,8 @@ class _PreparedChain:
     p: tuple[float, ...]
     lo_tcoh: tuple[float, ...]
     hi_tcoh: tuple[float, ...]
-    intact_limit: tuple[float, ...]
+    gaps: tuple[int, ...]  # per path node; link j stores its qubits at nodes j and j + 1
+    intact_gap: tuple[int, ...]  # per link, the smaller gap of its two nodes
     delays: tuple[float, ...]
     t_coh_end: float
     base_fids: tuple[float, ...]
@@ -224,14 +229,15 @@ def _prepare(config: model.ScenarioConfig) -> _PreparedTwoParty | _PreparedChain
         links_by_key = {link.key: link for link in config.quantum_links}
         links = [links_by_key[model.pair_key(a, b)] for a, b in zip(path, path[1:])]
         t_coh = [nodes[node_id].memory.t_coh for node_id in path]
-        lo_tcoh = tuple(t_coh[:-1])
-        hi_tcoh = tuple(t_coh[1:])
+        gap_of = {limit: _expiry_gap(limit, config.slot_duration) for limit in set(t_coh)}
+        gaps = tuple(map(gap_of.get, t_coh))
         return _PreparedChain(
             tau=config.slot_duration,
             p=tuple(link.p_success for link in links),
-            lo_tcoh=lo_tcoh,
-            hi_tcoh=hi_tcoh,
-            intact_limit=tuple(min(lo, hi) for lo, hi in zip(lo_tcoh, hi_tcoh)),
+            lo_tcoh=tuple(t_coh[:-1]),
+            hi_tcoh=tuple(t_coh[1:]),
+            gaps=gaps,
+            intact_gap=tuple(map(min, gaps[:-1], gaps[1:])),  # exact: the gap is monotone in t_coh
             delays=timings.totals,
             t_coh_end=timings.t_coh_end,
             base_fids=tuple(_adjusted_base_fidelity(config, link) for link in links),
@@ -268,7 +274,7 @@ def run_trial(
     """
     model._require_valid(config)
     model._check_arg(trial_seed, "trial_seed", model._SEED)
-    model._check_arg(max_slots, "max_slots", model._AT_LEAST_ONE)
+    model._check_arg(max_slots, "max_slots", _MAX_SLOTS)
     return _execute(_prepare(config), trial_seed, max_slots)
 
 
@@ -297,12 +303,8 @@ def _run_two_party(run: _PreparedTwoParty, rng: random.Random, max_slots: int) -
     return TrialOutcome(True, gen_slot, t_dist=t_dist, f_end=run.f_end)
 
 
-@lru_cache(maxsize=1024)
 def _expiry_gap(limit: float, tau: float) -> int:
-    """Slots after its birth at which a pair first meets the sweep's ``age >= limit``.
-
-    Capped at ``_MAX_GAP``: an early answer only costs one ordinary slot.
-    """
+    """The least ``d >= 1`` with ``d * tau >= limit``: a qubit's slot gap, capped at ``_MAX_GAP``."""
     d = max(1, math.ceil(min(limit / tau, _MAX_GAP)))
     while d > 1 and (d - 1) * tau >= limit:
         d -= 1
@@ -339,17 +341,16 @@ class _Draws:
     ``buf`` holds ``end`` fetched draws of eight bytes each, ``pos`` of them
     already read.  ``marks`` has one byte per fetched draw, 0 where its top
     byte is at most ``marks_threshold``: the only draws that can succeed for
-    a link of that threshold or below.  ``consumed`` counts the uniforms the
-    trial used, lookahead excluded; the chain engine keeps it.
+    a link of that threshold or below.
     """
 
-    __slots__ = ("rng", "buf", "marks", "marks_threshold", "pos", "end", "consumed")
+    __slots__ = ("rng", "buf", "marks", "marks_threshold", "pos", "end")
 
     def __init__(self, rng: random.Random):
         self.rng = rng
         self.buf = self.marks = b""
         self.marks_threshold = -1
-        self.pos = self.end = self.consumed = 0
+        self.pos = self.end = 0
 
     def random(self) -> float:
         """The next uniform: the next fetched draw, else ``rng.random()``; the same value."""
@@ -401,11 +402,9 @@ class _Draws:
 
 
 def _run_parallel_chain(run: _PreparedChain, draws: _Draws, max_slots: int) -> TrialOutcome:
-    tau = run.tau
     p = run.p
-    lo_tcoh = run.lo_tcoh
-    hi_tcoh = run.hi_tcoh
-    intact_limit = run.intact_limit
+    gaps = run.gaps
+    intact_gap = run.intact_gap
     draw_tests = run.draw_tests
     n_links = len(p)
     n_reps = n_links - 1
@@ -427,7 +426,7 @@ def _run_parallel_chain(run: _PreparedChain, draws: _Draws, max_slots: int) -> T
     slot = 0
     while slot < max_slots:
         slot += 1
-        # Live links whose stored qubits can expire: (link, age limit, fatal).
+        # Live links whose stored qubits can expire: (link, slot gap, fatal).
         # Storage at the non-designated end node (link 0, lo side) never aborts.
         stored = []
         for j in range(n_links):
@@ -435,14 +434,14 @@ def _run_parallel_chain(run: _PreparedChain, draws: _Draws, max_slots: int) -> T
                 lo_used = j >= 1 and bsm_done[j - 1]
                 hi_used = j < n_reps and bsm_done[j]
                 if not lo_used and not hi_used:
-                    stored.append((j, intact_limit[j], False))
+                    stored.append((j, intact_gap[j], False))
                 elif not hi_used:
-                    stored.append((j, hi_tcoh[j], True))
+                    stored.append((j, gaps[j + 1], True))
                 elif not lo_used and j > 0:
-                    stored.append((j, lo_tcoh[j], True))
+                    stored.append((j, gaps[j], True))
         # Expiry sweep at the slot boundary, before new attempts.
-        for j, limit, fatal in stored:
-            if (slot - gen_slot[j]) * tau >= limit:
+        for j, gap, fatal in stored:
+            if slot - gen_slot[j] >= gap:
                 if fatal:
                     return TrialOutcome(False, slot, failure_reason=FailureReason.MEMORY_EXPIRED)
                 up[j] = False
@@ -452,25 +451,22 @@ def _run_parallel_chain(run: _PreparedChain, draws: _Draws, max_slots: int) -> T
         if scans and rate * _SCAN_MIN_SLOTS <= 1.0:
             # Until the next expiry nothing fires unless a pair is generated, and
             # the same down links draw every slot: find their first success.
-            due = min([max_slots + 1] + [gen_slot[j] + _expiry_gap(limit, tau) for j, limit, _ in stored if up[j]])
+            due = min([max_slots + 1] + [gen_slot[j] + gap for j, gap, _ in stored if up[j]])
             k = len(down)
-            quiet = min(due - slot, _MAX_GAP // k)
+            quiet = due - slot
             chunk = int(min(_CHUNK_DRAWS, 2 * k / rate)) + 1
             hit = draws.first_success([draw_tests[j] for j in down], quiet * k, chunk)
             rand = draws.random if draws.pos < draws.end else rng_random
             if hit is None:
-                draws.consumed += quiet * k
                 slot += quiet - 1
                 continue
             skipped, first = divmod(hit, k)
             slot += skipped
-            draws.consumed += (skipped + 1) * k
             for j in down[first:]:  # the link that succeeded, then the rest of the slot
                 if j == down[first] or rand() < p[j]:
                     up[j] = True
                     gen_slot[j] = slot
         else:
-            draws.consumed += up.count(False)
             for j in range(n_links):
                 if not up[j] and rand() < p[j]:
                     up[j] = True
@@ -489,6 +485,7 @@ def _run_parallel_chain(run: _PreparedChain, draws: _Draws, max_slots: int) -> T
         return TrialOutcome(False, max_slots, failure_reason=FailureReason.HORIZON_EXCEEDED)
 
     # All corrections are in flight; the rest is arithmetic.
+    tau, lo_tcoh, hi_tcoh = run.tau, run.lo_tcoh, run.hi_tcoh
     store_slot = gen_slot[n_links - 1]
     lateness = [(bsm - store_slot) * tau + delay for bsm, delay in zip(bsm_slot, run.delays)]
     worst = max(lateness)
@@ -532,7 +529,7 @@ def run_trials(
     seed = config.seed if master_seed is None else master_seed
     model._check_arg(n, "n_trials", model._AT_LEAST_ONE)
     model._check_arg(seed, "master_seed", model._SEED)
-    model._check_arg(max_slots, "max_slots", model._AT_LEAST_ONE)
+    model._check_arg(max_slots, "max_slots", _MAX_SLOTS)
     prepared = _prepare(config)
     return [_execute(prepared, trial_seed_for(seed, i), max_slots) for i in range(n)]
 
@@ -542,6 +539,9 @@ def summarize(config: model.ScenarioConfig, outcomes: Sequence[TrialOutcome]) ->
     model._check_type(config, "config", model.ScenarioConfig)
     if not model._check_type(outcomes, "outcomes", Sequence):
         raise ParameterError("summarize requires at least one outcome")
+    for i, outcome in enumerate(outcomes):
+        if not isinstance(outcome, TrialOutcome):  # builds the label only for a bad element
+            model._check_type(outcome, f"outcomes[{i}]", TrialOutcome)
     successes = [o for o in outcomes if o.success]
     t_coh = {n.id: n.memory.t_coh for n in config.nodes}
     products = {

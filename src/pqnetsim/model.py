@@ -755,6 +755,7 @@ def resolve_path(config: ScenarioConfig) -> list[str]:
     whose id sorts lexicographically later.  Assumes the scenario is valid;
     raises :class:`ParameterError` when no simple path over known nodes exists.
     """
+    _check_type(config, "config", ScenarioConfig)
     try:
         path, _ = _walk(config, config.quantum_links)
     except KeyError as exc:

@@ -129,7 +129,8 @@ def reference_parallel_chain(run, rng: random.Random, max_slots: int) -> TrialOu
     p = run.p
     lo_tcoh = run.lo_tcoh
     hi_tcoh = run.hi_tcoh
-    intact_limit = run.intact_limit
+    # While both qubits are stored, the pair is lost at the first of its two cutoffs.
+    intact_limit = tuple(min(lo, hi) for lo, hi in zip(lo_tcoh, hi_tcoh))
     delays = run.delays
     t_coh_end = run.t_coh_end
     n_links = len(p)

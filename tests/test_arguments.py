@@ -35,6 +35,7 @@ from pqnetsim import (
     rekey_cycle_time,
     run_trial,
     run_trials,
+    scenario_timings,
     set_config_value,
     summarize,
     swap,
@@ -43,6 +44,7 @@ from pqnetsim import (
     validate_scenario,
 )
 from pqnetsim.engine import derive_stream_seed
+from pqnetsim.model import resolve_path
 from pqnetsim.timing import parallel_totals
 from scenario_builders import chain_scenario
 
@@ -135,7 +137,7 @@ ARGS = {
     ),
     "run_trial.trial_seed": Arg("trial_seed", lambda v: run_trial(CONFIG, v), edges=SEED_EDGES),
     "run_trial.max_slots": Arg(
-        "max_slots", lambda v: run_trial(CONFIG, 1, max_slots=v), legal=HUGE, edges=(0, 1.5)
+        "max_slots", lambda v: run_trial(CONFIG, 1, max_slots=v), edges=(0, 1.5, 2**52 + 1)
     ),
     "run_trials.n_trials": Arg(
         "n_trials", lambda v: run_trials(CONFIG, v), legal=(*HUGE, "None"), edges=(0, 2.0)
@@ -144,7 +146,7 @@ ARGS = {
         "master_seed", lambda v: run_trials(CONFIG, 1, v), legal=("None",), edges=SEED_EDGES
     ),
     "run_trials.max_slots": Arg(
-        "max_slots", lambda v: run_trials(CONFIG, 1, 1, max_slots=v), legal=HUGE, edges=(0, 1.5)
+        "max_slots", lambda v: run_trials(CONFIG, 1, 1, max_slots=v), edges=(0, 1.5, 2**52 + 1)
     ),
     "effective_security.claimed_bits": Arg(
         "claimed_bits", lambda v: effective_security(v, SecurityFamily.PQC), legal=HUGE, edges=(128.0,)
@@ -251,6 +253,9 @@ def test_structural_messages_are_pinned():
         (lambda: sweep(CONFIG, "slot_duration", None), "values must be of type Sequence, got NoneType"),
         (lambda: summarize(CONFIG, 5), "outcomes must be of type Sequence, got int"),
         (lambda: summarize(None, []), "config must be of type ScenarioConfig, got NoneType"),
+        (lambda: summarize(CONFIG, [None]), "outcomes[0] must be of type TrialOutcome, got NoneType"),
+        (lambda: resolve_path(None), "config must be of type ScenarioConfig, got NoneType"),
+        (lambda: scenario_timings(None), "config must be of type ScenarioConfig, got NoneType"),
     ]
     for call, message in cases:
         with pytest.raises(ParameterError) as info:

@@ -344,7 +344,7 @@ class TestSimulate:
         scenario = write_scenario(tmp_path, scenario_dict())
         argv = ["--profiles", str(profiles), "--out", str(tmp_path / "out"), "simulate", str(scenario)]
         assert main(argv + ["--max-slots", "0"]) == 2
-        assert "max_slots must be >= 1" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: max_slots must be in [1, 4503599627370496], got 0\n"
 
     def test_internal_error_exits_three_with_one_line(self, tmp_path, capsys, monkeypatch):
         def broken_run_trials(*args, **kwargs):
@@ -549,6 +549,21 @@ class TestProfilesCommand:
             assert main(["--profiles", str(registry), "profiles", "--format", fmt]) == 0
             assert capsys.readouterr().out == (PROFILES_JSON_STDOUT if fmt == "json" else PROFILES_CSV_STDOUT)
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param(["--format", "csv", "check", str(SCENARIO_DIR / "teleport_single_hop.json")], id="global"),
+            pytest.param(["check", str(SCENARIO_DIR / "teleport_single_hop.json"), "--format", "csv"], id="check"),
+            pytest.param(["--format", "csv", "profiles"], id="before-profiles"),
+        ],
+    )
+    def test_format_is_an_option_of_profiles_only(self, argv, capsys):
+        # No other command has a choice of stdout format, so none accepts the flag.
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        assert capsys.readouterr().out == ""
+
     def test_custom_registry_file(self, tmp_path, capsys):
         profiles = write_profiles(tmp_path, 0.25, 0.5)
         code = main(["--profiles", str(profiles), "profiles"])
@@ -633,6 +648,7 @@ class TestValidateOnceWriteLast:
         [
             pytest.param(["simulate", INTERCEPTED, "--trials", "0"], id="simulate-trials"),
             pytest.param(["simulate", INTERCEPTED, "--max-slots", "0"], id="simulate-max-slots"),
+            pytest.param(["simulate", INTERCEPTED, "--max-slots", "4503599627370497"], id="simulate-max-slots-cap"),
             pytest.param(["adversary", INTERCEPTED, "--baseline-trials", "0"], id="adversary-baseline-trials"),
             pytest.param([*SWEEP, "x"], id="sweep-values"),
             pytest.param(

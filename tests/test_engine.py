@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -450,9 +451,8 @@ def chain_trials(draw):
     return config, draw(st.integers(0, 2**64 - 1)), max_slots
 
 
-def replayed_state(seed: int, draws: int):
-    """State of ``random.Random(seed)`` after ``draws`` calls to ``random()``."""
-    rng = random.Random(seed)
+def advanced_state(rng: random.Random, draws: int):
+    """State of ``rng`` after ``draws`` more calls to ``random()``."""
     for _ in range(draws):
         rng.random()
     return rng.getstate()
@@ -474,11 +474,11 @@ class TestFastForward:
         prepared = engine._prepare(config)
         assert engine._execute(prepared, seed, max_slots) == reference_execute(prepared, seed, max_slots)
         # The fast engine's generator runs ahead by the words it fetched and did
-        # not use, so compare the uniforms it used with the reference's stream.
+        # not use; the reference, advanced by that lookahead, must be in its state.
         fast, slow = engine._Draws(random.Random(seed)), random.Random(seed)
         engine._run_parallel_chain(prepared, fast, max_slots)
         reference_parallel_chain(prepared, slow, max_slots)
-        assert replayed_state(seed, fast.consumed) == slow.getstate()
+        assert advanced_state(slow, fast.end - fast.pos) == fast.rng.getstate()
 
     def test_seeded_mix_of_outcomes_matches_reference(self):
         rng = random.Random(20240611)
@@ -507,7 +507,7 @@ class TestFastForward:
         outcome = engine._run_parallel_chain(prepared, fast, 100_000)
         assert outcome == reference_parallel_chain(prepared, slow, 100_000)
         assert outcome.failure_reason is FailureReason.HORIZON_EXCEEDED
-        assert replayed_state(11, fast.consumed) == slow.getstate()
+        assert advanced_state(slow, fast.end - fast.pos) == fast.rng.getstate()
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -531,12 +531,45 @@ class TestFastForward:
         assert engine._expiry_gap(1e300, 1e-300) == engine._MAX_GAP
         assert engine._expiry_gap(1.0, 2.0**-60) == engine._MAX_GAP
 
+    def test_dense_chain_expiring_on_a_slot_boundary_matches_reference(self):
+        # Links denser than 1/4 never start a window scan, so every slot runs the
+        # sweep; cutoffs of whole slots put each expiry exactly on a boundary.
+        config = chain_scenario(
+            [(0.0, 0.0)] * 2, t_coh_repeater=[0.75, 0.5], p_success=[1.0, 0.5, 0.3], slot_duration=0.25
+        )
+        prepared = engine._prepare(config)
+        outcomes = [engine._execute(prepared, seed, 50) for seed in range(200)]
+        assert outcomes == [reference_execute(prepared, seed, 50) for seed in range(200)]
+        assert {o.failure_reason for o in outcomes} == {None, FailureReason.MEMORY_EXPIRED}
+
+    def test_capped_gaps_match_reference_at_every_horizon(self):
+        # At 1e-300 s per slot a ~1 s memory outlasts 2**52 slots, so every gap is
+        # capped; the max_slots range keeps the cap out of reach of any trial.
+        rng = random.Random(52)
+        for p_success in ([0.002] * 4, [0.3, 1.0, 0.05, 0.3], 1e-7):
+            config = chain_scenario(
+                [(0.0, 0.001)] * 3,
+                t_coh_end=1.0,
+                t_coh_far=0.9,
+                t_coh_repeater=[1.1, 1.0, 0.95],
+                p_success=p_success,
+                slot_duration=1e-300,
+            )
+            prepared = engine._prepare(config)
+            assert set(prepared.gaps + prepared.intact_gap) == {engine._MAX_GAP}
+            for max_slots in (1, 5, 200, 3000, 100_000):
+                seed = rng.getrandbits(64)
+                assert engine._execute(prepared, seed, max_slots) == reference_execute(prepared, seed, max_slots)
+        assert run_trial(chain_scenario([(0.0, 0.001)]), 1, max_slots=2**52).success
+
     def test_slot_budget_and_trial_seed_are_checked_at_the_boundary(self):
         config = chain_scenario([(0.001, 0.001)])
-        with pytest.raises(ParameterError, match="max_slots must be >= 1, got 0"):
-            run_trials(config, max_slots=0)
-        with pytest.raises(ParameterError, match="max_slots must be >= 1, got 0"):
-            run_trial(config, 1, max_slots=0)
+        for max_slots, shown in ((0, "0"), (2**52 + 1, "4503599627370497")):
+            message = f"max_slots must be in [1, 4503599627370496], got {shown}"
+            with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+                run_trials(config, max_slots=max_slots)
+            with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+                run_trial(config, 1, max_slots=max_slots)
         with pytest.raises(ParameterError, match="trial_seed"):
             run_trial(config, -1)
 
