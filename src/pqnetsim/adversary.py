@@ -64,6 +64,8 @@ def _check_adversary(adv: AdversaryConfig) -> None:
     _check_type(adv, "adversary", AdversaryConfig)
     for name, spec in _ranges(AdversaryConfig):
         _check_arg(getattr(adv, name), f"adversary {name}", spec)
+    if adv.delta_t == math.inf:
+        raise ParameterError("adversary t_eve + t_pqc must be finite, got inf")
 
 
 def attack_outcome(adv: AdversaryConfig) -> AttackOutcome:

@@ -59,8 +59,8 @@ the next uniforms of the stream: the slots after it read them before drawing
 afresh.  The draws, and so every outcome, are those of the slot-by-slot loop.
 
 Each public function that runs a scenario (:func:`run_trial`, :func:`run_trials`,
-:func:`run_monte_carlo`, :func:`sweep`) validates it first; set-up is then linear in
-the chain length, and the trial loops call the unchecked fidelity kernels on trusted data.
+:func:`run_monte_carlo`, :func:`sweep`) validates it first; set-up, linear in the chain
+length, and the trial loops then trust it, calling only the unchecked fidelity kernels.
 """
 
 from __future__ import annotations
@@ -75,7 +75,6 @@ from functools import lru_cache
 from typing import Sequence
 
 from . import fidelity, model, timing
-from .adversary import intercepted_fidelity
 from .errors import ParameterError
 
 __all__ = [
@@ -208,26 +207,19 @@ class _PreparedChain:
     draw_tests: tuple[tuple[int, int], ...]
 
 
-def _adjusted_base_fidelity(config: model.ScenarioConfig, link: model.QuantumLinkSpec) -> float:
-    """Base fidelity after any adversarial interception of this link.
-
-    Every pair on the intercepted link ages in the adversary's memory for
-    the full adversarial delay before being relayed onward.
-    """
-    adv = config.adversary
-    if adv is not None and adv.intercept_link == link.key:
-        return intercepted_fidelity(link.base_fidelity, adv)
-    return link.base_fidelity
-
-
 def _prepare(config: model.ScenarioConfig) -> _PreparedTwoParty | _PreparedChain:
     # The path and message waits are the static check's own numbers.
     timings = timing.scenario_timings(config)
     path = timings.path
     nodes = config.node_index()
+    links_by_key = {link.key: link for link in config.quantum_links}
+    links = [links_by_key[model.pair_key(a, b)] for a, b in zip(path, path[1:])]
+    base_fids = [link.base_fidelity for link in links]
+    adv = config.adversary
+    if adv is not None:  # every pair on the intercepted link ages in the adversary's memory for its whole delay
+        j = links.index(links_by_key[adv.intercept_link])
+        base_fids[j] = fidelity._decay(base_fids[j], adv.delta_t, adv.t_coh_eve)
     if config.protocol is model.Protocol.PARALLEL_CHAIN:
-        links_by_key = {link.key: link for link in config.quantum_links}
-        links = [links_by_key[model.pair_key(a, b)] for a, b in zip(path, path[1:])]
         t_coh = [nodes[node_id].memory.t_coh for node_id in path]
         gap_of = {limit: _expiry_gap(limit, config.slot_duration) for limit in set(t_coh)}
         gaps = tuple(map(gap_of.get, t_coh))
@@ -240,26 +232,24 @@ def _prepare(config: model.ScenarioConfig) -> _PreparedTwoParty | _PreparedChain
             intact_gap=tuple(map(min, gaps[:-1], gaps[1:])),  # exact: the gap is monotone in t_coh
             delays=timings.totals,
             t_coh_end=timings.t_coh_end,
-            base_fids=tuple(_adjusted_base_fidelity(config, link) for link in links),
+            base_fids=tuple(base_fids),
             draw_tests=tuple(_draw_test(link.p_success) for link in links),
         )
 
     # Single hop or sequential rounds: the sender measures its qubit the
     # moment the pair exists, so the receiver's window starts at generation
     # and covers the one total wait (all rounds, for sequential rounds).
-    link = config.quantum_links[0]
+    (f,) = base_fids
     (total_delay,) = timings.totals
-    f = _adjusted_base_fidelity(config, link)
     if config.protocol is model.Protocol.SEQUENTIAL_ROUNDS:
         # Both parties keep their qubit through all rounds.
-        f = fidelity.decay(f, total_delay, nodes[path[0]].memory.t_coh)
-    f_end = fidelity.decay(f, total_delay, timings.t_coh_end)
+        f = fidelity._decay(f, total_delay, nodes[path[0]].memory.t_coh)
     return _PreparedTwoParty(
-        p=link.p_success,
+        p=links[0].p_success,
         tau=config.slot_duration,
         total_delay=total_delay,
         t_coh_end=timings.t_coh_end,
-        f_end=f_end,
+        f_end=fidelity._decay(f, total_delay, timings.t_coh_end),
     )
 
 

@@ -253,13 +253,6 @@ class ScenarioConfig:
         """Nodes by id, built in one pass; of duplicate ids the first wins."""
         return {n.id: n for n in reversed(self.nodes)}
 
-    def channel_between(self, a: str, b: str) -> ClassicalChannelSpec:
-        key = pair_key(a, b)
-        try:
-            return self.classical_channels[key]
-        except KeyError:
-            raise ParameterError(f"no classical channel for pair {key!r}") from None
-
 
 def pair_key(a: str, b: str) -> str:
     """Canonical unordered-pair key: the two ids, sorted, joined by a comma."""
@@ -647,6 +640,8 @@ def validate_scenario(config: ScenarioConfig) -> list[Violation]:
         if pair is None or pair[0] == pair[1]:
             vios.append(Violation(path, "key must name two distinct node ids joined by a comma"))
             continue
+        if pair[0] > pair[1]:
+            vios.append(Violation(path, f"key must be in pair_key order, {pair_key(*pair)!r}"))
         for endpoint in pair:
             if endpoint not in node_ids:
                 vios.append(Violation(path, f"channel references unknown node id {endpoint!r}"))
@@ -657,11 +652,15 @@ def validate_scenario(config: ScenarioConfig) -> list[Violation]:
     if config.adversary is not None:
         adv = config.adversary
         vios.extend(Violation(f"$.adversary.{name}", message) for name, message in _range_problems(adv))
+        if adv.delta_t == math.inf and math.isfinite(adv.t_eve) and math.isfinite(adv.t_pqc):
+            vios.append(Violation("$.adversary", "t_eve + t_pqc must be finite"))
         pair = split_pair_key(adv.intercept_link)
         if pair is None or pair_key(*pair) not in seen_links:
             vios.append(
                 Violation("$.adversary.intercept_link", f"no quantum link matches {adv.intercept_link!r}")
             )
+        elif pair[0] > pair[1]:
+            vios.append(Violation("$.adversary.intercept_link", f"must be in pair_key order, {pair_key(*pair)!r}"))
 
     # Referential problems are already reported; shape checks need clean links.
     if links_clean:
@@ -820,6 +819,9 @@ def _with_value(obj: Any, tokens: list[str], value: float, full_path: str) -> An
             raise ParameterError(f"invalid parameter path {full_path!r}: bad index {head!r}")
         return obj[:index] + (_with_value(obj[index], rest, value, full_path),) + obj[index + 1 :]
     if isinstance(obj, dict):
+        # classical_channels, the only dict, is keyed by pair_key; a pair names its key in either order.
+        pair = split_pair_key(head)
+        head = pair_key(*pair) if pair else head
         if head not in obj:
             raise ParameterError(f"invalid parameter path {full_path!r}: no key {head!r}")
         updated = dict(obj)

@@ -13,13 +13,15 @@ covered, each with a strict inequality (equality counts as infeasible):
 Results carry a signed slack (negative values quantify the deficit) so
 planners can see how far a configuration is from feasibility, plus the index
 of the binding message for aggregated checks.  For a whole scenario,
-:func:`scenario_timings` derives one total wait per correction message;
-:func:`check_scenario` validates the scenario, then reads them as the engine does.
+:func:`scenario_timings` derives one total wait per correction message from the
+validated fields, refusing only a wait that overflows; :func:`check_scenario`
+validates the scenario, then reads them as the engine does.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from collections.abc import Iterable, Sequence
 from dataclasses import asdict, dataclass, field
 
@@ -70,9 +72,14 @@ class FeasibilityResult:
         return asdict(self)
 
 
+def _wait(t_encrypt: float, t_comm: float, t_decrypt: float) -> float:
+    """Total delay of one message, the one place it is summed: encrypt, transmit, decrypt."""
+    return (t_encrypt + t_comm) + t_decrypt
+
+
 def hop_total(hop: HopTiming) -> float:
     """Total delay of one message: encrypt, transmit, decrypt."""
-    return (hop.t_encrypt + hop.t_comm) + hop.t_decrypt
+    return _wait(hop.t_encrypt, hop.t_comm, hop.t_decrypt)
 
 
 def parallel_totals(messages: Sequence[HopTiming], t_decrypt_end: float) -> list[float]:
@@ -83,14 +90,14 @@ def parallel_totals(messages: Sequence[HopTiming], t_decrypt_end: float) -> list
     decryption; serial decryption can be emulated by inflating the value).
     """
     model._check_arg(t_decrypt_end, "t_decrypt_end", model._NON_NEGATIVE)
-    return [(m.t_encrypt + m.t_comm) + t_decrypt_end for m in messages]
+    return [_wait(m.t_encrypt, m.t_comm, t_decrypt_end) for m in messages]
 
 
-def sequential_total(rounds: Iterable[HopTiming]) -> float:
-    """Accumulated delay of dependent rounds, summed in round order."""
+def sequential_total(waits: Iterable[float]) -> float:
+    """Accumulated delay of dependent rounds: a left fold of their waits in round order (``sum`` compensates)."""
     total = 0.0
-    for hop in rounds:
-        total += hop_total(hop)
+    for wait in waits:
+        total += wait
     return total
 
 
@@ -133,7 +140,7 @@ def check_sequential(rounds: Sequence[HopTiming], t_coh: float) -> FeasibilityRe
     """Can a stored qubit survive L dependent message rounds?"""
     _check_hops(rounds, "rounds")
     model._check_arg(t_coh, "t_coh", model._POSITIVE)
-    return _verdict(t_coh, [sequential_total(rounds)], binding=False)
+    return _verdict(t_coh, [sequential_total(map(hop_total, rounds))], binding=False)
 
 
 def min_required_coherence(
@@ -159,7 +166,7 @@ def min_required_coherence(
         if t_decrypt_end is None:
             raise ParameterError("parallel_chain requires t_decrypt_end")
         return max(parallel_totals(timings, t_decrypt_end))
-    return sequential_total(timings)
+    return sequential_total(map(hop_total, timings))
 
 
 # ---------------------------------------------------------------------------
@@ -186,22 +193,19 @@ class ScenarioTimings:
 
 
 def scenario_timings(config: model.ScenarioConfig) -> ScenarioTimings:
-    """The receiver's message waits, from a validated scenario."""
+    """The receiver's message waits, from a validated scenario; a wait that overflows is refused."""
     path = model.resolve_path(config)
     nodes = config.node_index()
     receiver = nodes[path[-1]]
-    hops = [
-        HopTiming(
-            t_encrypt=nodes[sender].crypto.t_encrypt,
-            t_comm=config.channel_between(sender, receiver.id).t_comm,
-            t_decrypt=receiver.crypto.t_decrypt,
-        )
-        for sender in model.message_senders(config.protocol, path)
-    ]
+    channels, t_decrypt = config.classical_channels, receiver.crypto.t_decrypt
+    senders = model.message_senders(config.protocol, path)
+    totals = tuple(
+        _wait(nodes[s].crypto.t_encrypt, channels[model.pair_key(s, receiver.id)].t_comm, t_decrypt) for s in senders
+    )
     if config.protocol is model.Protocol.SEQUENTIAL_ROUNDS:
-        totals = (sequential_total(itertools.repeat(hops[0], config.rounds_l)),)
-    else:
-        totals = tuple(map(hop_total, hops))
+        totals = (sequential_total(itertools.repeat(totals[0], config.rounds_l)),)
+    if math.inf in totals:  # a sum of finite waits >= 0 is finite or +inf, never NaN
+        raise ParameterError(f"message wait from node {senders[totals.index(math.inf)]!r} must be finite, got inf")
     return ScenarioTimings(config.protocol, tuple(path), totals, receiver.memory.t_coh)
 
 

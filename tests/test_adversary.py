@@ -87,6 +87,13 @@ class TestInterceptedFidelity:
         assert qber_of(intercepted_fidelity(f, config)) >= qber_of(f)
 
 
+def test_delays_that_overflow_in_sum_are_refused():
+    # Each part is in range; their sum is not, which once read as a decohered attack.
+    for call in (attack_outcome, lambda a: intercepted_fidelity(0.9, a)):
+        with pytest.raises(ParameterError, match=r"^adversary t_eve \+ t_pqc must be finite, got inf$"):
+            call(adv(1e308, 1e308, 1.0))
+
+
 class TestQber:
     def test_perfect_state_has_no_errors(self):
         assert qber_of(1.0) == 0.0

@@ -503,6 +503,20 @@ class TestSweepCommand:
         assert float(rows[0]["success_rate"]) == summary["success_rate"]
         assert rows[0]["param"] == "nodes.1.memory.t_coh"
 
+    def test_channel_pair_in_either_order_sweeps_the_same_channel(self, tmp_path, capsys):
+        written = []
+        for pair in ("bob,r1", "r1,bob"):
+            param = f"classical_channels.{pair}.propagation_delay"
+            out = tmp_path / pair
+            argv = ["--out", str(out), "sweep", str(SCENARIO_DIR / "repeater_chain.json"),
+                    "--param", param, "--values", "0.0004,0.09", "--trials", "50"]
+            assert main(argv) == 0
+            # The param column echoes --param as given; every other byte must match.
+            written.append((out / "sweep.csv").read_text().replace(param, "PARAM"))
+        capsys.readouterr()
+        assert written[0] == written[1]
+        assert "PARAM" in written[0]
+
     def test_bad_param_path_exits_two(self, tmp_path, capsys):
         profiles = write_profiles(tmp_path, 0.001, 0.001)
         scenario = write_scenario(tmp_path, scenario_dict())
@@ -643,6 +657,26 @@ class TestValidateOnceWriteLast:
         data["seed"] = -1  # adversary derives its stream seeds from it before any run
         return str(write_scenario(tmp_path, data, "invalid.json"))
 
+    @staticmethod
+    def overflowing(tmp_path: Path, token: str) -> list[str]:
+        """Scenario arguments whose fields are all in range but whose sums overflow a float.
+
+        ``wait:NAME`` is the shipped file NAME with every message wait past the
+        float range, through a ``--profiles`` registry; ``adversary`` is
+        ``intercepted_chain.json`` with ``t_eve + t_pqc`` past it.
+        """
+        kind, _, name = token.partition(":")
+        data = json.loads((SCENARIO_DIR / (name or "intercepted_chain.json")).read_text())
+        if kind == "adversary":
+            data["adversary"].update(t_eve=1e308, t_pqc=1e308)
+            return [str(write_scenario(tmp_path, data))]
+        for channel in data["classical_channels"].values():
+            channel["propagation_delay"] = 1.7e308
+        profiles = [{**p, "t_encrypt": 1.7e308, "t_decrypt": 1e308} for p in json.loads(PROFILES_JSON_STDOUT)]
+        registry = tmp_path / "profiles.json"
+        registry.write_text(json.dumps(profiles))
+        return [str(write_scenario(tmp_path, data)), "--profiles", str(registry)]
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -657,16 +691,33 @@ class TestValidateOnceWriteLast:
             pytest.param(["simulate", None], id="simulate-invalid-file"),
             pytest.param(["adversary", None], id="adversary-invalid-file"),
             pytest.param(["sweep", None, "--param", "slot_duration", "--values", "0.001"], id="sweep-invalid-file"),
+            *[
+                pytest.param([command, f"@{token}", *extra], id=f"{command}-{token.split('.')[0]}")
+                for token in ("wait:teleport_single_hop.json", "wait:repeater_chain.json", "adversary")
+                for command, extra in (
+                    ("check", []),
+                    ("simulate", ["--trials", "3"]),
+                    ("sweep", ["--param", "slot_duration", "--values", "0.001", "--trials", "3"]),
+                )
+            ],
+            pytest.param(["adversary", "@wait:intercepted_chain.json"], id="adversary-wait:intercepted_chain"),
+            pytest.param(["adversary", "@adversary"], id="adversary-adversary"),
         ],
     )
     def test_refused_command_leaves_no_out_dir(self, tmp_path, capsys, argv):
-        """A ``None`` scenario stands for an invalid file, whose full violation list must be printed."""
+        """A ``None`` scenario stands for an invalid file, whose full violation list must be printed;
+        an ``@`` token for the arguments :meth:`overflowing` builds."""
         scenario = self.invalid_scenario(tmp_path) if None in argv else None
+        args = []
+        for a in argv:
+            args += [scenario] if a is None else self.overflowing(tmp_path, a[1:]) if a[0] == "@" else [a]
         out = tmp_path / "fresh"
-        assert main(["--out", str(out), *[scenario if a is None else a for a in argv]]) == 2
+        assert main(["--out", str(out), *args]) == 2
         assert not out.exists()
+        stdout = capsys.readouterr().out
+        assert "Infinity" not in stdout
         if scenario is not None:
-            violations = json.loads(capsys.readouterr().out)["violations"]
+            violations = json.loads(stdout)["violations"]
             expected = validate_scenario(load_scenario(scenario))
             assert len(expected) == 3
             assert violations == [{"path": v.path, "message": v.message} for v in expected]

@@ -227,6 +227,38 @@ class TestValidateScenario:
         violations = validate_scenario(config)
         assert any("intercept_link" in v.path for v in violations)
 
+    def test_programmatic_pair_keys_must_be_in_pair_key_order(self):
+        # The parser canonicalises both; a scenario built in code is refused, not misread.
+        from pqnetsim import check_scenario, run_trials, sweep
+
+        config = load_scenario(SCENARIO_DIR / "intercepted_chain.json")
+        adversary = dataclasses.replace(config.adversary, intercept_link="relay,alice")
+        reversed_link = dataclasses.replace(config, adversary=adversary)
+        assert validate_scenario(reversed_link) == [
+            Violation("$.adversary.intercept_link", "must be in pair_key order, 'alice,relay'")
+        ]
+        for call in (check_scenario, run_trials, lambda c: sweep(c, "slot_duration", [0.001], n_trials=1)):
+            with pytest.raises(ScenarioValidationError, match="pair_key order"):
+                call(reversed_link)
+
+        chain = load_scenario(SCENARIO_DIR / "repeater_chain.json")
+        channels = {("r1,bob" if key == "bob,r1" else key): spec for key, spec in chain.classical_channels.items()}
+        assert validate_scenario(dataclasses.replace(chain, classical_channels=channels)) == [
+            Violation("$.classical_channels['r1,bob']", "key must be in pair_key order, 'bob,r1'"),
+            Violation("$.classical_channels", "missing classical channel for message pair 'bob,r1'"),
+        ]
+
+    def test_adversary_delays_that_overflow_in_sum(self):
+        config = load_scenario(SCENARIO_DIR / "intercepted_chain.json")
+        adversary = dataclasses.replace(config.adversary, t_eve=1e308, t_pqc=1e308)
+        assert validate_scenario(dataclasses.replace(config, adversary=adversary)) == [
+            Violation("$.adversary", "t_eve + t_pqc must be finite")
+        ]
+        adversary = dataclasses.replace(adversary, t_pqc=math.inf)  # reported as the part out of range only
+        assert validate_scenario(dataclasses.replace(config, adversary=adversary)) == [
+            Violation("$.adversary.t_pqc", "must be finite and >= 0")
+        ]
+
     def test_bad_scalars_flagged(self):
         config = two_party_scenario()
         config = dataclasses.replace(config, n_trials=0, slot_duration=0.0, rounds_l=0)

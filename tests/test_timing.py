@@ -18,7 +18,9 @@ from pqnetsim import (
     check_sequential,
     check_single_hop,
     min_required_coherence,
+    run_trials,
     scenario_timings,
+    validate_scenario,
 )
 from scenario_builders import chain_scenario, two_party_scenario
 
@@ -228,6 +230,24 @@ class TestScenarioWaits:
         finally:
             tracemalloc.stop()
         assert peak < 1_000_000, f"peak {peak} bytes"
+
+    @pytest.mark.parametrize(
+        "config, sender",
+        [
+            pytest.param(two_party_scenario(enc=1.7e308, comm=1.7e308), "alice", id="single-hop"),
+            pytest.param(chain_scenario([(0.001, 0.002), (1e308, 1e308)]), "r2", id="chain"),
+            pytest.param(
+                two_party_scenario(protocol=Protocol.SEQUENTIAL_ROUNDS, enc=1e303, rounds_l=10**6), "alice", id="rounds"
+            ),
+        ],
+    )
+    def test_an_overflowing_wait_is_refused_naming_its_sender(self, config, sender):
+        # Every field is in range; only the sum overflows, so check and engine refuse it alike.
+        assert validate_scenario(config) == []
+        message = f"message wait from node {sender!r} must be finite, got inf"
+        for call in (scenario_timings, check_scenario, run_trials):
+            with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+                call(config)
 
     def test_non_positive_receiver_coherence_is_refused(self):
         message = (
