@@ -7,8 +7,9 @@ pipelines can branch without parsing JSON, 2 for malformed input, and 3 for
 an internal error, a fault of the program that is never a verdict.
 
 Each command parses its input, computes, then writes.  The library function
-that runs a scenario validates it, and ``--out`` is created just before the
-first write, so a refused command leaves nothing behind.
+that runs a scenario validates it, and one write path creates ``--out`` just
+before the first write, so a refused command leaves nothing behind; a write
+that fails (``--out`` or an artifact path unusable) is bad input, exit 2.
 
 Every command is a pure function of its input files and flags: all
 randomness flows from the scenario seed or the ``--seed`` override, outputs
@@ -74,16 +75,23 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
         _write_rows(handle, header, rows)
 
 
-def _out_dir(args) -> Path:
-    out = Path(args.out)
+def _write(args, *artifacts: tuple) -> None:
+    """Create ``--out`` and write each artifact in order: ``(name, header, rows)`` as CSV, or ``(name, text)``.
+
+    The write is its own check of ``--out``: an ``OSError`` is bad input, reported with its path.
+    """
+    path = out = Path(args.out)
     try:
         out.mkdir(parents=True, exist_ok=True)
-        probe = out / ".write_probe"
-        probe.touch()
-        probe.unlink()
+        for name, *content in artifacts:
+            path = out / name
+            if len(content) == 2:
+                _write_csv(path, *content)
+            else:
+                path.write_text(content[0], encoding="utf-8")
     except OSError as exc:
-        raise ParameterError(f"output directory {out} is not writable: {exc}") from exc
-    return out
+        raise ParameterError(f"cannot write {path}: {exc}") from exc
+    print("wrote " + " and ".join(str(out / name) for name, *_ in artifacts), file=sys.stderr)
 
 
 def _load_registry(args) -> model.CryptoRegistry:
@@ -94,10 +102,6 @@ def _load_registry(args) -> model.CryptoRegistry:
 
 def _load_scenario(args) -> model.ScenarioConfig:
     return model.load_scenario(args.scenario, _load_registry(args))
-
-
-def _print_violations(exc: ScenarioValidationError) -> None:
-    print(_dump_json({"violations": [{"path": v.path, "message": v.message} for v in exc.violations]}))
 
 
 # ---------------------------------------------------------------------------
@@ -116,17 +120,10 @@ def cmd_check(args) -> int:
 def cmd_simulate(args) -> int:
     config = _load_scenario(args)
     outcomes = engine.run_trials(config, args.trials, args.seed, max_slots=args.max_slots)
-    summary = engine.summarize(config, outcomes)
-
+    summary = _dump_json(engine.summarize(config, outcomes).as_dict())
     rows = [[i, o.success, o.failure_reason, o.slots_used, o.t_dist, o.f_end] for i, o in enumerate(outcomes)]
-    out = _out_dir(args)
-    trials_path = out / "trials.csv"
-    _write_csv(trials_path, TRIALS_CSV_COLUMNS, rows)
-    summary_path = out / "summary.json"
-    summary_path.write_text(_dump_json(summary.as_dict()) + "\n", encoding="utf-8")
-
-    print(_dump_json(summary.as_dict()))
-    print(f"wrote {trials_path} and {summary_path}", file=sys.stderr)
+    _write(args, ("trials.csv", TRIALS_CSV_COLUMNS, rows), ("summary.json", summary + "\n"))
+    print(summary)
     return EXIT_OK
 
 
@@ -152,35 +149,26 @@ def cmd_adversary(args) -> int:
         )
 
     report = detect(baseline_qber, observed_qber, args.threshold_sigma)
-    out = _out_dir(args)
-    samples_path = out / "samples.csv"
+    detection = _dump_json(report.as_dict())
     rows = [["baseline", i, q] for i, q in enumerate(baseline_qber)]
     rows += [["observed", i, q] for i, q in enumerate(observed_qber)]
-    _write_csv(samples_path, ["side", "sample_index", "qber"], rows)
-    report_path = out / "detection.json"
-    report_path.write_text(_dump_json(report.as_dict()) + "\n", encoding="utf-8")
-
-    print(_dump_json(report.as_dict()))
-    print(f"wrote {samples_path} and {report_path}", file=sys.stderr)
+    _write(args, ("samples.csv", ["side", "sample_index", "qber"], rows), ("detection.json", detection + "\n"))
+    print(detection)
     return EXIT_NEGATIVE_VERDICT if report.flagged else EXIT_OK
 
 
 def cmd_kms(args) -> int:
+    hierarchical = args.mode == "hierarchical"
+    if hierarchical and args.cluster_size is None:
+        raise ParameterError("--cluster-size is required in hierarchical mode")
+    if not hierarchical and args.cluster_size is not None:
+        raise ParameterError("--cluster-size applies only to --mode hierarchical")
     rows = []
     for n in args.nodes:
-        if args.mode == "hierarchical":
-            if args.cluster_size is None:
-                raise ParameterError("--cluster-size is required in hierarchical mode")
-            handshakes = kms.hierarchical_handshakes(n, args.cluster_size)
-            cluster = args.cluster_size
-        else:
-            handshakes = kms.full_mesh_handshakes(n)
-            cluster = None
+        handshakes = kms.hierarchical_handshakes(n, args.cluster_size) if hierarchical else kms.full_mesh_handshakes(n)
         t_key = kms.rekey_cycle_time(handshakes, args.handshake_time, args.auth_time, args.parallelism)
-        rows.append([n, args.mode, cluster, handshakes, t_key])
-    path = _out_dir(args) / "kms.csv"
-    _write_csv(path, ["n", "mode", "cluster_size", "handshakes", "t_key_s"], rows)
-    print(f"wrote {path}", file=sys.stderr)
+        rows.append([n, args.mode, args.cluster_size, handshakes, t_key])
+    _write(args, ("kms.csv", ["n", "mode", "cluster_size", "handshakes", "t_key_s"], rows))
     return EXIT_OK
 
 
@@ -192,17 +180,11 @@ def cmd_sweep(args) -> int:
         raise ParameterError(f"--values must be a comma-separated list of numbers: {exc}") from exc
     if not values:
         raise ParameterError("--values must contain at least one number")
-    rows = engine.sweep(config, args.param, values, args.trials, args.seed, max_slots=args.max_slots)
-    path = _out_dir(args) / "sweep.csv"
-    _write_csv(
-        path,
-        ["param", "value", "n_trials", "success_rate", "mean_t_dist_s", "f_end_mean", "f_end_min"],
-        [
-            [args.param, value, s.n_trials, s.success_rate, s.mean_t_dist, s.f_end_mean, s.f_end_min]
-            for value, s in rows
-        ],
-    )
-    print(f"wrote {path}", file=sys.stderr)
+    summaries = engine.sweep(config, args.param, values, args.trials, args.seed, max_slots=args.max_slots)
+    header = ["param", "value", "n_trials", "success_rate", "mean_t_dist_s", "f_end_mean", "f_end_min"]
+    rows = [[args.param, value, s.n_trials, s.success_rate, s.mean_t_dist, s.f_end_mean, s.f_end_min]
+            for value, s in summaries]
+    _write(args, ("sweep.csv", header, rows))
     return EXIT_OK
 
 
@@ -312,7 +294,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except ScenarioValidationError as exc:
-        _print_violations(exc)
+        print(_dump_json({"violations": [{"path": v.path, "message": v.message} for v in exc.violations]}))
         return EXIT_INPUT_ERROR
     except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)

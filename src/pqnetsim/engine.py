@@ -35,7 +35,10 @@ past the window edge fail the trial (``message_late``).
 message decryption.  Delivered fidelity applies exponential memory decay
 for every qubit's individual storage wait and composes links with the
 Werner swap formula.  Trials that never complete within ``max_slots`` slots
-(default one million, at most ``2**52``) end as ``horizon_exceeded``.
+(default one million, at most ``2**52``) end as ``horizon_exceeded``.  A run
+is refused unless its horizon, ``max_slots * slot_duration`` plus the longest
+message wait, is a finite float with a margin of ``2**-49`` to spare; that
+bounds every time a trial reports, whatever the order of its roundings.
 
 Per-trial randomness comes from ``random.Random(trial_seed)`` where
 ``trial_seed`` is derived from the master seed by a fixed, documented hash
@@ -207,9 +210,14 @@ class _PreparedChain:
     draw_tests: tuple[tuple[int, int], ...]
 
 
-def _prepare(config: model.ScenarioConfig) -> _PreparedTwoParty | _PreparedChain:
+def _prepare(config: model.ScenarioConfig, max_slots: int = DEFAULT_MAX_SLOTS) -> _PreparedTwoParty | _PreparedChain:
+    model._check_arg(max_slots, "max_slots", _MAX_SLOTS)
     # The path and message waits are the static check's own numbers.
     timings = timing.scenario_timings(config)
+    # A chain's t_dist takes 4 roundings of 2**-53, this horizon 3; the 2**-49 margin covers all 7.
+    horizon = (max_slots * config.slot_duration + max(timings.totals)) * (1 + 2**-49)
+    if not math.isfinite(horizon):
+        raise ParameterError(f"max_slots * slot_duration + the longest message wait must be finite, got {horizon}")
     path = timings.path
     nodes = config.node_index()
     links_by_key = {link.key: link for link in config.quantum_links}
@@ -264,8 +272,7 @@ def run_trial(
     """
     model._require_valid(config)
     model._check_arg(trial_seed, "trial_seed", model._SEED)
-    model._check_arg(max_slots, "max_slots", _MAX_SLOTS)
-    return _execute(_prepare(config), trial_seed, max_slots)
+    return _execute(_prepare(config, max_slots), trial_seed, max_slots)
 
 
 def _execute(
@@ -519,9 +526,17 @@ def run_trials(
     seed = config.seed if master_seed is None else master_seed
     model._check_arg(n, "n_trials", model._AT_LEAST_ONE)
     model._check_arg(seed, "master_seed", model._SEED)
-    model._check_arg(max_slots, "max_slots", _MAX_SLOTS)
-    prepared = _prepare(config)
+    prepared = _prepare(config, max_slots)
     return [_execute(prepared, trial_seed_for(seed, i), max_slots) for i in range(n)]
+
+
+def _fmean(values: list[float]) -> float:
+    """``statistics.fmean``, scaled by an exact power of two where the sum of finite values overflows."""
+    try:
+        return statistics.fmean(values)
+    except OverflowError:
+        k = len(values).bit_length()
+        return math.ldexp(statistics.fmean([math.ldexp(v, -k) for v in values]), k)
 
 
 def summarize(config: model.ScenarioConfig, outcomes: Sequence[TrialOutcome]) -> RunSummary:
@@ -542,7 +557,7 @@ def summarize(config: model.ScenarioConfig, outcomes: Sequence[TrialOutcome]) ->
     return RunSummary(
         n_trials=len(outcomes),
         success_rate=len(successes) / len(outcomes),
-        mean_t_dist=statistics.fmean(o.t_dist for o in successes) if successes else None,
+        mean_t_dist=_fmean([o.t_dist for o in successes]) if successes else None,
         f_end_mean=statistics.fmean(o.f_end for o in successes) if successes else None,
         f_end_min=min(o.f_end for o in successes) if successes else None,
         re_tcoh_product=products,

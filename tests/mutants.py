@@ -1,0 +1,167 @@
+"""Mutation catalog: small faults in ``src/`` that named test files must catch.
+
+Run it from any directory, with the test dependencies (pytest, hypothesis)
+installed::
+
+    python tests/mutants.py
+
+Each entry of ``CATALOG`` is ``(file under src/, exact old text, new text,
+test files that must kill it)``; a pytest node id may stand for a file where
+the rest of the file would only hang on the mutant.  The script copies the repository (without
+its dot-directories and bytecode caches) to a temporary directory, first
+runs the union of the named test files there unmutated, then applies one
+mutant at a time and runs only that mutant's test files (``pytest -x``)
+with a time limit.  A failing run kills the mutant; so does a run past the
+time limit, which is reported as a timeout.  The checkout is never written.
+
+The exit status is 1 when a mutant survives, when an old text no longer
+occurs exactly once in its file (a stale entry: the catalog needs care), or
+when the named tests fail without any mutant; otherwise 0.
+
+``EQUIVALENT`` lists mutants that no test can kill, each with its reason.
+They are reported, their old text is checked like any other, and they are
+not run.  Each change to ``src/`` adds the mutants of its own behaviour.
+
+Uses the standard library only, and tier-1 does not collect it (the file
+name does not start with ``test_``).
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import Callable, NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+# Seconds per mutant's test run: six times the slowest kill (30 s on a 2-vCPU machine),
+# so a hang is cut short and a slow runner is not.
+TIMEOUT = 180.0
+
+
+class Mutant(NamedTuple):
+    file: str  # relative to src/
+    old: str  # must occur exactly once in the file
+    new: str
+    tests: tuple[str, ...]  # files (or pytest node ids) relative to the repository root
+
+
+ENGINE = "pqnetsim/engine.py"
+CLI = "pqnetsim/cli.py"
+ENGINE_TESTS = ("tests/test_engine.py",)
+CLI_TESTS = ("tests/test_cli.py",)
+
+CATALOG = [
+    # The two mutants that once survived the whole of tier-1.
+    Mutant("pqnetsim/adversary.py", "flagged=z_score > threshold_sigma,", "flagged=z_score >= threshold_sigma,",
+           ("tests/test_adversary.py",)),
+    Mutant(ENGINE, "f_end_min=min(o.f_end for o in successes) if",
+           "f_end_min=min(o.f_end for o in successes[1:] or successes) if", ENGINE_TESTS),
+    # The chain engine's expiry rule: `d * tau >= limit`, read as integer slot gaps.
+    Mutant(ENGINE, "while d < _MAX_GAP and d * tau < limit:", "while d < _MAX_GAP and d * tau <= limit:", ENGINE_TESTS),
+    # The differential tests hang on this one (a window of 0 slots); the boundary test fails it at once.
+    Mutant(ENGINE, "if slot - gen_slot[j] >= gap:", "if slot - gen_slot[j] > gap:",
+           ("tests/test_engine.py::TestFastForward::test_dense_chain_expiring_on_a_slot_boundary_matches_reference",)),
+    Mutant(ENGINE, "intact_gap=tuple(map(min, gaps[:-1], gaps[1:]))", "intact_gap=tuple(map(max, gaps[:-1], gaps[1:]))",
+           ENGINE_TESTS),
+    Mutant(ENGINE,
+           "stored.append((j, gaps[j + 1], True))\n                elif not lo_used and j > 0:\n"
+           "                    stored.append((j, gaps[j], True))",
+           "stored.append((j, gaps[j], True))\n                elif not lo_used and j > 0:\n"
+           "                    stored.append((j, gaps[j + 1], True))",
+           ENGINE_TESTS),
+    # Storage at the non-designated end node never aborts a trial.
+    Mutant(ENGINE, "elif not lo_used and j > 0:", "elif not lo_used:", ENGINE_TESTS),
+    # A draw whose top byte ties the threshold needs its full K.
+    Mutant(ENGINE, "if top < t or top == t and _draw_k(buf, d) < bound:", "if top <= t:", ENGINE_TESTS),
+    Mutant("pqnetsim/kms.py", "return member_handshakes + head_mesh", "return n * (n - 1) // 2",
+           ("tests/test_kms.py",)),
+    # The horizon rule, and a mean of finite times that stays finite.
+    Mutant(ENGINE, "if not math.isfinite(horizon):", "if math.isnan(horizon):", ENGINE_TESTS + CLI_TESTS),
+    Mutant(ENGINE, "config.slot_duration + max(timings.totals))", "config.slot_duration)", ENGINE_TESTS + CLI_TESTS),
+    Mutant(ENGINE, "max(timings.totals)) * (1 + 2**-49)", "max(timings.totals))", ENGINE_TESTS),
+    Mutant(ENGINE, "+ max(timings.totals)", "+ timings.totals[0]", ENGINE_TESTS),
+    Mutant(ENGINE, "    except OverflowError:\n        k = len", "    except ZeroDivisionError:\n        k = len",
+           ENGINE_TESTS),
+    # The one write path: a failed write is bad input, and nothing else in --out is touched.
+    Mutant(CLI, "except OSError as exc:\n        raise ParameterError(f\"cannot write",
+           "except PermissionError as exc:\n        raise ParameterError(f\"cannot write", CLI_TESTS),
+    Mutant(CLI, "path = out / name", "path = out / name; (out / \".write_probe\").unlink(missing_ok=True)", CLI_TESTS),
+    Mutant(CLI, "if not hierarchical and args.cluster_size is not None:", "if False:", CLI_TESTS),
+]
+
+EQUIVALENT = [
+    (Mutant(ENGINE, "_SCAN_MIN_SLOTS = 4", "_SCAN_MIN_SLOTS = 2", ENGINE_TESTS),
+     "the scan threshold only chooses which quiet windows are read in bulk; the draws and outcomes are the same"),
+]
+
+
+def _label(m: Mutant, text: str) -> str:
+    line = text[: text.index(m.old)].count("\n") + 1
+    return f"{m.file}:{line}: {m.old.strip().splitlines()[0]!r} -> {m.new.strip().splitlines()[0]!r}"
+
+
+def _pytest(copy: Path, tests: tuple[str, ...], timeout: float) -> int | None:
+    """Exit code of ``pytest -x`` on ``tests`` in the copy, or None past the time limit."""
+    env = {**os.environ, "PYTHONPATH": str(copy / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
+    try:
+        return subprocess.run(command, cwd=copy, env=env, capture_output=True, timeout=timeout).returncode
+    except subprocess.TimeoutExpired:
+        return None
+
+
+def run(root: Path, catalog: list[Mutant], equivalent: list[tuple[Mutant, str]], timeout: float,
+        report: Callable[[str], None] = print) -> int:
+    """Run the catalog against a copy of ``root``; the exit status described in the module docstring."""
+    with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
+        copy = Path(tmp) / "repo"
+        shutil.copytree(root, copy, ignore=lambda _, names: [n for n in names if n[0] == "." or n == "__pycache__"])
+        everything = [m for m, _ in equivalent] + catalog
+        sources = {m.file: (copy / "src" / m.file).read_text(encoding="utf-8") for m in everything}
+        stale = [m for m in everything if sources[m.file].count(m.old) != 1]
+        for m in stale:
+            report(f"STALE     {m.file}: the old text occurs {sources[m.file].count(m.old)} times: {m.old!r}")
+        for m, reason in equivalent:
+            if m not in stale:
+                report(f"skipped   {_label(m, sources[m.file])} (equivalent: {reason})")
+        live = [m for m in catalog if m not in stale]
+        status = 1 if stale else 0
+
+        union = tuple(sorted({t for m in live for t in m.tests}))
+        # At least a minute, whatever the per-mutant limit: this run must not fail for a slow start.
+        if union and _pytest(copy, union, max(timeout * len(union), 60.0)) != 0:
+            report(f"FAILED    the named tests fail or time out without a mutant: {' '.join(union)}")
+            return 1
+        for m in live:
+            text = sources[m.file]
+            path = copy / "src" / m.file
+            path.write_text(text.replace(m.old, m.new), encoding="utf-8")
+            start = time.perf_counter()
+            code = _pytest(copy, m.tests, timeout)
+            path.write_text(text, encoding="utf-8")
+            if code is None:
+                verdict = "killed (timeout)"
+            elif code:
+                verdict = "killed"
+            else:
+                verdict = "SURVIVED"
+                status = 1
+            report(f"{verdict:9s} {_label(m, text)} in {time.perf_counter() - start:.1f} s")
+    return status
+
+
+def main() -> int:
+    start = time.perf_counter()
+    status = run(ROOT, CATALOG, EQUIVALENT, TIMEOUT)
+    print(f"{len(CATALOG)} mutants, {len(EQUIVALENT)} equivalent, {time.perf_counter() - start:.0f} s: "
+          + ("ok" if status == 0 else "FAILED"))
+    return status
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -5,6 +5,7 @@ import csv
 import dataclasses
 import io
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -467,6 +468,13 @@ class TestKmsCommand:
         assert code == 2
         assert capsys.readouterr().err == "error: n must be in [2, 1000000000], got an integer of 665 bits\n"
 
+    def test_cluster_size_in_full_mesh_mode_exits_two(self, tmp_path, capsys):
+        out = tmp_path / "kms"
+        argv = ["--out", str(out), "kms", "--nodes", "10", "100", "--mode", "full_mesh", "--cluster-size", "7"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: --cluster-size applies only to --mode hierarchical\n"
+        assert not out.exists()
+
     def test_overflowing_cycle_time_exits_two_and_writes_nothing(self, tmp_path, capsys):
         argv = ["kms", "--nodes", "10", "--handshake-time", "1e308", "--auth-time", "1e308"]
         assert main(["--out", str(tmp_path), *argv]) == 2
@@ -618,6 +626,79 @@ class TestProfilesCommand:
         assert err.startswith(f"error: cannot read profile registry {profiles}:")
 
 
+class TestWritePath:
+    """Every artifact goes through one write, and a write that fails is bad ``--out`` input."""
+
+    SIMULATE = ["simulate", str(SCENARIO_DIR / "teleport_single_hop.json"), "--trials", "3"]
+
+    def test_summary_file_holds_the_stdout_bytes(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["--out", str(out), *self.SIMULATE]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == f"wrote {out / 'trials.csv'} and {out / 'summary.json'}\n"
+        assert (out / "summary.json").read_text() == captured.out
+
+    def test_existing_write_probe_survives(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / ".write_probe").write_text("a file of the user's")
+        assert main(["--out", str(out), "kms", "--nodes", "10"]) == 0
+        assert capsys.readouterr().err == f"wrote {out / 'kms.csv'}\n"
+        assert (out / ".write_probe").read_text() == "a file of the user's"
+
+    @pytest.mark.parametrize("name", ["trials.csv", "summary.json"])
+    def test_directory_in_an_artifacts_place_exits_two(self, tmp_path, capsys, name):
+        out = tmp_path / "out"
+        (out / name).mkdir(parents=True)
+        assert main(["--out", str(out), *self.SIMULATE]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write {out / name}: ")
+        assert captured.err.count("\n") == 1 and "internal error" not in captured.err
+
+
+class TestHorizonRule:
+    """``max_slots * slot_duration`` plus the longest message wait must be a finite float."""
+
+    @staticmethod
+    def scenario(tmp_path: Path) -> str:
+        data = json.loads((SCENARIO_DIR / "teleport_single_hop.json").read_text())
+        data["slot_duration"] = 1e308
+        data["nodes"][1]["memory"]["t_coh"] = 1.0  # bob
+        return str(write_scenario(tmp_path, data))
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param(["simulate", "--trials", "5"], id="simulate"),
+            pytest.param(["sweep", "--param", "nodes.1.memory.t_coh", "--values", "1.0", "--trials", "5"], id="sweep"),
+        ],
+    )
+    def test_overflowing_horizon_exits_two(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        assert main(["--out", str(out), argv[0], self.scenario(tmp_path), *argv[1:]]) == 2
+        message = "max_slots * slot_duration + the longest message wait must be finite, got inf"
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_one_slot_horizon_runs_with_finite_times(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "simulate", self.scenario(tmp_path), "--trials", "5", "--max-slots", "1"]) == 0
+        capsys.readouterr()
+        rows = csv.DictReader((out / "trials.csv").read_text().splitlines())
+        times = [float(row["t_dist_s"]) for row in rows if row["t_dist_s"]]
+        assert len(times) >= 2 and all(math.isfinite(t) for t in times)
+        assert math.isfinite(json.loads((out / "summary.json").read_text())["mean_t_dist"])
+
+    def test_message_wait_counts_toward_the_horizon(self, tmp_path, capsys):
+        profiles = write_profiles(tmp_path, enc=1e308, dec=0.0)
+        data = scenario_dict()
+        data["slot_duration"] = 1e308
+        argv = ["--profiles", str(profiles), "--out", str(tmp_path / "out"), "simulate", "--max-slots", "1"]
+        assert main([*argv, str(write_scenario(tmp_path, data))]) == 2
+        assert capsys.readouterr().err.startswith("error: max_slots * slot_duration + the longest message wait")
+
+
 class TestValidateOnceWriteLast:
     """Each scenario is validated once per run of it, and a refused command writes nothing."""
 
@@ -663,12 +744,16 @@ class TestValidateOnceWriteLast:
 
         ``wait:NAME`` is the shipped file NAME with every message wait past the
         float range, through a ``--profiles`` registry; ``adversary`` is
-        ``intercepted_chain.json`` with ``t_eve + t_pqc`` past it.
+        ``intercepted_chain.json`` with ``t_eve + t_pqc`` past it; ``horizon:NAME``
+        is NAME with a default slot horizon past it.
         """
         kind, _, name = token.partition(":")
         data = json.loads((SCENARIO_DIR / (name or "intercepted_chain.json")).read_text())
         if kind == "adversary":
             data["adversary"].update(t_eve=1e308, t_pqc=1e308)
+            return [str(write_scenario(tmp_path, data))]
+        if kind == "horizon":
+            data["slot_duration"] = 1e308
             return [str(write_scenario(tmp_path, data))]
         for channel in data["classical_channels"].values():
             channel["propagation_delay"] = 1.7e308
@@ -702,6 +787,13 @@ class TestValidateOnceWriteLast:
             ],
             pytest.param(["adversary", "@wait:intercepted_chain.json"], id="adversary-wait:intercepted_chain"),
             pytest.param(["adversary", "@adversary"], id="adversary-adversary"),
+            pytest.param(["simulate", "@horizon:teleport_single_hop.json"], id="simulate-horizon"),
+            pytest.param(
+                ["sweep", "@horizon:repeater_chain.json", "--param", "seed", "--values", "1", "--trials", "3"],
+                id="sweep-horizon",
+            ),
+            pytest.param(["adversary", "@horizon:intercepted_chain.json"], id="adversary-horizon"),
+            pytest.param(["kms", "--nodes", "10", "100", "--cluster-size", "7"], id="kms-cluster-size-full-mesh"),
         ],
     )
     def test_refused_command_leaves_no_out_dir(self, tmp_path, capsys, argv):

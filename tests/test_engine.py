@@ -246,6 +246,13 @@ class TestRunInvariants:
         assert summary.f_end_min == 0.6
         assert summary.success_rate == 0.75
 
+    def test_mean_t_dist_of_finite_times_is_finite_where_their_sum_overflows(self):
+        config = chain_scenario([(0.001, 0.001)])
+        same = [TrialOutcome(True, 1, t_dist=1.5e308, f_end=0.9)] * 5
+        assert summarize(config, same).mean_t_dist == 1.5e308
+        mixed = [TrialOutcome(True, 1, t_dist=t, f_end=0.9) for t in (1e308, 1.7e308)]
+        assert summarize(config, mixed).mean_t_dist == pytest.approx(1.35e308, rel=1e-15)
+
     def test_re_tcoh_diagnostic_uses_weakest_memory(self, mixed_outcomes):
         config, outcomes = mixed_outcomes
         summary = summarize(config, outcomes)
@@ -572,6 +579,37 @@ class TestFastForward:
                 run_trial(config, 1, max_slots=max_slots)
         with pytest.raises(ParameterError, match="trial_seed"):
             run_trial(config, -1)
+
+    def test_horizon_leaves_room_for_a_chains_rounding(self):
+        # Two slots and one message, whose plain horizon is just below overflow. A trial that
+        # stores its last link in slot 1 and fires its repeater in slot 2 sums the same times
+        # in another order, and that sum rounds to inf.
+        tau, delay = 7.02610075770175e307, 3.924729833219657e307
+        assert math.isfinite(2 * tau + delay)
+        config = chain_scenario([(0.0, delay)], t_coh_end=1e308, t_coh_far=1e308, t_coh_repeater=1e308,
+                                p_success=[0.5, 1.0], slot_duration=tau)
+        prepared = engine._prepare(config, max_slots=1)  # checked for one slot; the margin keeps out two
+        assert any(math.isinf(engine._execute(prepared, seed, 2).t_dist or 0.0) for seed in range(20))
+        with pytest.raises(ParameterError, match="longest message wait must be finite"):
+            run_trials(config, max_slots=2)
+        assert run_trial(config, 1, max_slots=1).t_dist == tau + delay
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            pytest.param(two_party_scenario(comm=0.001, slot_duration=1e308), id="slots"),
+            # 10**6 slots of 1e302 s are finite, and so is each wait; the sum with the longer wait is not.
+            pytest.param(chain_scenario([(0.0, 0.001), (0.0, 1e308)], slot_duration=1e302), id="longest-wait"),
+        ],
+    )
+    def test_horizon_past_the_float_range_is_refused(self, config):
+        message = "max_slots * slot_duration + the longest message wait must be finite, got inf"
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}"):
+            run_trials(config)
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}"):
+            run_trial(config, 1)
+        outcome = run_trial(config, 1, max_slots=1)
+        assert outcome.t_dist is not None and math.isfinite(outcome.t_dist)
 
 
 def res53(x: int) -> float:
