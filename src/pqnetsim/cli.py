@@ -9,7 +9,8 @@ an internal error, a fault of the program that is never a verdict.
 Each command parses its input, computes, then writes.  The library function
 that runs a scenario validates it, and one write path creates ``--out`` just
 before the first write, so a refused command leaves nothing behind; a write
-that fails (``--out`` or an artifact path unusable) is bad input, exit 2.
+that fails (``--out`` or an artifact path unusable) is bad input, exit 2, and
+leaves none of the command's artifacts: they are staged, then renamed.
 
 Every command is a pure function of its input files and flags: all
 randomness flows from the scenario seed or the ``--seed`` override, outputs
@@ -25,6 +26,7 @@ import csv
 import dataclasses
 import json
 import sys
+import tempfile
 from enum import Enum
 from pathlib import Path
 
@@ -76,20 +78,31 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
 
 
 def _write(args, *artifacts: tuple) -> None:
-    """Create ``--out`` and write each artifact in order: ``(name, header, rows)`` as CSV, or ``(name, text)``.
+    """Create ``--out`` and write each artifact: ``(name, header, rows)`` as CSV, or ``(name, text)``.
 
-    The write is its own check of ``--out``: an ``OSError`` is bad input, reported with its path.
+    The artifacts are staged in a temporary directory inside ``--out`` and renamed into place, in
+    order, only after the last is written.  The write is its own check of ``--out``: an ``OSError``
+    is bad input, reported with its path, and removes every artifact this write had put in place.
     """
     path = out = Path(args.out)
+    staged, placed = [], []
     try:
         out.mkdir(parents=True, exist_ok=True)
-        for name, *content in artifacts:
-            path = out / name
-            if len(content) == 2:
-                _write_csv(path, *content)
-            else:
-                path.write_text(content[0], encoding="utf-8")
+        with tempfile.TemporaryDirectory(prefix=".pqnetsim-", dir=out) as staging:
+            for name, *content in artifacts:
+                path = out / name
+                temp = Path(staging, name)
+                if len(content) == 2:
+                    _write_csv(temp, *content)
+                else:
+                    temp.write_text(content[0], encoding="utf-8")
+                staged.append((temp, path))
+            for temp, path in staged:
+                temp.replace(path)
+                placed.append(path)
     except OSError as exc:
+        for done in placed:
+            done.unlink(missing_ok=True)
         raise ParameterError(f"cannot write {path}: {exc}") from exc
     print("wrote " + " and ".join(str(out / name) for name, *_ in artifacts), file=sys.stderr)
 

@@ -34,8 +34,10 @@ past the window edge fail the trial (``message_late``).
 ``t_dist`` runs from the first entanglement attempt (time zero) to the last
 message decryption.  Delivered fidelity applies exponential memory decay
 for every qubit's individual storage wait and composes links with the
-Werner swap formula.  Trials that never complete within ``max_slots`` slots
-(default one million, at most ``2**52``) end as ``horizon_exceeded``.  A run
+Werner swap formula: one left fold, a ``reduce`` of ``swap`` over the mapped
+decays, in the order of :func:`pqnetsim.fidelity.chain_fidelity`.  Trials
+that never complete within ``max_slots`` slots (default one million, at
+most ``2**52``) end as ``horizon_exceeded``.  A run
 is refused unless its horizon, ``max_slots * slot_duration`` plus the longest
 message wait, is a finite float with a margin of ``2**-49`` to spare; that
 bounds every time a trial reports, whatever the order of its roundings.
@@ -74,7 +76,7 @@ import random
 import statistics
 from dataclasses import asdict, dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Sequence
 
 from . import fidelity, model, timing
@@ -490,19 +492,12 @@ def _run_parallel_chain(run: _PreparedChain, draws: _Draws, max_slots: int) -> T
     if not (worst < run.t_coh_end):
         return TrialOutcome(False, slot, t_dist=t_dist, failure_reason=FailureReason.MESSAGE_LATE)
 
-    # Decay each link for both storage waits, then fold it in as chain_fidelity does.
-    decay, swap = fidelity._decay, fidelity._swap
-    for j in range(n_links):
-        if j == 0:
-            wait_lo = max(0.0, t_dist - gen_slot[j] * tau)
-        else:
-            wait_lo = (bsm_slot[j - 1] - gen_slot[j]) * tau
-        if j == n_links - 1:
-            wait_hi = max(0.0, t_dist - gen_slot[j] * tau)
-        else:
-            wait_hi = (bsm_slot[j] - gen_slot[j]) * tau
-        f = decay(decay(run.base_fids[j], wait_lo, lo_tcoh[j]), wait_hi, hi_tcoh[j])
-        f_end = f if j == 0 else swap(f_end, f)
+    # Decay each link for both storage waits, then fold them as chain_fidelity does.
+    # The end nodes store until t_dist; a repeater's qubit until its Bell-state measurement.
+    waits_lo = [max(0.0, t_dist - gen_slot[0] * tau)] + [(b - g) * tau for b, g in zip(bsm_slot, gen_slot[1:])]
+    waits_hi = [(b - g) * tau for b, g in zip(bsm_slot, gen_slot)] + [max(0.0, t_dist - store_slot * tau)]
+    decay = fidelity._decay
+    f_end = reduce(fidelity._swap, map(decay, map(decay, run.base_fids, waits_lo, lo_tcoh), waits_hi, hi_tcoh))
     return TrialOutcome(True, slot, t_dist=t_dist, f_end=f_end)
 
 
@@ -540,7 +535,11 @@ def _fmean(values: list[float]) -> float:
 
 
 def summarize(config: model.ScenarioConfig, outcomes: Sequence[TrialOutcome]) -> RunSummary:
-    """Aggregate trial outcomes; order-independent for the reported statistics."""
+    """Aggregate trial outcomes; order-independent for the reported statistics.
+
+    Raises:
+        ParameterError: when a link's ``re_tcoh_product`` overflows a float.
+    """
     model._check_type(config, "config", model.ScenarioConfig)
     if not model._check_type(outcomes, "outcomes", Sequence):
         raise ParameterError("summarize requires at least one outcome")
@@ -554,6 +553,9 @@ def summarize(config: model.ScenarioConfig, outcomes: Sequence[TrialOutcome]) ->
         * min(t_coh[link.endpoints[0]], t_coh[link.endpoints[1]])
         for link in config.quantum_links
     }
+    for key, product in products.items():
+        if not math.isfinite(product):
+            raise ParameterError(f"re_tcoh_product of link {key} must be finite, got {product}")
     return RunSummary(
         n_trials=len(outcomes),
         success_rate=len(successes) / len(outcomes),

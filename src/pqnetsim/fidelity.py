@@ -76,15 +76,20 @@ def chain_fidelity(links: Iterable[float]) -> float:
 
 # Unchecked kernels: the public functions above check their arguments, and
 # the engine calls these directly on data that validate_scenario accepted.
+# They clamp by comparison, not through min()/max() calls, which cost more
+# than the arithmetic in a wide chain's fold.  For every float each comparison
+# picks the operand min()/max() would pick (a NaN swap value gives 1.0, as
+# max(0.25, min(1.0, nan)) does), so the results are bit-identical to the
+# documented formulas clamped that way.
 
 def _decay(f0: float, wait: float, t_coh: float) -> float:
     if wait == 0.0:
         return float(f0)
     decayed = FIDELITY_FLOOR + (f0 - FIDELITY_FLOOR) * math.exp(-wait / t_coh)
-    # exp() <= 1 bounds the true value by f0; min() guards the last ulp.
-    return min(float(f0), decayed)
+    # exp() <= 1 bounds the true value by f0; the comparison guards the last ulp.
+    return decayed if decayed < f0 else float(f0)
 
 
 def _swap(f1: float, f2: float) -> float:
     value = f1 * f2 + (1.0 - f1) * (1.0 - f2) / 3.0
-    return max(FIDELITY_FLOOR, min(1.0, value))
+    return value if FIDELITY_FLOOR <= value <= 1.0 else (FIDELITY_FLOOR if value < FIDELITY_FLOOR else 1.0)

@@ -256,7 +256,7 @@ class ScenarioConfig:
 
 def pair_key(a: str, b: str) -> str:
     """Canonical unordered-pair key: the two ids, sorted, joined by a comma."""
-    return ",".join(sorted((a, b)))
+    return ",".join((a, b) if a <= b else (b, a))
 
 
 def split_pair_key(key: str) -> tuple[str, str] | None:

@@ -52,8 +52,10 @@ class Mutant(NamedTuple):
 
 ENGINE = "pqnetsim/engine.py"
 CLI = "pqnetsim/cli.py"
+FIDELITY = "pqnetsim/fidelity.py"
 ENGINE_TESTS = ("tests/test_engine.py",)
 CLI_TESTS = ("tests/test_cli.py",)
+FIDELITY_TESTS = ("tests/test_fidelity.py",)
 
 CATALOG = [
     # The two mutants that once survived the whole of tier-1.
@@ -88,15 +90,30 @@ CATALOG = [
     Mutant(ENGINE, "    except OverflowError:\n        k = len", "    except ZeroDivisionError:\n        k = len",
            ENGINE_TESTS),
     # The one write path: a failed write is bad input, and nothing else in --out is touched.
-    Mutant(CLI, "except OSError as exc:\n        raise ParameterError(f\"cannot write",
-           "except PermissionError as exc:\n        raise ParameterError(f\"cannot write", CLI_TESTS),
+    Mutant(CLI, "except OSError as exc:", "except PermissionError as exc:", CLI_TESTS),
     Mutant(CLI, "path = out / name", "path = out / name; (out / \".write_probe\").unlink(missing_ok=True)", CLI_TESTS),
     Mutant(CLI, "if not hierarchical and args.cluster_size is not None:", "if False:", CLI_TESTS),
+    # Artifacts are renamed into place only together: a failed rename removes those already placed.
+    Mutant(CLI, "placed.append(path)", "pass", CLI_TESTS),
+    # A re_tcoh_product past the float range is refused, not written as Infinity.
+    Mutant(ENGINE, "if not math.isfinite(product):", "if math.isnan(product):", ENGINE_TESTS + CLI_TESTS),
+    # The kernels clamp by comparison to the same bits as min()/max() calls.
+    Mutant(FIDELITY, "FIDELITY_FLOOR <= value", "FIDELITY_FLOOR < value", FIDELITY_TESTS),
+    Mutant(FIDELITY, "else float(f0)", "else f0", FIDELITY_TESTS),
+    # The success tail's fold: every link, each with its own two storage waits.
+    Mutant(ENGINE, "reduce(fidelity._swap, map(decay, map(decay, run.base_fids, waits_lo, lo_tcoh), waits_hi, hi_tcoh))",
+           "reduce(fidelity._swap, [*map(decay, map(decay, run.base_fids, waits_lo, lo_tcoh), waits_hi, hi_tcoh)][1:])",
+           ENGINE_TESTS),
+    Mutant(ENGINE, "zip(bsm_slot, gen_slot[1:])", "zip(bsm_slot, gen_slot)", ENGINE_TESTS),
 ]
 
 EQUIVALENT = [
     (Mutant(ENGINE, "_SCAN_MIN_SLOTS = 4", "_SCAN_MIN_SLOTS = 2", ENGINE_TESTS),
      "the scan threshold only chooses which quiet windows are read in bulk; the draws and outcomes are the same"),
+    (Mutant(FIDELITY, "value <= 1.0", "value < 1.0", FIDELITY_TESTS),
+     "a swap value of exactly 1.0 then takes the else branch, which returns 1.0: the same float"),
+    (Mutant(FIDELITY, "decayed < f0", "decayed <= f0", FIDELITY_TESTS),
+     "where decayed equals f0 it is the float float(f0) would give, so either branch returns the same bits"),
 ]
 
 

@@ -656,6 +656,15 @@ class TestWritePath:
         assert captured.err.startswith(f"error: cannot write {out / name}: ")
         assert captured.err.count("\n") == 1 and "internal error" not in captured.err
 
+    @pytest.mark.parametrize("name", ["trials.csv", "summary.json"])
+    def test_failed_write_leaves_no_artifact_of_its_own(self, tmp_path, capsys, name):
+        out = tmp_path / "out"
+        (out / name).mkdir(parents=True)
+        assert main(["--out", str(out), *self.SIMULATE]) == 2
+        capsys.readouterr()
+        assert [p.name for p in out.iterdir()] == [name]
+        assert not any((out / name).iterdir())
+
 
 class TestHorizonRule:
     """``max_slots * slot_duration`` plus the longest message wait must be a finite float."""
@@ -745,15 +754,16 @@ class TestValidateOnceWriteLast:
         ``wait:NAME`` is the shipped file NAME with every message wait past the
         float range, through a ``--profiles`` registry; ``adversary`` is
         ``intercepted_chain.json`` with ``t_eve + t_pqc`` past it; ``horizon:NAME``
-        is NAME with a default slot horizon past it.
+        is NAME with a default slot horizon past it; ``rate:NAME`` is NAME with
+        a pair rate ``p_success / slot_duration`` past it.
         """
         kind, _, name = token.partition(":")
         data = json.loads((SCENARIO_DIR / (name or "intercepted_chain.json")).read_text())
         if kind == "adversary":
             data["adversary"].update(t_eve=1e308, t_pqc=1e308)
             return [str(write_scenario(tmp_path, data))]
-        if kind == "horizon":
-            data["slot_duration"] = 1e308
+        if kind in ("horizon", "rate"):
+            data["slot_duration"] = 1e308 if kind == "horizon" else 1e-310
             return [str(write_scenario(tmp_path, data))]
         for channel in data["classical_channels"].values():
             channel["propagation_delay"] = 1.7e308
@@ -793,6 +803,11 @@ class TestValidateOnceWriteLast:
                 id="sweep-horizon",
             ),
             pytest.param(["adversary", "@horizon:intercepted_chain.json"], id="adversary-horizon"),
+            pytest.param(["simulate", "@rate:teleport_single_hop.json", "--trials", "3"], id="simulate-rate"),
+            pytest.param(
+                ["sweep", "@rate:teleport_single_hop.json", "--param", "seed", "--values", "1", "--trials", "3"],
+                id="sweep-rate",
+            ),
             pytest.param(["kms", "--nodes", "10", "100", "--cluster-size", "7"], id="kms-cluster-size-full-mesh"),
         ],
     )

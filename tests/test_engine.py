@@ -253,6 +253,14 @@ class TestRunInvariants:
         mixed = [TrialOutcome(True, 1, t_dist=t, f_end=0.9) for t in (1e308, 1.7e308)]
         assert summarize(config, mixed).mean_t_dist == pytest.approx(1.35e308, rel=1e-15)
 
+    @pytest.mark.parametrize("slot_duration, t_coh", [(1e-310, 1.0), (1e-300, 1e300)])
+    def test_re_tcoh_product_past_the_float_range_is_refused(self, slot_duration, t_coh):
+        """The rate itself, or only its product with the coherence time, may overflow."""
+        config = two_party_scenario(slot_duration=slot_duration, t_coh_end=t_coh, t_coh_far=t_coh)
+        outcome = TrialOutcome(True, 1, t_dist=0.01, f_end=0.9)
+        with pytest.raises(ParameterError, match=r"^re_tcoh_product of link alice,bob must be finite, got inf$"):
+            summarize(config, [outcome])
+
     def test_re_tcoh_diagnostic_uses_weakest_memory(self, mixed_outcomes):
         config, outcomes = mixed_outcomes
         summary = summarize(config, outcomes)

@@ -4,9 +4,9 @@ import math
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
-from pqnetsim import FIDELITY_FLOOR, ParameterError, chain_fidelity, decay, swap
+from pqnetsim import FIDELITY_FLOOR, ParameterError, chain_fidelity, decay, fidelity, swap
 
 fidelities = st.floats(min_value=0.25, max_value=1.0, allow_nan=False)
 waits = st.floats(min_value=0.0, max_value=100.0, allow_nan=False)
@@ -114,3 +114,47 @@ class TestChainFidelity:
     def test_result_stays_in_range(self, links):
         result = chain_fidelity(links)
         assert FIDELITY_FLOOR <= result <= 1.0
+
+
+def clamped_swap_by_calls(f1, f2):
+    """The swap kernel as first written, clamping through min() and max() calls."""
+    return max(FIDELITY_FLOOR, min(1.0, f1 * f2 + (1.0 - f1) * (1.0 - f2) / 3.0))
+
+
+def clamped_decay_by_calls(f0, wait, t_coh):
+    """The decay kernel as first written, clamping through a min() call."""
+    if wait == 0.0:
+        return float(f0)
+    return min(float(f0), FIDELITY_FLOOR + (f0 - FIDELITY_FLOOR) * math.exp(-wait / t_coh))
+
+
+# The kernels' domain, with its exact ends and the int 1 a scenario file may hold.
+kernel_fidelities = st.one_of(st.sampled_from([0.25, 1.0, 1]), fidelities)
+kernel_waits = st.one_of(
+    st.sampled_from([0.0, 5e-324, 2.2e-308, 1e300, 1.7e308]),
+    st.floats(min_value=0.0, max_value=1.7e308, allow_nan=False),
+)
+kernel_coherences = st.floats(min_value=5e-324, max_value=1.7e308, allow_nan=False)
+
+
+class TestKernelsClampByComparison:
+    """The unchecked kernels give the same bits as the min()/max() clamps they replaced."""
+
+    @given(f1=kernel_fidelities, f2=kernel_fidelities)
+    @example(f1=0.25, f2=0.25)  # exactly the floor
+    def test_swap_matches_call_clamps(self, f1, f2):
+        assert fidelity._swap(f1, f2).hex() == clamped_swap_by_calls(f1, f2).hex()
+
+    @given(f1=st.floats(), f2=st.floats())
+    @example(f1=math.nan, f2=0.5)  # both clamps give 1.0
+    def test_swap_matches_call_clamps_for_every_float(self, f1, f2):
+        # A NaN or infinite operand leaves the domain, but the clamp still picks what min()/max() pick.
+        assert fidelity._swap(f1, f2).hex() == clamped_swap_by_calls(f1, f2).hex()
+
+    @given(f0=kernel_fidelities, wait=kernel_waits, t_coh=kernel_coherences)
+    def test_decay_matches_call_clamp(self, f0, wait, t_coh):
+        assert fidelity._decay(f0, wait, t_coh).hex() == clamped_decay_by_calls(f0, wait, t_coh).hex()
+
+    def test_decay_of_an_int_fidelity_is_a_float(self):
+        result = fidelity._decay(1, 1e-300, 1.0)
+        assert type(result) is float and result == 1.0
