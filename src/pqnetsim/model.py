@@ -8,10 +8,20 @@ checked :class:`ScenarioConfig`.
 The dataclasses are the schema: their field names give the keys, their type
 hints the JSON type of each value (read by :func:`_parse_record`), and their
 ``range`` metadata each value's legal range (checked by :func:`_range_problems`).
-Durations are numbers in seconds; unknown keys are violations, never ignored.
+Durations are numbers in seconds; unknown keys are violations, never ignored,
+and so is a key given twice in one JSON object.
 Unordered node pairs (classical-channel keys and the adversary's
 ``intercept_link``) are encoded as the two node ids joined by a comma, e.g.
 ``"alice,relay"``; key order does not matter and is normalized on load.
+
+Valid input takes a fast path through both layers.  A record whose keys are
+its field names and whose values have exactly the JSON types their readers
+take is built directly, by a reader made once per class from its fields
+(:func:`_fast_record`); a scenario whose records pass one fast test
+(:func:`_records_valid`) goes straight to the protocol-shape checks.  Any
+other input is read by the exact code (:func:`_parse_exactly`,
+:func:`_record_violations`), and only that code reports a violation, so
+every message, path and order is the same on either path.
 """
 
 from __future__ import annotations
@@ -20,6 +30,7 @@ import dataclasses
 import functools
 import json
 import math
+import operator
 import sys
 import types
 import typing
@@ -208,8 +219,9 @@ class QuantumLinkSpec:
     p_success: float = field(metadata=_range(math.ulp(0.0), 1.0, "must be in (0, 1]"))
     base_fidelity: float = field(metadata=_FIDELITY)
 
-    @property
+    @functools.cached_property
     def key(self) -> str:
+        """The link's :func:`pair_key`, computed once per link object."""
         return pair_key(*self.endpoints)
 
 
@@ -337,7 +349,7 @@ def load_registry(path: str | Path) -> CryptoRegistry:
             duplicate names.
     """
     try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        data = _read_json(path)
     except (OSError, ValueError, RecursionError) as exc:
         raise ParameterError(f"cannot read profile registry {path}: {exc}") from exc
     if not isinstance(data, list):
@@ -366,6 +378,23 @@ def load_registry(path: str | Path) -> CryptoRegistry:
 # ---------------------------------------------------------------------------
 # Scenario parsing (structure) and validation (invariants)
 # ---------------------------------------------------------------------------
+
+def _json_object(pairs: list[tuple[str, Any]]) -> dict:
+    """``object_pairs_hook`` for strict JSON: a key given twice in one object is an error, not last-wins."""
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        seen: set[str] = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ValueError(f"duplicate key {key!r}")
+            seen.add(key)
+    return obj
+
+
+def _read_json(path: str | Path) -> Any:
+    """The JSON document in the file at ``path``; a ValueError if it is not strict JSON."""
+    return json.loads(Path(path).read_text(encoding="utf-8"), object_pairs_hook=_json_object)
+
 
 def _is_number(value: Any) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
@@ -423,17 +452,12 @@ def _read_checked(ok, expected, value, path, key, vios, registry):
     vios.append(Violation(path + key, _mismatch(expected, value)))
 
 
-_SCALAR_READERS = {
-    float: _read_float,
-    int: functools.partial(_read_checked, _is_int, "an integer"),
-    bool: functools.partial(_read_checked, lambda v: isinstance(v, bool), "a boolean"),
-    str: functools.partial(_read_checked, lambda v: isinstance(v, str) and v != "", "a non-empty string"),
-}
+_read_str = functools.partial(_read_checked, lambda v: isinstance(v, str) and v != "", "a non-empty string")
 
 
 def _read_profile(value, path, key, vios, registry):
     """``NodeSpec.crypto``: the name of a registry profile, resolved here."""
-    name = _SCALAR_READERS[str](value, path, key, vios, registry)
+    name = _read_str(value, path, key, vios, registry)
     if name is not None:
         try:
             return registry.lookup(name)
@@ -491,39 +515,147 @@ def _read_pair_keyed(read, value, path, key, vios, registry):
     return out
 
 
-def _reader(hint: Any) -> Callable:
-    """The reader for a dataclass field's type hint."""
-    if hint in _SCALAR_READERS:
-        return _SCALAR_READERS[hint]
-    if isinstance(hint, type) and issubclass(hint, Enum):
-        return functools.partial(_read_enum, {m.value: m for m in hint})
-    if dataclasses.is_dataclass(hint):
-        return functools.partial(_read_record, hint)
-    origin, args = typing.get_origin(hint), typing.get_args(hint)
-    if origin is types.UnionType and len(args) == 2 and args[1] is type(None):
-        return functools.partial(_read_optional, _reader(args[0]))
-    if origin is tuple and args == (str, str):
-        return _read_ids
-    if origin is tuple and len(args) == 2 and args[1] is Ellipsis:
-        return functools.partial(_read_list, _reader(args[0]))
-    if origin is dict and args[0] is str:
-        return functools.partial(_read_pair_keyed, _reader(args[1]))
-    raise TypeError(f"no JSON reader for type {hint!r}")
+# A fast reader takes one JSON value only as the exact reader would take it
+# unchanged: ``fast(value, registry)`` returns what the exact reader returns,
+# or raises _NotFast for anything else (a value the exact reader converts,
+# defaults or reports), and the exact readers then read the whole document.
+
+class _NotFast(Exception):
+    """A value the fast readers do not take as it is."""
+
+
+def _fast_type(cls: type) -> Callable:
+    """The fast reader of a scalar: the value itself, when its type is exactly ``cls``."""
+    def read(value, registry):
+        if type(value) is cls:
+            return value
+        raise _NotFast
+    return read
+
+
+def _fast_str(value, registry):
+    if type(value) is str and value:
+        return value
+    raise _NotFast
+
+
+def _fast_profile(value, registry):
+    try:
+        return registry.lookup(_fast_str(value, registry))
+    except ProfileNotFoundError:
+        raise _NotFast from None
+
+
+def _fast_ids(value, registry):
+    if type(value) is list and len(value) == 2:
+        a, b = value
+        if type(a) is str and a and type(b) is str and b:
+            return a, b
+    raise _NotFast
+
+
+def _fast_enum(members, value, registry):
+    try:
+        return members[value]
+    except (KeyError, TypeError):
+        raise _NotFast from None
+
+
+def _fast_optional(read, value, registry):
+    return None if value is None else read(value, registry)
+
+
+def _fast_list(read, value, registry):
+    if type(value) is not list:
+        raise _NotFast
+    return tuple([read(item, registry) for item in value])
+
+
+def _ordered_pair(text: str) -> bool:
+    """True if ``text`` is two distinct non-empty ids, comma-joined in :func:`pair_key` order."""
+    parts = text.split(",")
+    return len(parts) == 2 and "" < parts[0] < parts[1]
+
+
+def _fast_pair_keyed(read, value, registry):
+    """Pair keys already in :func:`pair_key` order, so none needs canonicalising."""
+    if type(value) is not dict or not all(map(_ordered_pair, value)):
+        raise _NotFast
+    return {key: read(item, registry) for key, item in value.items()}
 
 
 @functools.cache
-def _plan(cls: type) -> tuple[tuple[str, str, Any, Callable], ...]:
+def _fast_record(cls: type) -> Callable:
+    """The fast reader of dataclass ``cls``, built once per class from its :func:`_plan`.
+
+    It takes an object whose keys are the field names (those with a default
+    may be missing) and whose values each pass their field's fast reader,
+    and calls ``cls`` with them positionally.
+    """
+    plan = _plan(cls)
+    names = _field_names(cls)
+    defaults = {name: default for name, _, default, _, _ in plan if default is not dataclasses.MISSING}
+    required = names - defaults.keys()
+    steps = tuple((name, fast) for name, _, _, _, fast in plan)
+
+    def read(raw, registry):
+        if type(raw) is not dict:
+            raise _NotFast
+        if raw.keys() != names:
+            if not required <= raw.keys() <= names:
+                raise _NotFast
+            raw = {**defaults, **raw}
+        return cls(*[fast(raw[name], registry) for name, fast in steps])
+
+    return read
+
+
+_SCALAR_READERS = {
+    float: (_read_float, _fast_type(float)),
+    int: (functools.partial(_read_checked, _is_int, "an integer"), _fast_type(int)),
+    bool: (functools.partial(_read_checked, lambda v: isinstance(v, bool), "a boolean"), _fast_type(bool)),
+    str: (_read_str, _fast_str),
+}
+
+
+def _reader(hint: Any) -> tuple[Callable, Callable]:
+    """The exact and the fast reader for a dataclass field's type hint."""
+    if hint in _SCALAR_READERS:
+        return _SCALAR_READERS[hint]
+    if isinstance(hint, type) and issubclass(hint, Enum):
+        members = {m.value: m for m in hint}
+        return functools.partial(_read_enum, members), functools.partial(_fast_enum, members)
+    if dataclasses.is_dataclass(hint):
+        return functools.partial(_read_record, hint), _fast_record(hint)
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is tuple and args == (str, str):
+        return _read_ids, _fast_ids
+    if origin is types.UnionType and len(args) == 2 and args[1] is type(None):
+        read, fast, inner = _read_optional, _fast_optional, args[0]
+    elif origin is tuple and len(args) == 2 and args[1] is Ellipsis:
+        read, fast, inner = _read_list, _fast_list, args[0]
+    elif origin is dict and args[0] is str:
+        read, fast, inner = _read_pair_keyed, _fast_pair_keyed, args[1]
+    else:
+        raise TypeError(f"no JSON reader for type {hint!r}")
+    inner_read, inner_fast = _reader(inner)
+    return functools.partial(read, inner_read), functools.partial(fast, inner_fast)
+
+
+@functools.cache
+def _plan(cls: type) -> tuple[tuple[str, str, Any, Callable, Callable], ...]:
     """How to read a dataclass from JSON, built once per class.
 
     One step per field, in field order: its name, its path suffix, its
-    default (``dataclasses.MISSING`` when it has none) and the reader of its
-    type hint.  A field marked ``registry_name`` is read as a profile name.
+    default (``dataclasses.MISSING`` when it has none), and the exact and
+    the fast reader of its type hint.  A field marked ``registry_name`` is
+    read as a profile name.
     """
     hints = typing.get_type_hints(cls)
     steps = []
     for f in dataclasses.fields(cls):
-        read = _read_profile if f.metadata.get("registry_name") else _reader(hints[f.name])
-        steps.append((f.name, "." + f.name, f.default, read))
+        read, fast = (_read_profile, _fast_profile) if f.metadata.get("registry_name") else _reader(hints[f.name])
+        steps.append((f.name, "." + f.name, f.default, read, fast))
     return tuple(steps)
 
 
@@ -542,7 +674,7 @@ def _parse_record(cls: type, raw: Any, path: str, vios: list[Violation], registr
     if not raw.keys() <= names:
         vios.extend(Violation(f"{path}.{key}", "unknown key") for key in sorted(raw.keys() - names))
     values = {}
-    for name, key, default, read in _plan(cls):
+    for name, key, default, read, _ in _plan(cls):
         value = raw.get(name, default)
         if value is dataclasses.MISSING:
             vios.append(Violation(path + key, "missing"))
@@ -558,10 +690,22 @@ def parse_scenario(data: Any, registry: CryptoRegistry) -> ScenarioConfig:
     crypto-profile names, malformed pair keys) are collected and raised
     together as a :class:`ScenarioValidationError`.  Range and referential
     invariants are the job of :func:`validate_scenario`, which callers
-    should run next.
+    should run next.  A document the fast readers take as it is is built by
+    them; any other is read by :func:`_parse_exactly`, which reports it.
     """
     if not isinstance(data, dict):
         raise ScenarioValidationError([Violation("$", "scenario must be a JSON object")])
+    try:
+        config = _fast_record(ScenarioConfig)(data, registry)
+        if config.adversary is None or _ordered_pair(config.adversary.intercept_link):
+            return config
+    except _NotFast:
+        pass
+    return _parse_exactly(data, registry)
+
+
+def _parse_exactly(data: dict, registry: CryptoRegistry) -> ScenarioConfig:
+    """The exact reader of :func:`parse_scenario`: every structural violation, in field order."""
     vios: list[Violation] = []
     config = _parse_record(ScenarioConfig, data, "$", vios, registry)
     if config is not None and config.adversary is not None:
@@ -580,10 +724,10 @@ def load_scenario(path: str | Path, registry: CryptoRegistry | None = None) -> S
     """Read and parse a scenario file; raises ScenarioValidationError on problems."""
     registry = registry if registry is not None else default_registry()
     try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        data = _read_json(path)
     except OSError as exc:
         raise ScenarioValidationError([Violation("$", f"cannot read {path}: {exc}")]) from exc
-    except ValueError as exc:  # a JSONDecodeError, or an integer literal beyond the digit limit
+    except ValueError as exc:  # a JSONDecodeError, a duplicate key, or an integer literal beyond the digit limit
         raise ScenarioValidationError([Violation("$", f"not valid JSON: {exc}")]) from exc
     except RecursionError as exc:
         raise ScenarioValidationError([Violation("$", "JSON nested too deeply to decode")]) from exc
@@ -594,9 +738,59 @@ def validate_scenario(config: ScenarioConfig) -> list[Violation]:
     """Check every scenario invariant; returns one violation per failure.
 
     Idempotent and order-independent: permuting node or link lists changes
-    only the index part of violation paths, never the violation set.
+    only the index part of violation paths, never the violation set.  A
+    scenario whose records pass one fast test (:func:`_records_valid`) goes
+    straight to the protocol-shape checks; any other is read record by
+    record, and only that loop reports a record's violations.
     """
     _check_type(config, "config", ScenarioConfig)
+    try:
+        valid = _records_valid(config)
+    except (TypeError, ValueError, AttributeError):  # a record the fast test cannot read: the loop reports it
+        valid = False
+    return _validate_topology(config) if valid else _record_violations(config)
+
+
+def _in_ranges(cls: type, records: Iterable[Any]) -> bool:
+    """True if each declared range of ``cls`` holds on every record; a comparison per value, so NaN fails."""
+    for name, spec in _ranges(cls):
+        low, high, _ = spec["range"]
+        if not all(low <= value <= high for value in map(operator.attrgetter(name), records)):
+            return False
+    return True
+
+
+def _records_valid(config: ScenarioConfig) -> bool:
+    """The fast test: True only where :func:`_record_violations` finds nothing but the topology's violations.
+
+    Node ids are unique; links name two distinct known nodes, once each;
+    channel keys are in :func:`pair_key` order and name known nodes; every
+    value lies in its declared range; and the adversary passes its checks.
+    """
+    nodes, links, channels, adv = config.nodes, config.quantum_links, config.classical_channels, config.adversary
+    ids = {node.id for node in nodes}
+    link_keys = {link.key for link in links}
+    if len(ids) != len(nodes) or len(link_keys) != len(links):
+        return False
+    for a, b in map(operator.attrgetter("endpoints"), links):
+        if a == b or a not in ids or b not in ids:
+            return False
+    if not all(_ordered_pair(key) and ids.issuperset(key.split(",")) for key in channels):
+        return False
+    # Many nodes share one profile object; check each once.
+    profiles = {id(node.crypto): node.crypto for node in nodes}.values()
+    return (
+        _in_ranges(MemorySpec, [node.memory for node in nodes])
+        and _in_ranges(CryptoProfile, profiles)
+        and _in_ranges(QuantumLinkSpec, links)
+        and _in_ranges(ClassicalChannelSpec, channels.values())
+        and not _range_problems(config)
+        and (adv is None or not _adversary_violations(adv, link_keys))
+    )
+
+
+def _record_violations(config: ScenarioConfig) -> list[Violation]:
+    """Every violation of :func:`validate_scenario`, read record by record, in record order."""
     vios: list[Violation] = []
     node_ids: set[str] = set()
     profile_problems: dict[int, list[tuple[str, str]]] = {}
@@ -650,21 +844,24 @@ def validate_scenario(config: ScenarioConfig) -> list[Violation]:
 
     vios.extend(Violation(f"$.{name}", message) for name, message in _range_problems(config))
     if config.adversary is not None:
-        adv = config.adversary
-        vios.extend(Violation(f"$.adversary.{name}", message) for name, message in _range_problems(adv))
-        if adv.delta_t == math.inf and math.isfinite(adv.t_eve) and math.isfinite(adv.t_pqc):
-            vios.append(Violation("$.adversary", "t_eve + t_pqc must be finite"))
-        pair = split_pair_key(adv.intercept_link)
-        if pair is None or pair_key(*pair) not in seen_links:
-            vios.append(
-                Violation("$.adversary.intercept_link", f"no quantum link matches {adv.intercept_link!r}")
-            )
-        elif pair[0] > pair[1]:
-            vios.append(Violation("$.adversary.intercept_link", f"must be in pair_key order, {pair_key(*pair)!r}"))
+        vios.extend(_adversary_violations(config.adversary, seen_links))
 
     # Referential problems are already reported; shape checks need clean links.
     if links_clean:
         vios.extend(_validate_topology(config))
+    return vios
+
+
+def _adversary_violations(adv: AdversaryConfig, link_keys: set[str]) -> list[Violation]:
+    """The adversary's ranges, its finite total delay, and an ``intercept_link`` that names a link in order."""
+    vios = [Violation(f"$.adversary.{name}", message) for name, message in _range_problems(adv)]
+    if adv.delta_t == math.inf and math.isfinite(adv.t_eve) and math.isfinite(adv.t_pqc):
+        vios.append(Violation("$.adversary", "t_eve + t_pqc must be finite"))
+    pair = split_pair_key(adv.intercept_link)
+    if pair is None or pair_key(*pair) not in link_keys:
+        vios.append(Violation("$.adversary.intercept_link", f"no quantum link matches {adv.intercept_link!r}"))
+    elif pair[0] > pair[1]:
+        vios.append(Violation("$.adversary.intercept_link", f"must be in pair_key order, {pair_key(*pair)!r}"))
     return vios
 
 
@@ -734,13 +931,16 @@ def _walk(config: ScenarioConfig, links: Sequence[QuantumLinkSpec]) -> tuple[lis
         return None, vios
     start, finish = ends
     path = [start]
-    previous = None
-    while path[-1] != finish and len(path) <= len(links):
-        candidates = [n for n in adjacency[path[-1]] if n != previous]
-        if len(candidates) != 1:
+    node, previous = start, None
+    # Every node here has one or two neighbours, and every one the walk reaches
+    # lists the node it came from; it leaves by the other.  (Only an isolated
+    # doubled link would list one neighbour twice, and no walk reaches it.)
+    for _ in links:
+        if node == finish:
             break
-        previous = path[-1]
-        path.append(candidates[0])
+        neighbours = adjacency[node]
+        node, previous = neighbours[-1] if neighbours[0] == previous else neighbours[0], node
+        path.append(node)
     if path[-1] != finish or len(path) != len(links) + 1:
         vios.append(Violation("$.quantum_links", "links must form one connected path (no cycles or islands)"))
         return None, vios

@@ -126,3 +126,34 @@ def chain_scenario(
         slot_duration=slot_duration,
         adversary=adversary,
     )
+
+
+def chain_document(n_repeaters: int) -> dict:
+    """A valid ``parallel_chain`` scenario document, as a user writes it, over the shipped profiles.
+
+    ``a_end - r0001 - ... - z_end``, with a channel from every repeater to ``z_end``.  Two values
+    sit on a bound of their declared range: ``p_success`` 1 and ``processing_delay`` 0.
+    """
+    reps = [f"r{i:04d}" for i in range(1, n_repeaters + 1)]
+    ids = ["a_end", *reps, "z_end"]
+    profiles = [p.name for p in model.default_registry().profiles()]
+
+    def node(i, node_id):
+        role = "end_node" if node_id.endswith("_end") else "repeater"
+        memory = {"t_coh": 0.1 if role == "end_node" else 0.05, "tier": "short_lived"}
+        return {"id": node_id, "role": role, "memory": memory, "crypto": profiles[i % len(profiles)]}
+
+    return {
+        "nodes": [node(i, node_id) for i, node_id in enumerate(ids)],
+        "quantum_links": [
+            {"endpoints": [a, b], "gen_rate": 1000.0, "p_success": 1.0, "base_fidelity": 0.97}
+            for a, b in zip(ids, ids[1:])
+        ],
+        "classical_channels": {f"{r},z_end": {"propagation_delay": 0.0004, "processing_delay": 0.0} for r in reps},
+        "protocol": "parallel_chain",
+        "rounds_l": 1,
+        "adversary": None,
+        "seed": 12345,
+        "n_trials": 10,
+        "slot_duration": 0.001,
+    }

@@ -10,7 +10,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from pqnetsim import (
     CryptoKind,
@@ -30,12 +30,14 @@ from pqnetsim import (
     set_config_value,
     validate_scenario,
 )
+from pqnetsim import model
 from pqnetsim.model import parse_scenario, resolve_path
 from pqnetsim.timing import scenario_timings
 
-from scenario_builders import chain_scenario, two_party_scenario
+from scenario_builders import chain_document, chain_scenario, two_party_scenario
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+NAN, INF = float("nan"), float("inf")
 
 
 class TestEffectiveSecurity:
@@ -499,6 +501,38 @@ class TestMalformedInput:
         if messages is not None:
             assert [v["message"] for v in violations] == messages
 
+    @pytest.mark.parametrize(
+        "old, new, key",
+        [
+            pytest.param('"seed": 424242,', '"seed": 1, "seed": 424242,', "seed", id="top-level"),
+            pytest.param('"id": "relay",', '"id": "relay", "id": "relay",', "id", id="node"),
+            pytest.param('"t_coh": 0.03,', '"t_coh": 0.03, "t_coh": 0.03,', "t_coh", id="memory"),
+            pytest.param('"relay"], "gen_rate": 1000.0,', '"relay"], "gen_rate": 1000.0, "p_success": 0.0001,',
+                         "p_success", id="link"),
+            pytest.param('"bob,relay": {', '"bob,relay": {}, "bob,relay": {', "bob,relay", id="channel-pair"),
+            pytest.param('"t_eve": 0.004,', '"t_eve": 0.004, "t_eve": 0.5,', "t_eve", id="adversary"),
+        ],
+    )
+    def test_duplicate_key_exits_two_and_names_it(self, tmp_path, capsys, old, new, key):
+        from pqnetsim.cli import main
+
+        text = (SCENARIO_DIR / "intercepted_chain.json").read_text()
+        assert text.count(old) == 1
+        path = tmp_path / "bad.json"
+        path.write_text(text.replace(old, new))
+        assert main(["check", str(path)]) == 2
+        assert json.loads(capsys.readouterr().out)["violations"] == [
+            {"path": "$", "message": f"not valid JSON: duplicate key {key!r}"}
+        ]
+
+    def test_duplicate_key_in_a_registry_exits_two_and_names_it(self, tmp_path, capsys):
+        from pqnetsim.cli import main
+
+        path = tmp_path / "profiles.json"
+        path.write_text(json.dumps(DOCUMENTS["registry"][:1]).replace('"kind":', '"name": "other", "kind":'))
+        assert main(["--profiles", str(path), "profiles"]) == 2
+        assert capsys.readouterr().err == f"error: cannot read profile registry {path}: duplicate key 'name'\n"
+
 
 # The shipped scenarios and the shipped registry, as the JSON documents a user writes.
 DOCUMENTS = {p.name: json.loads(p.read_text()) for p in sorted(SCENARIO_DIR.glob("*.json"))}
@@ -521,6 +555,18 @@ def subtree_paths(node, prefix=()):
         yield from subtree_paths(child, (*prefix, key))
 
 
+def replaced(name, where, value):
+    """``DOCUMENTS[name]`` with its part at ``where`` replaced by ``value``; the root is the whole document."""
+    if not where:
+        return value
+    document = copy.deepcopy(DOCUMENTS[name])
+    record = document
+    for step in where[:-1]:
+        record = record[step]
+    record[where[-1]] = value
+    return document
+
+
 @st.composite
 def one_part_replaced(draw):
     name = draw(st.sampled_from(sorted(DOCUMENTS)))
@@ -536,14 +582,7 @@ class TestParserFuzz:
     @example(mutation=("registry", (2, "t_encrypt"), 10**400))
     def test_replacing_any_part_parses_or_fails_as_bad_input(self, tmp_path_factory, mutation):
         name, where, value = mutation
-        if not where:
-            document = value
-        else:
-            document = copy.deepcopy(DOCUMENTS[name])
-            record = document
-            for step in where[:-1]:
-                record = record[step]
-            record[where[-1]] = value
+        document = replaced(name, where, value)
         # A result or bad input (ScenarioValidationError is a ParameterError); any other exception fails.
         try:
             if name == "registry":
@@ -556,11 +595,126 @@ class TestParserFuzz:
             pass
 
 
+class TestFastPath:
+    """Valid input is read and validated by the fast paths; the exact ones never run on it."""
+
+    @pytest.fixture
+    def exact_paths_forbidden(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("an exact path ran on valid input")
+
+        monkeypatch.setattr(model, "_parse_record", forbidden)
+        monkeypatch.setattr(model, "_record_violations", forbidden)
+
+    @pytest.mark.parametrize("name", sorted(p.name for p in SCENARIO_DIR.glob("*.json")))
+    def test_shipped_scenarios(self, exact_paths_forbidden, name):
+        assert validate_scenario(load_scenario(SCENARIO_DIR / name)) == []
+
+    def test_generated_1200_repeater_chain(self, exact_paths_forbidden, tmp_path):
+        path = tmp_path / "long_chain.json"
+        path.write_text(json.dumps(chain_document(1200)))
+        config = load_scenario(path)
+        assert len(config.quantum_links) == 1201
+        assert validate_scenario(config) == []
+
+
+def fast_and_exact(path):
+    """The outcome of ``load_scenario`` then ``validate_scenario``, and of the exact readers alone.
+
+    An outcome is the parse violations, or the config's ``repr`` (which tells
+    ``1`` from ``1.0`` and ``True``) with the validation violations.
+    """
+    def outcome(parse, validate):
+        try:
+            config = parse()
+        except ScenarioValidationError as err:
+            return "parse", err.violations
+        return "validate", repr(config), validate(config)
+
+    fast = outcome(lambda: load_scenario(path), validate_scenario)
+    exact = outcome(lambda: model._parse_exactly(model._read_json(path), default_registry()),
+                    model._record_violations)
+    return fast, exact
+
+
+NUMBERS = [0, 1, -1, 2**64, 2**1024, -(10**400), 0.0, -0.0, 0.5, 1.0, 1.5, 1e308, NAN, INF, -INF]
+VALUES = [*NUMBERS, True, False, None, "", "x", "alice", "bob,relay", "relay,bob", [], ["alice", "bob"], {}]
+
+
+def one_field_mutations(document):
+    """Each one-field edit of a scenario document, as ``(label, edited copy)``.
+
+    Every part takes each of VALUES; every record loses each key and gains an
+    unknown one; pair keys and ``intercept_link`` are reversed; and a node id,
+    a link and a channel are duplicated.
+    """
+    def edited(where, edit):
+        copied = copy.deepcopy(document)
+        record = copied
+        for step in where:
+            record = record[step]
+        edit(record)
+        return copied
+
+    for where in list(subtree_paths(document))[1:]:
+        for value in VALUES:
+            yield f"{where}={value!r}", edited(where[:-1], lambda r: r.__setitem__(where[-1], value))
+    for where in subtree_paths(document):
+        record = document
+        for step in where:
+            record = record[step]
+        if isinstance(record, dict):
+            for key in record:
+                yield f"{where} without {key!r}", edited(where, lambda r: r.pop(key))
+            yield f"{where} with an extra key", edited(where, lambda r: r.__setitem__("extra", 1.0))
+    for key in document["classical_channels"]:
+        reverse = ",".join(reversed(key.split(",")))
+        yield f"channel {key!r} reversed", edited(("classical_channels",),
+                                                  lambda r: r.__setitem__(reverse, r.pop(key)))
+        yield f"channel {key!r} twice", edited(("classical_channels",),
+                                               lambda r: r.__setitem__(reverse, r[key]))
+    if document.get("adversary"):
+        link = document["adversary"]["intercept_link"]
+        yield "intercept_link reversed", edited(("adversary",), lambda r: r.__setitem__(
+            "intercept_link", ",".join(reversed(link.split(",")))))
+    for i, node in enumerate(document["nodes"][1:], 1):
+        yield f"node {i} takes node 0's id", edited(("nodes", i), lambda r: r.__setitem__("id", document["nodes"][0]["id"]))
+    for i, link in enumerate(document["quantum_links"]):
+        yield f"link {i} twice", edited(("quantum_links",), lambda r: r.append(copy.deepcopy(link)))
+
+
+class TestFastPathDifferential:
+    """The fast paths give the exact readers' config, or their violations in their order."""
+
+    @pytest.mark.parametrize("name", sorted(p.name for p in SCENARIO_DIR.glob("*.json")))
+    def test_one_field_mutations_of_shipped_scenarios(self, tmp_path, name):
+        path = tmp_path / name
+        mismatches = []
+        count = 0
+        for label, document in one_field_mutations(DOCUMENTS[name]):
+            path.write_text(json.dumps(document))
+            fast, exact = fast_and_exact(path)
+            count += 1
+            if fast != exact:
+                mismatches.append((label, fast, exact))
+        assert count > 500
+        assert mismatches == []
+
+    @settings(max_examples=300, deadline=None)
+    @given(mutation=one_part_replaced())
+    def test_replacing_any_part(self, tmp_path_factory, mutation):
+        name, where, value = mutation
+        assume(name != "registry" and where)  # a replaced root is refused before either reader runs
+        path = tmp_path_factory.getbasetemp() / "fuzzed_scenario.json"
+        path.write_text(json.dumps(replaced(name, where, value)))
+        fast, exact = fast_and_exact(path)
+        assert fast == exact
+
+
 # ---------------------------------------------------------------------------
 # Range and topology violations, pinned through `check`
 # ---------------------------------------------------------------------------
 
-NAN, INF = float("nan"), float("inf")
 ALICE_RELAY = "link 'alice,relay'"
 RELAY_NODE = {"id": "relay", "role": "repeater", "memory": {"t_coh": 0.03, "tier": "short_lived"},
               "crypto": "dilithium-class"}
