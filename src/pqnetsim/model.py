@@ -6,22 +6,21 @@ description, and the validation machinery that turns a JSON document into a
 checked :class:`ScenarioConfig`.
 
 The dataclasses are the schema: their field names give the keys, their type
-hints the JSON type of each value (read by :func:`_parse_record`), and their
-``range`` metadata each value's legal range (checked by :func:`_range_problems`).
+hints the JSON type of each value (read by :func:`_record_reader`), and their
+``range`` metadata each value's legal range (checked by :func:`_range_check`).
 Durations are numbers in seconds; unknown keys are violations, never ignored,
 and so is a key given twice in one JSON object.
 Unordered node pairs (classical-channel keys and the adversary's
 ``intercept_link``) are encoded as the two node ids joined by a comma, e.g.
 ``"alice,relay"``; key order does not matter and is normalized on load.
 
-Valid input takes a fast path through both layers.  A record whose keys are
-its field names and whose values have exactly the JSON types their readers
-take is built directly, by a reader made once per class from its fields
-(:func:`_fast_record`); a scenario whose records pass one fast test
-(:func:`_records_valid`) goes straight to the protocol-shape checks.  Any
-other input is read by the exact code (:func:`_parse_exactly`,
-:func:`_record_violations`), and only that code reports a violation, so
-every message, path and order is the same on either path.
+Every JSON type has one reader, and valid and invalid input take the same
+path.  A reader returns its value or raises every problem it found, each
+with its path relative to the value; a record, list or pair-keyed object
+reads each item once, in one loop, and puts the item's key in front of the
+item's problems (:func:`_record_reader`).  Validation reads the records once
+each, in record order, and builds a violation's path only when it reports
+one (:func:`validate_scenario`).
 """
 
 from __future__ import annotations
@@ -30,7 +29,6 @@ import dataclasses
 import functools
 import json
 import math
-import operator
 import sys
 import types
 import typing
@@ -354,22 +352,22 @@ def load_registry(path: str | Path) -> CryptoRegistry:
         raise ParameterError(f"cannot read profile registry {path}: {exc}") from exc
     if not isinstance(data, list):
         raise ParameterError("profile registry must be a JSON array of profile objects")
+    read, check = _record_reader(CryptoProfile), _range_check(CryptoProfile)
     vios: list[Violation] = []
     profiles = []
     for i, raw in enumerate(data):
-        where = f"[{i}]"
         unknown = raw.keys() - _field_names(CryptoProfile) if isinstance(raw, dict) else None
         if unknown:
-            vios.append(Violation(where, f"unknown profile key(s): {sorted(unknown)}"))
+            vios.append(Violation(f"[{i}]", f"unknown profile key(s): {sorted(unknown)}"))
             continue
-        found: list[Violation] = []
-        profile = _parse_record(CryptoProfile, raw, where, found, None)
-        if profile is not None:
-            profiles.append(profile)
-            found += [Violation(f"{where}.{fname}", problem) for fname, problem in _range_problems(profile)]
+        try:
+            profiles.append(read(raw, None))
+            problems = [(f".{name}", message) for name, message in check(profiles[-1])]
+        except _Problems as exc:
+            problems = exc.problems
         name = raw.get("name") if isinstance(raw, dict) else None
         named = f" (profile {name!r})" if isinstance(name, str) and name else ""
-        vios.extend(Violation(v.path + named, v.message) for v in found)
+        vios.extend(Violation(f"[{i}]{where}{named}", message) for where, message in problems)
     if vios:
         raise ParameterError("; ".join(map(str, vios)))
     return CryptoRegistry(profiles)
@@ -416,13 +414,26 @@ def _ranges(cls: type) -> tuple[tuple[str, dict], ...]:
     return tuple((f.name, f.metadata) for f in dataclasses.fields(cls) if "range" in f.metadata)
 
 
-def _range_problems(record: Any) -> list[tuple[str, str]]:
-    """``(field name, message)`` for each field of ``record`` outside its declared range, in field order."""
-    problems = []
-    for name, spec in _ranges(type(record)):
-        low, high, message = spec["range"]
-        if not low <= getattr(record, name) <= high:
-            problems.append((name, message))
+@functools.cache
+def _range_check(cls: type) -> Callable[[Any], list[tuple[str, str]]]:
+    """The range check of dataclass ``cls``, built once per class from its :func:`_ranges`.
+
+    It gives ``(field name, message)`` for each field of a record outside its
+    declared range, in field order.  A field with an integer range must
+    first hold an integer, as in :func:`_check_arg`.
+    """
+    bounds = tuple((name, *spec["range"], type(spec["range"][0]) is int) for name, spec in _ranges(cls))
+
+    def problems(record):
+        found = []
+        for name, low, high, message, integer in bounds:
+            value = getattr(record, name)
+            if integer and not _is_int(value):
+                found.append((name, "must be an integer"))
+            elif not low <= value <= high:
+                found.append((name, message))
+        return found
+
     return problems
 
 
@@ -430,145 +441,88 @@ def _mismatch(expected: str, value: Any) -> str:
     return f"expected {expected}, got {'an empty string' if value == '' else type(value).__name__}"
 
 
-# A reader parses one JSON value: ``read(value, path, key, vios, registry)``
-# returns the value, or appends a violation at ``path + key`` (the path is
-# only built then) and returns None.  Readers of composite types are
-# ``functools.partial``s that bind what the type hint names.
+class _Problems(Exception):
+    """What a reader found wrong: ``(path relative to the value read, message)`` pairs, in document order."""
 
-def _read_float(value, path, key, vios, registry):
+    def __init__(self, problems: list[tuple[str, str]]):
+        self.problems = problems
+
+
+def _problem(message: str) -> _Problems:
+    return _Problems([("", message)])
+
+
+def _under(suffix: str, exc: _Problems) -> list[tuple[str, str]]:
+    """The problems of ``exc``, moved under an item's ``suffix`` (``.field``, ``[i]`` or ``['a,b']``)."""
+    return [(suffix + where, message) for where, message in exc.problems]
+
+
+# A reader reads one JSON value: ``read(value, registry)`` returns it as its
+# type hint names it, or raises _Problems.  Readers of composite types are
+# ``functools.partial``s that bind what the type hint names; each reads its
+# items in one loop and puts an item's suffix in front of the item's problems.
+
+def _read_float(value, registry):
+    if type(value) is float:
+        return value
     if not _is_number(value):
-        vios.append(Violation(path + key, _mismatch("a number", value)))
-        return None
+        raise _problem(_mismatch("a number", value))
     try:
         return float(value)
     except OverflowError:
-        vios.append(Violation(path + key, "integer too large for a float"))
+        raise _problem("integer too large for a float") from None
 
 
-def _read_checked(ok, expected, value, path, key, vios, registry):
+def _read_checked(ok, expected, value, registry):
     """Take a JSON value as it is when ``ok`` accepts it."""
     if ok(value):
         return value
-    vios.append(Violation(path + key, _mismatch(expected, value)))
+    raise _problem(_mismatch(expected, value))
 
 
 _read_str = functools.partial(_read_checked, lambda v: isinstance(v, str) and v != "", "a non-empty string")
 
 
-def _read_profile(value, path, key, vios, registry):
+def _read_profile(value, registry):
     """``NodeSpec.crypto``: the name of a registry profile, resolved here."""
-    name = _read_str(value, path, key, vios, registry)
-    if name is not None:
-        try:
-            return registry.lookup(name)
-        except ProfileNotFoundError:
-            vios.append(Violation(path + key, f"unknown crypto profile {name!r}"))
-
-
-def _read_ids(value, path, key, vios, registry):
-    if isinstance(value, list) and len(value) == 2 and all(isinstance(e, str) and e for e in value):
-        return value[0], value[1]
-    vios.append(Violation(path + key, "must be a list of two node ids"))
-
-
-def _read_enum(members, value, path, key, vios, registry):
+    name = _read_str(value, registry)
     try:
-        return members[value]
-    except (KeyError, TypeError):
-        vios.append(Violation(path + key, f"must be one of {list(members)}, got {value!r}"))
-
-
-def _read_optional(read, value, path, key, vios, registry):
-    return None if value is None else read(value, path, key, vios, registry)
-
-
-def _read_record(cls, value, path, key, vios, registry):
-    return _parse_record(cls, value, path + key, vios, registry)
-
-
-def _read_list(read, value, path, key, vios, registry):
-    if not isinstance(value, list):
-        vios.append(Violation(path + key, _mismatch("a list", value)))
-        return None
-    path += key
-    return tuple([read(item, path, f"[{i}]", vios, registry) for i, item in enumerate(value)])
-
-
-def _read_pair_keyed(read, value, path, key, vios, registry):
-    """An object keyed by ``"a,b"`` node pairs; keys are canonicalised with :func:`pair_key`."""
-    if not isinstance(value, dict):
-        vios.append(Violation(path + key, _mismatch("an object keyed by 'a,b' node pairs", value)))
-        return None
-    path += key
-    out = {}
-    for text, item in value.items():
-        where = f"[{text!r}]"
-        pair = split_pair_key(text)
-        if pair is None or pair[0] == pair[1]:
-            vios.append(Violation(path + where, "key must name two distinct node ids joined by a comma"))
-            continue
-        canon = pair_key(*pair)
-        parsed = read(item, path, where, vios, registry)
-        if canon in out:
-            vios.append(Violation(path + where, "duplicate channel for this node pair"))
-        out[canon] = parsed
-    return out
-
-
-# A fast reader takes one JSON value only as the exact reader would take it
-# unchanged: ``fast(value, registry)`` returns what the exact reader returns,
-# or raises _NotFast for anything else (a value the exact reader converts,
-# defaults or reports), and the exact readers then read the whole document.
-
-class _NotFast(Exception):
-    """A value the fast readers do not take as it is."""
-
-
-def _fast_type(cls: type) -> Callable:
-    """The fast reader of a scalar: the value itself, when its type is exactly ``cls``."""
-    def read(value, registry):
-        if type(value) is cls:
-            return value
-        raise _NotFast
-    return read
-
-
-def _fast_str(value, registry):
-    if type(value) is str and value:
-        return value
-    raise _NotFast
-
-
-def _fast_profile(value, registry):
-    try:
-        return registry.lookup(_fast_str(value, registry))
+        return registry.lookup(name)
     except ProfileNotFoundError:
-        raise _NotFast from None
+        raise _problem(f"unknown crypto profile {name!r}") from None
 
 
-def _fast_ids(value, registry):
-    if type(value) is list and len(value) == 2:
+def _read_ids(value, registry):
+    if isinstance(value, list) and len(value) == 2:
         a, b = value
-        if type(a) is str and a and type(b) is str and b:
+        if isinstance(a, str) and a and isinstance(b, str) and b:
             return a, b
-    raise _NotFast
+    raise _problem("must be a list of two node ids")
 
 
-def _fast_enum(members, value, registry):
+def _read_enum(members, value, registry):
     try:
         return members[value]
     except (KeyError, TypeError):
-        raise _NotFast from None
+        raise _problem(f"must be one of {list(members)}, got {value!r}") from None
 
 
-def _fast_optional(read, value, registry):
+def _read_optional(read, value, registry):
     return None if value is None else read(value, registry)
 
 
-def _fast_list(read, value, registry):
-    if type(value) is not list:
-        raise _NotFast
-    return tuple([read(item, registry) for item in value])
+def _read_list(read, value, registry):
+    if not isinstance(value, list):
+        raise _problem(_mismatch("a list", value))
+    items, problems = [], []
+    for i, item in enumerate(value):
+        try:
+            items.append(read(item, registry))
+        except _Problems as exc:
+            problems += _under(f"[{i}]", exc)
+    if problems:
+        raise _Problems(problems)
+    return tuple(items)
 
 
 def _ordered_pair(text: str) -> bool:
@@ -577,110 +531,94 @@ def _ordered_pair(text: str) -> bool:
     return len(parts) == 2 and "" < parts[0] < parts[1]
 
 
-def _fast_pair_keyed(read, value, registry):
-    """Pair keys already in :func:`pair_key` order, so none needs canonicalising."""
-    if type(value) is not dict or not all(map(_ordered_pair, value)):
-        raise _NotFast
-    return {key: read(item, registry) for key, item in value.items()}
+def _read_pair_keyed(read, value, registry):
+    """An object keyed by ``"a,b"`` node pairs; keys are canonicalised with :func:`pair_key`."""
+    if not isinstance(value, dict):
+        raise _problem(_mismatch("an object keyed by 'a,b' node pairs", value))
+    out, problems = {}, []
+    for text, item in value.items():
+        canon = text
+        if not _ordered_pair(text):
+            pair = split_pair_key(text)
+            if pair is None or pair[0] == pair[1]:
+                problems.append((f"[{text!r}]", "key must name two distinct node ids joined by a comma"))
+                continue
+            canon = pair_key(*pair)
+        try:
+            parsed = read(item, registry)
+        except _Problems as exc:
+            parsed = None
+            problems += _under(f"[{text!r}]", exc)
+        if canon in out:
+            problems.append((f"[{text!r}]", "duplicate channel for this node pair"))
+        out[canon] = parsed
+    if problems:
+        raise _Problems(problems)
+    return out
 
 
-@functools.cache
-def _fast_record(cls: type) -> Callable:
-    """The fast reader of dataclass ``cls``, built once per class from its :func:`_plan`.
-
-    It takes an object whose keys are the field names (those with a default
-    may be missing) and whose values each pass their field's fast reader,
-    and calls ``cls`` with them positionally.
-    """
-    plan = _plan(cls)
-    names = _field_names(cls)
-    defaults = {name: default for name, _, default, _, _ in plan if default is not dataclasses.MISSING}
-    required = names - defaults.keys()
-    steps = tuple((name, fast) for name, _, _, _, fast in plan)
-
-    def read(raw, registry):
-        if type(raw) is not dict:
-            raise _NotFast
-        if raw.keys() != names:
-            if not required <= raw.keys() <= names:
-                raise _NotFast
-            raw = {**defaults, **raw}
-        return cls(*[fast(raw[name], registry) for name, fast in steps])
-
-    return read
-
-
-_SCALAR_READERS = {
-    float: (_read_float, _fast_type(float)),
-    int: (functools.partial(_read_checked, _is_int, "an integer"), _fast_type(int)),
-    bool: (functools.partial(_read_checked, lambda v: isinstance(v, bool), "a boolean"), _fast_type(bool)),
-    str: (_read_str, _fast_str),
+_SCALARS = {
+    float: _read_float,
+    int: functools.partial(_read_checked, _is_int, "an integer"),
+    bool: functools.partial(_read_checked, lambda v: isinstance(v, bool), "a boolean"),
+    str: _read_str,
 }
 
 
-def _reader(hint: Any) -> tuple[Callable, Callable]:
-    """The exact and the fast reader for a dataclass field's type hint."""
-    if hint in _SCALAR_READERS:
-        return _SCALAR_READERS[hint]
+def _reader(hint: Any) -> Callable:
+    """The reader for a dataclass field's type hint."""
+    if hint in _SCALARS:
+        return _SCALARS[hint]
     if isinstance(hint, type) and issubclass(hint, Enum):
-        members = {m.value: m for m in hint}
-        return functools.partial(_read_enum, members), functools.partial(_fast_enum, members)
+        return functools.partial(_read_enum, {m.value: m for m in hint})
     if dataclasses.is_dataclass(hint):
-        return functools.partial(_read_record, hint), _fast_record(hint)
+        return _record_reader(hint)
     origin, args = typing.get_origin(hint), typing.get_args(hint)
     if origin is tuple and args == (str, str):
-        return _read_ids, _fast_ids
+        return _read_ids
     if origin is types.UnionType and len(args) == 2 and args[1] is type(None):
-        read, fast, inner = _read_optional, _fast_optional, args[0]
+        read, inner = _read_optional, args[0]
     elif origin is tuple and len(args) == 2 and args[1] is Ellipsis:
-        read, fast, inner = _read_list, _fast_list, args[0]
+        read, inner = _read_list, args[0]
     elif origin is dict and args[0] is str:
-        read, fast, inner = _read_pair_keyed, _fast_pair_keyed, args[1]
+        read, inner = _read_pair_keyed, args[1]
     else:
         raise TypeError(f"no JSON reader for type {hint!r}")
-    inner_read, inner_fast = _reader(inner)
-    return functools.partial(read, inner_read), functools.partial(fast, inner_fast)
+    return functools.partial(read, _reader(inner))
 
 
 @functools.cache
-def _plan(cls: type) -> tuple[tuple[str, str, Any, Callable, Callable], ...]:
-    """How to read a dataclass from JSON, built once per class.
+def _record_reader(cls: type) -> Callable:
+    """The reader of dataclass ``cls``, built once per class from its fields and their type hints.
 
-    One step per field, in field order: its name, its path suffix, its
-    default (``dataclasses.MISSING`` when it has none), and the exact and
-    the fast reader of its type hint.  A field marked ``registry_name`` is
-    read as a profile name.
+    It reads a JSON object keyed by field names.  Its problems are the
+    unknown keys, then each missing or ill-typed field in field order; a
+    missing field with a default takes it.  A field marked ``registry_name``
+    is read as a profile name.
     """
     hints = typing.get_type_hints(cls)
-    steps = []
-    for f in dataclasses.fields(cls):
-        read, fast = (_read_profile, _fast_profile) if f.metadata.get("registry_name") else _reader(hints[f.name])
-        steps.append((f.name, "." + f.name, f.default, read, fast))
-    return tuple(steps)
-
-
-def _parse_record(cls: type, raw: Any, path: str, vios: list[Violation], registry: CryptoRegistry | None) -> Any:
-    """Read the JSON object ``raw`` as dataclass ``cls``, by its fields and their type hints.
-
-    Unknown keys, then each missing or ill-typed field in field order, are
-    appended to ``vios`` at their paths under ``path``; the record is
-    returned only if there were none.  A missing field with a default takes it.
-    """
-    if not isinstance(raw, dict):
-        vios.append(Violation(path, _mismatch("an object", raw)))
-        return None
-    count = len(vios)
     names = _field_names(cls)
-    if not raw.keys() <= names:
-        vios.extend(Violation(f"{path}.{key}", "unknown key") for key in sorted(raw.keys() - names))
-    values = {}
-    for name, key, default, read, _ in _plan(cls):
-        value = raw.get(name, default)
-        if value is dataclasses.MISSING:
-            vios.append(Violation(path + key, "missing"))
-        else:
-            values[name] = read(value, path, key, vios, registry)
-    return cls(**values) if len(vios) == count else None
+    steps = tuple((f.name, f.default, _read_profile if f.metadata.get("registry_name") else _reader(hints[f.name]))
+                  for f in dataclasses.fields(cls))
+
+    def read(raw, registry):
+        if not isinstance(raw, dict):
+            raise _problem(_mismatch("an object", raw))
+        problems = [] if raw.keys() <= names else [(f".{key}", "unknown key") for key in sorted(raw.keys() - names)]
+        values = []
+        for name, default, read_field in steps:
+            value = raw.get(name, default)
+            try:
+                if value is dataclasses.MISSING:
+                    raise _problem("missing")
+                values.append(read_field(value, registry))
+            except _Problems as exc:
+                problems += _under(f".{name}", exc)
+        if problems:
+            raise _Problems(problems)
+        return cls(*values)
+
+    return read
 
 
 def parse_scenario(data: Any, registry: CryptoRegistry) -> ScenarioConfig:
@@ -690,33 +628,20 @@ def parse_scenario(data: Any, registry: CryptoRegistry) -> ScenarioConfig:
     crypto-profile names, malformed pair keys) are collected and raised
     together as a :class:`ScenarioValidationError`.  Range and referential
     invariants are the job of :func:`validate_scenario`, which callers
-    should run next.  A document the fast readers take as it is is built by
-    them; any other is read by :func:`_parse_exactly`, which reports it.
+    should run next.
     """
     if not isinstance(data, dict):
         raise ScenarioValidationError([Violation("$", "scenario must be a JSON object")])
     try:
-        config = _fast_record(ScenarioConfig)(data, registry)
-        if config.adversary is None or _ordered_pair(config.adversary.intercept_link):
-            return config
-    except _NotFast:
-        pass
-    return _parse_exactly(data, registry)
-
-
-def _parse_exactly(data: dict, registry: CryptoRegistry) -> ScenarioConfig:
-    """The exact reader of :func:`parse_scenario`: every structural violation, in field order."""
-    vios: list[Violation] = []
-    config = _parse_record(ScenarioConfig, data, "$", vios, registry)
-    if config is not None and config.adversary is not None:
+        config = _record_reader(ScenarioConfig)(data, registry)
+    except _Problems as exc:
+        raise ScenarioValidationError([Violation(f"${where}", message) for where, message in exc.problems]) from None
+    if config.adversary is not None:
         pair = split_pair_key(config.adversary.intercept_link)
         if pair is None:
-            vios.append(Violation("$.adversary.intercept_link", "must name a link as 'a,b'"))
-        else:
-            adversary = dataclasses.replace(config.adversary, intercept_link=pair_key(*pair))
-            config = dataclasses.replace(config, adversary=adversary)
-    if vios:
-        raise ScenarioValidationError(vios)
+            raise ScenarioValidationError([Violation("$.adversary.intercept_link", "must name a link as 'a,b'")])
+        adversary = dataclasses.replace(config.adversary, intercept_link=pair_key(*pair))
+        config = dataclasses.replace(config, adversary=adversary)
     return config
 
 
@@ -738,130 +663,81 @@ def validate_scenario(config: ScenarioConfig) -> list[Violation]:
     """Check every scenario invariant; returns one violation per failure.
 
     Idempotent and order-independent: permuting node or link lists changes
-    only the index part of violation paths, never the violation set.  A
-    scenario whose records pass one fast test (:func:`_records_valid`) goes
-    straight to the protocol-shape checks; any other is read record by
-    record, and only that loop reports a record's violations.
+    only the index part of violation paths, never the violation set.  The
+    records are checked once each, in record order, and a violation's path
+    is built only when it is reported.
     """
     _check_type(config, "config", ScenarioConfig)
-    try:
-        valid = _records_valid(config)
-    except (TypeError, ValueError, AttributeError):  # a record the fast test cannot read: the loop reports it
-        valid = False
-    return _validate_topology(config) if valid else _record_violations(config)
-
-
-def _in_ranges(cls: type, records: Iterable[Any]) -> bool:
-    """True if each declared range of ``cls`` holds on every record; a comparison per value, so NaN fails."""
-    for name, spec in _ranges(cls):
-        low, high, _ = spec["range"]
-        if not all(low <= value <= high for value in map(operator.attrgetter(name), records)):
-            return False
-    return True
-
-
-def _records_valid(config: ScenarioConfig) -> bool:
-    """The fast test: True only where :func:`_record_violations` finds nothing but the topology's violations.
-
-    Node ids are unique; links name two distinct known nodes, once each;
-    channel keys are in :func:`pair_key` order and name known nodes; every
-    value lies in its declared range; and the adversary passes its checks.
-    """
-    nodes, links, channels, adv = config.nodes, config.quantum_links, config.classical_channels, config.adversary
-    ids = {node.id for node in nodes}
-    link_keys = {link.key for link in links}
-    if len(ids) != len(nodes) or len(link_keys) != len(links):
-        return False
-    for a, b in map(operator.attrgetter("endpoints"), links):
-        if a == b or a not in ids or b not in ids:
-            return False
-    if not all(_ordered_pair(key) and ids.issuperset(key.split(",")) for key in channels):
-        return False
-    # Many nodes share one profile object; check each once.
-    profiles = {id(node.crypto): node.crypto for node in nodes}.values()
-    return (
-        _in_ranges(MemorySpec, [node.memory for node in nodes])
-        and _in_ranges(CryptoProfile, profiles)
-        and _in_ranges(QuantumLinkSpec, links)
-        and _in_ranges(ClassicalChannelSpec, channels.values())
-        and not _range_problems(config)
-        and (adv is None or not _adversary_violations(adv, link_keys))
-    )
-
-
-def _record_violations(config: ScenarioConfig) -> list[Violation]:
-    """Every violation of :func:`validate_scenario`, read record by record, in record order."""
     vios: list[Violation] = []
     node_ids: set[str] = set()
     profile_problems: dict[int, list[tuple[str, str]]] = {}
+    check_memory, check_profile = _range_check(MemorySpec), _range_check(CryptoProfile)
     for i, node in enumerate(config.nodes):
-        path = f"$.nodes[{i}]"
         if node.id in node_ids:
-            vios.append(Violation(f"{path}.id", f"duplicate node id {node.id!r}"))
+            vios.append(Violation(f"$.nodes[{i}].id", f"duplicate node id {node.id!r}"))
         node_ids.add(node.id)
-        for name, message in _range_problems(node.memory):
-            vios.append(Violation(f"{path}.memory.{name}", f"node {node.id!r}: {name} {message}"))
+        for name, message in check_memory(node.memory):
+            vios.append(Violation(f"$.nodes[{i}].memory.{name}", f"node {node.id!r}: {name} {message}"))
         # Many nodes share one profile object; check each once.
         crypto = node.crypto
         problems = profile_problems.get(id(crypto))
         if problems is None:
-            problems = profile_problems[id(crypto)] = _range_problems(crypto)
+            problems = profile_problems[id(crypto)] = check_profile(crypto)
         for name, message in problems:
-            vios.append(Violation(f"{path}.crypto.{name}", f"profile {crypto.name!r}: {message}"))
+            vios.append(Violation(f"$.nodes[{i}].crypto.{name}", f"profile {crypto.name!r}: {message}"))
 
     seen_links: set[str] = set()
     links_clean = True
+    check_link = _range_check(QuantumLinkSpec)
     for i, link in enumerate(config.quantum_links):
-        path = f"$.quantum_links[{i}]"
         a, b = link.endpoints
         key = link.key
         count = len(vios)
         if a == b:
-            vios.append(Violation(f"{path}.endpoints", f"link {key!r}: endpoints must be distinct"))
+            vios.append(Violation(f"$.quantum_links[{i}].endpoints", f"link {key!r}: endpoints must be distinct"))
         for endpoint in (a, b):
             if endpoint not in node_ids:
-                vios.append(Violation(f"{path}.endpoints", f"link references unknown node id {endpoint!r}"))
+                message = f"link references unknown node id {endpoint!r}"
+                vios.append(Violation(f"$.quantum_links[{i}].endpoints", message))
         if key in seen_links:
-            vios.append(Violation(f"{path}.endpoints", f"duplicate quantum link {key!r}"))
+            vios.append(Violation(f"$.quantum_links[{i}].endpoints", f"duplicate quantum link {key!r}"))
         seen_links.add(key)
         links_clean = links_clean and len(vios) == count
-        for name, message in _range_problems(link):
-            vios.append(Violation(f"{path}.{name}", f"link {key!r}: {name} {message}"))
+        for name, message in check_link(link):
+            vios.append(Violation(f"$.quantum_links[{i}].{name}", f"link {key!r}: {name} {message}"))
 
+    check_channel = _range_check(ClassicalChannelSpec)
     for key, spec in config.classical_channels.items():
-        path = f"$.classical_channels[{key!r}]"
         pair = split_pair_key(key)
         if pair is None or pair[0] == pair[1]:
-            vios.append(Violation(path, "key must name two distinct node ids joined by a comma"))
+            message = "key must name two distinct node ids joined by a comma"
+            vios.append(Violation(f"$.classical_channels[{key!r}]", message))
             continue
         if pair[0] > pair[1]:
-            vios.append(Violation(path, f"key must be in pair_key order, {pair_key(*pair)!r}"))
+            message = f"key must be in pair_key order, {pair_key(*pair)!r}"
+            vios.append(Violation(f"$.classical_channels[{key!r}]", message))
         for endpoint in pair:
             if endpoint not in node_ids:
-                vios.append(Violation(path, f"channel references unknown node id {endpoint!r}"))
-        for name, message in _range_problems(spec):
-            vios.append(Violation(f"{path}.{name}", message))
+                message = f"channel references unknown node id {endpoint!r}"
+                vios.append(Violation(f"$.classical_channels[{key!r}]", message))
+        for name, message in check_channel(spec):
+            vios.append(Violation(f"$.classical_channels[{key!r}].{name}", message))
 
-    vios.extend(Violation(f"$.{name}", message) for name, message in _range_problems(config))
-    if config.adversary is not None:
-        vios.extend(_adversary_violations(config.adversary, seen_links))
+    vios.extend(Violation(f"$.{name}", message) for name, message in _range_check(ScenarioConfig)(config))
+    adv = config.adversary
+    if adv is not None:
+        vios.extend(Violation(f"$.adversary.{name}", message) for name, message in _range_check(AdversaryConfig)(adv))
+        if adv.delta_t == math.inf and math.isfinite(adv.t_eve) and math.isfinite(adv.t_pqc):
+            vios.append(Violation("$.adversary", "t_eve + t_pqc must be finite"))
+        pair = split_pair_key(adv.intercept_link)
+        if pair is None or pair_key(*pair) not in seen_links:
+            vios.append(Violation("$.adversary.intercept_link", f"no quantum link matches {adv.intercept_link!r}"))
+        elif pair[0] > pair[1]:
+            vios.append(Violation("$.adversary.intercept_link", f"must be in pair_key order, {pair_key(*pair)!r}"))
 
     # Referential problems are already reported; shape checks need clean links.
     if links_clean:
         vios.extend(_validate_topology(config))
-    return vios
-
-
-def _adversary_violations(adv: AdversaryConfig, link_keys: set[str]) -> list[Violation]:
-    """The adversary's ranges, its finite total delay, and an ``intercept_link`` that names a link in order."""
-    vios = [Violation(f"$.adversary.{name}", message) for name, message in _range_problems(adv)]
-    if adv.delta_t == math.inf and math.isfinite(adv.t_eve) and math.isfinite(adv.t_pqc):
-        vios.append(Violation("$.adversary", "t_eve + t_pqc must be finite"))
-    pair = split_pair_key(adv.intercept_link)
-    if pair is None or pair_key(*pair) not in link_keys:
-        vios.append(Violation("$.adversary.intercept_link", f"no quantum link matches {adv.intercept_link!r}"))
-    elif pair[0] > pair[1]:
-        vios.append(Violation("$.adversary.intercept_link", f"must be in pair_key order, {pair_key(*pair)!r}"))
     return vios
 
 

@@ -58,8 +58,8 @@ ENGINE_TESTS = ("tests/test_engine.py",)
 CLI_TESTS = ("tests/test_cli.py",)
 FIDELITY_TESTS = ("tests/test_fidelity.py",)
 MALFORMED = "tests/test_model.py::TestMalformedInput"
-FAST_PATH = "tests/test_model.py::TestFastPath"
-DIFFERENTIAL = "tests/test_model.py::TestFastPathDifferential"
+VALID = "tests/test_model.py::TestValidScenarios"
+DIFFERENTIAL = "tests/test_model.py::TestReferenceDifferential"
 
 CATALOG = [
     # The two mutants that once survived the whole of tier-1.
@@ -109,20 +109,22 @@ CATALOG = [
            "reduce(fidelity._swap, [*map(decay, map(decay, run.base_fids, waits_lo, lo_tcoh), waits_hi, hi_tcoh)][1:])",
            ENGINE_TESTS),
     Mutant(ENGINE, "zip(bsm_slot, gen_slot[1:])", "zip(bsm_slot, gen_slot)", ENGINE_TESTS),
-    # The fast paths: a fast reader takes a value only as the exact one would; the fast test is no looser
-    # than the per-record loop (the differential and table tests), and no stricter on valid input (the spies).
-    Mutant(MODEL, "        if type(value) is cls:", "        if isinstance(value, cls):", (MALFORMED, DIFFERENTIAL)),
-    Mutant(MODEL, "all(low <= value <= high for value", "all(low < value <= high for value", (FAST_PATH,)),
-    Mutant(MODEL, "all(low <= value <= high for value", "all(low <= value < high for value", (FAST_PATH,)),
-    Mutant(MODEL, "if len(ids) != len(nodes) or len(link_keys) != len(links):", "if len(link_keys) != len(links):",
-           ("tests/test_model.py::TestValidationTable", DIFFERENTIAL)),
-    Mutant(MODEL, "if not required <= raw.keys() <= names:", "if not raw.keys() <= names:", (MALFORMED,)),
+    # One reader per JSON type: an early accept takes only what the full test would take unchanged, an item's
+    # problems carry its suffix, a pair key is taken as it is only in pair_key order, and the range check
+    # types integers first and keeps its bounds inclusive.
+    Mutant(MODEL, "    if type(value) is float:", "    if _is_number(value):", (DIFFERENTIAL,)),
+    Mutant(MODEL, 'problems += _under(f"[{i}]", exc)', "problems += exc.problems", (MALFORMED,)),
+    Mutant(MODEL, "        if canon in out:", "        if False:", (MALFORMED,)),
+    Mutant(MODEL, "if integer and not _is_int(value):", "if False:",
+           ("tests/test_model.py::TestValidateScenario",)),
+    Mutant(MODEL, "elif not low <= value <= high:", "elif not low < value <= high:", (VALID,)),
+    Mutant(MODEL, "elif not low <= value <= high:", "elif not low <= value < high:", (VALID,)),
     Mutant(MODEL, 'return len(parts) == 2 and "" < parts[0] < parts[1]',
            'return len(parts) == 2 and "" < parts[0] <= parts[1]', (MALFORMED,)),
     # Strict JSON: a key given twice is refused, not last-wins.
     Mutant(MODEL, ", object_pairs_hook=_json_object)", ")", (MALFORMED,)),
     # The walk leaves each node by the neighbour it did not come from.
-    Mutant(MODEL, "if neighbours[0] == previous else", "if neighbours[0] != previous else", (FAST_PATH,)),
+    Mutant(MODEL, "if neighbours[0] == previous else", "if neighbours[0] != previous else", (VALID,)),
 ]
 
 EQUIVALENT = [

@@ -32,8 +32,9 @@ from pqnetsim import (
 )
 from pqnetsim import model
 from pqnetsim.model import parse_scenario, resolve_path
-from pqnetsim.timing import scenario_timings
+from pqnetsim.timing import check_scenario, scenario_timings
 
+from oracles import reference_load_registry, reference_parse_scenario, reference_violations
 from scenario_builders import chain_document, chain_scenario, two_party_scenario
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -270,6 +271,14 @@ class TestValidateScenario:
     def test_scalars_are_listed_in_field_order(self):
         config = dataclasses.replace(two_party_scenario(), seed=-1, n_trials=0, slot_duration=0.0, rounds_l=0)
         assert [v.path for v in validate_scenario(config)] == ["$.seed", "$.n_trials", "$.slot_duration", "$.rounds_l"]
+
+    @pytest.mark.parametrize("value", [2.5, 2.0, True])
+    @pytest.mark.parametrize("name", ["rounds_l", "n_trials"])
+    def test_integer_fields_built_in_code_must_hold_integers(self, name, value):
+        config = dataclasses.replace(load_scenario(SCENARIO_DIR / "purification_rounds.json"), **{name: value})
+        assert validate_scenario(config) == [Violation(f"$.{name}", "must be an integer")]
+        with pytest.raises(ScenarioValidationError, match=rf"\$\.{name}: must be an integer"):
+            check_scenario(config)
 
     def test_end_roles_are_listed_in_path_order(self):
         config = two_party_scenario()
@@ -595,22 +604,14 @@ class TestParserFuzz:
             pass
 
 
-class TestFastPath:
-    """Valid input is read and validated by the fast paths; the exact ones never run on it."""
-
-    @pytest.fixture
-    def exact_paths_forbidden(self, monkeypatch):
-        def forbidden(*args, **kwargs):
-            raise AssertionError("an exact path ran on valid input")
-
-        monkeypatch.setattr(model, "_parse_record", forbidden)
-        monkeypatch.setattr(model, "_record_violations", forbidden)
+class TestValidScenarios:
+    """The shipped scenarios and a generated chain, whose zero ``processing_delay`` sits on a lower bound."""
 
     @pytest.mark.parametrize("name", sorted(p.name for p in SCENARIO_DIR.glob("*.json")))
-    def test_shipped_scenarios(self, exact_paths_forbidden, name):
+    def test_shipped_scenarios(self, name):
         assert validate_scenario(load_scenario(SCENARIO_DIR / name)) == []
 
-    def test_generated_1200_repeater_chain(self, exact_paths_forbidden, tmp_path):
+    def test_generated_1200_repeater_chain(self, tmp_path):
         path = tmp_path / "long_chain.json"
         path.write_text(json.dumps(chain_document(1200)))
         config = load_scenario(path)
@@ -618,8 +619,8 @@ class TestFastPath:
         assert validate_scenario(config) == []
 
 
-def fast_and_exact(path):
-    """The outcome of ``load_scenario`` then ``validate_scenario``, and of the exact readers alone.
+def model_and_reference(path):
+    """The outcome of ``load_scenario`` then ``validate_scenario``, and of the reference readers.
 
     An outcome is the parse violations, or the config's ``repr`` (which tells
     ``1`` from ``1.0`` and ``True``) with the validation violations.
@@ -631,60 +632,79 @@ def fast_and_exact(path):
             return "parse", err.violations
         return "validate", repr(config), validate(config)
 
-    fast = outcome(lambda: load_scenario(path), validate_scenario)
-    exact = outcome(lambda: model._parse_exactly(model._read_json(path), default_registry()),
-                    model._record_violations)
-    return fast, exact
+    actual = outcome(lambda: load_scenario(path), validate_scenario)
+    reference = outcome(lambda: reference_parse_scenario(model._read_json(path), default_registry()),
+                        reference_violations)
+    return actual, reference
+
+
+def registry_outcome(load, path):
+    """The profiles ``load`` reads from ``path``, or the type and message of what it raises."""
+    try:
+        return repr(load(path).profiles())
+    except Exception as exc:
+        return type(exc), str(exc)
 
 
 NUMBERS = [0, 1, -1, 2**64, 2**1024, -(10**400), 0.0, -0.0, 0.5, 1.0, 1.5, 1e308, NAN, INF, -INF]
 VALUES = [*NUMBERS, True, False, None, "", "x", "alice", "bob,relay", "relay,bob", [], ["alice", "bob"], {}]
 
 
-def one_field_mutations(document):
-    """Each one-field edit of a scenario document, as ``(label, edited copy)``.
+def edited(document, where, edit):
+    """A copy of ``document`` with ``edit`` applied to its part at ``where``."""
+    copied = copy.deepcopy(document)
+    record = copied
+    for step in where:
+        record = record[step]
+    edit(record)
+    return copied
 
-    Every part takes each of VALUES; every record loses each key and gains an
-    unknown one; pair keys and ``intercept_link`` are reversed; and a node id,
-    a link and a channel are duplicated.
+
+def one_field_edits(document):
+    """Each one-field edit of a JSON document, as ``(label, edited copy)``.
+
+    Every part takes each of VALUES, and every object loses each key and gains an unknown one.
     """
-    def edited(where, edit):
-        copied = copy.deepcopy(document)
-        record = copied
-        for step in where:
-            record = record[step]
-        edit(record)
-        return copied
-
     for where in list(subtree_paths(document))[1:]:
         for value in VALUES:
-            yield f"{where}={value!r}", edited(where[:-1], lambda r: r.__setitem__(where[-1], value))
+            yield f"{where}={value!r}", edited(document, where[:-1], lambda r: r.__setitem__(where[-1], value))
     for where in subtree_paths(document):
         record = document
         for step in where:
             record = record[step]
         if isinstance(record, dict):
             for key in record:
-                yield f"{where} without {key!r}", edited(where, lambda r: r.pop(key))
-            yield f"{where} with an extra key", edited(where, lambda r: r.__setitem__("extra", 1.0))
+                yield f"{where} without {key!r}", edited(document, where, lambda r: r.pop(key))
+            yield f"{where} with an extra key", edited(document, where, lambda r: r.__setitem__("extra", 1.0))
+
+
+def one_field_mutations(document):
+    """Each one-field edit of a scenario document, as ``(label, edited copy)``.
+
+    The edits of :func:`one_field_edits`; besides, pair keys and
+    ``intercept_link`` are reversed, and a node id, a link and a channel are
+    duplicated.
+    """
+    yield from one_field_edits(document)
     for key in document["classical_channels"]:
         reverse = ",".join(reversed(key.split(",")))
-        yield f"channel {key!r} reversed", edited(("classical_channels",),
+        yield f"channel {key!r} reversed", edited(document, ("classical_channels",),
                                                   lambda r: r.__setitem__(reverse, r.pop(key)))
-        yield f"channel {key!r} twice", edited(("classical_channels",),
+        yield f"channel {key!r} twice", edited(document, ("classical_channels",),
                                                lambda r: r.__setitem__(reverse, r[key]))
     if document.get("adversary"):
         link = document["adversary"]["intercept_link"]
-        yield "intercept_link reversed", edited(("adversary",), lambda r: r.__setitem__(
+        yield "intercept_link reversed", edited(document, ("adversary",), lambda r: r.__setitem__(
             "intercept_link", ",".join(reversed(link.split(",")))))
     for i, node in enumerate(document["nodes"][1:], 1):
-        yield f"node {i} takes node 0's id", edited(("nodes", i), lambda r: r.__setitem__("id", document["nodes"][0]["id"]))
+        yield f"node {i} takes node 0's id", edited(document, ("nodes", i),
+                                                    lambda r: r.__setitem__("id", document["nodes"][0]["id"]))
     for i, link in enumerate(document["quantum_links"]):
-        yield f"link {i} twice", edited(("quantum_links",), lambda r: r.append(copy.deepcopy(link)))
+        yield f"link {i} twice", edited(document, ("quantum_links",), lambda r: r.append(copy.deepcopy(link)))
 
 
-class TestFastPathDifferential:
-    """The fast paths give the exact readers' config, or their violations in their order."""
+class TestReferenceDifferential:
+    """The readers and validation give the reference's config, or its violations in its order."""
 
     @pytest.mark.parametrize("name", sorted(p.name for p in SCENARIO_DIR.glob("*.json")))
     def test_one_field_mutations_of_shipped_scenarios(self, tmp_path, name):
@@ -693,10 +713,10 @@ class TestFastPathDifferential:
         count = 0
         for label, document in one_field_mutations(DOCUMENTS[name]):
             path.write_text(json.dumps(document))
-            fast, exact = fast_and_exact(path)
+            actual, reference = model_and_reference(path)
             count += 1
-            if fast != exact:
-                mismatches.append((label, fast, exact))
+            if actual != reference:
+                mismatches.append((label, actual, reference))
         assert count > 500
         assert mismatches == []
 
@@ -707,8 +727,22 @@ class TestFastPathDifferential:
         assume(name != "registry" and where)  # a replaced root is refused before either reader runs
         path = tmp_path_factory.getbasetemp() / "fuzzed_scenario.json"
         path.write_text(json.dumps(replaced(name, where, value)))
-        fast, exact = fast_and_exact(path)
-        assert fast == exact
+        actual, reference = model_and_reference(path)
+        assert actual == reference
+
+    def test_one_field_edits_of_the_shipped_registry(self, tmp_path):
+        path = tmp_path / "profiles.json"
+        mismatches = []
+        count = 0
+        for label, document in one_field_edits(DOCUMENTS["registry"]):
+            path.write_text(json.dumps(document))
+            actual = registry_outcome(load_registry, path)
+            reference = registry_outcome(reference_load_registry, path)
+            count += 1
+            if actual != reference:
+                mismatches.append((label, actual, reference))
+        assert count > 900
+        assert mismatches == []
 
 
 # ---------------------------------------------------------------------------
