@@ -16,113 +16,20 @@ Layers:
 * :mod:`pqnetsim.adversary` -- hybrid attack bound, QBER impact, detection.
 * :mod:`pqnetsim.kms` -- key-management scaling analytics.
 * :mod:`pqnetsim.cli` -- the ``pqnetsim`` command-line tool.
+
+The package exports the names in each module's ``__all__``, the one list of
+that module's public names (the command-line tool's aside).
 """
 
-from .adversary import AttackOutcome, DetectionReport, attack_outcome, detect, intercepted_fidelity, qber_of
-from .engine import (
-    DEFAULT_MAX_SLOTS,
-    FailureReason,
-    RunSummary,
-    TrialOutcome,
-    run_monte_carlo,
-    run_trial,
-    run_trials,
-    summarize,
-    sweep,
-    trial_seed_for,
-)
-from .errors import ParameterError, ProfileNotFoundError, ScenarioValidationError, Violation
-from .fidelity import FIDELITY_FLOOR, chain_fidelity, decay, swap
-from .kms import full_mesh_handshakes, hierarchical_handshakes, rekey_cycle_time
-from .model import (
-    AdversaryConfig,
-    ClassicalChannelSpec,
-    CryptoKind,
-    CryptoProfile,
-    CryptoRegistry,
-    MemorySpec,
-    MemoryTier,
-    NodeRole,
-    NodeSpec,
-    Protocol,
-    QuantumLinkSpec,
-    ScenarioConfig,
-    SecurityFamily,
-    default_registry,
-    effective_security,
-    load_registry,
-    load_scenario,
-    pair_key,
-    set_config_value,
-    validate_scenario,
-)
-from .timing import (
-    FeasibilityResult,
-    HopTiming,
-    check_parallel,
-    check_scenario,
-    check_sequential,
-    check_single_hop,
-    min_required_coherence,
-    scenario_timings,
-)
+from . import adversary, engine, errors, fidelity, kms, model, timing
+from .adversary import *
+from .engine import *
+from .errors import *
+from .fidelity import *
+from .kms import *
+from .model import *
+from .timing import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AdversaryConfig",
-    "AttackOutcome",
-    "ClassicalChannelSpec",
-    "CryptoKind",
-    "CryptoProfile",
-    "CryptoRegistry",
-    "DEFAULT_MAX_SLOTS",
-    "DetectionReport",
-    "FIDELITY_FLOOR",
-    "FailureReason",
-    "FeasibilityResult",
-    "HopTiming",
-    "MemorySpec",
-    "MemoryTier",
-    "NodeRole",
-    "NodeSpec",
-    "ParameterError",
-    "ProfileNotFoundError",
-    "Protocol",
-    "QuantumLinkSpec",
-    "RunSummary",
-    "ScenarioConfig",
-    "ScenarioValidationError",
-    "SecurityFamily",
-    "TrialOutcome",
-    "Violation",
-    "attack_outcome",
-    "chain_fidelity",
-    "check_parallel",
-    "check_scenario",
-    "check_sequential",
-    "check_single_hop",
-    "decay",
-    "default_registry",
-    "detect",
-    "effective_security",
-    "full_mesh_handshakes",
-    "hierarchical_handshakes",
-    "intercepted_fidelity",
-    "load_registry",
-    "load_scenario",
-    "min_required_coherence",
-    "pair_key",
-    "qber_of",
-    "rekey_cycle_time",
-    "run_monte_carlo",
-    "run_trial",
-    "run_trials",
-    "scenario_timings",
-    "set_config_value",
-    "summarize",
-    "swap",
-    "sweep",
-    "trial_seed_for",
-    "validate_scenario",
-]
+__all__ = errors.__all__ + model.__all__ + timing.__all__ + fidelity.__all__ + engine.__all__ + adversary.__all__ + kms.__all__

@@ -26,7 +26,6 @@ from .errors import ParameterError
 from .model import _FIDELITY, _FINITE, _POSITIVE, AdversaryConfig, _check_arg, _check_type, _ranges
 
 __all__ = [
-    "AdversaryConfig",
     "AttackOutcome",
     "DetectionReport",
     "attack_outcome",

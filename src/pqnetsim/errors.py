@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+__all__ = ["ParameterError", "ProfileNotFoundError", "ScenarioValidationError", "Violation"]
+
 
 class ParameterError(ValueError):
     """An operation received an argument outside its documented domain."""

@@ -7,7 +7,7 @@ checked :class:`ScenarioConfig`.
 
 The dataclasses are the schema: their field names give the keys, their type
 hints the JSON type of each value (read by :func:`_record_reader`), and their
-``range`` metadata each value's legal range (checked by :func:`_range_check`).
+``range`` metadata each value's legal range (checked by :func:`_range_problem`).
 Durations are numbers in seconds; unknown keys are violations, never ignored,
 and so is a key given twice in one JSON object.
 Unordered node pairs (classical-channel keys and the adversary's
@@ -29,6 +29,7 @@ import dataclasses
 import functools
 import json
 import math
+import operator
 import sys
 import types
 import typing
@@ -85,20 +86,23 @@ _AT_LEAST_ONE = _range(1, math.inf, "must be >= 1")
 _SEED = _range(0, 2**64 - 1, "must fit in an unsigned 64-bit integer")
 
 
+def _range_problem(value: Any, low: Any, high: Any, message: str) -> str | None:
+    """The range rule: None if ``value`` is legal under a :func:`_range` declaration, else what is wrong."""
+    if not (_is_int(value) if type(low) is int else _is_number(value)):
+        return f"must be {'an integer' if type(low) is int else 'a number'}"
+    return None if low <= value <= high else message
+
+
 def _check_arg(value: Any, name: str, spec: dict) -> Any:
-    """``value`` if it is a number (an int for an integer range) inside ``spec``; else a :class:`ParameterError`.
+    """``value`` if :func:`_range_problem` finds nothing under ``spec``; else a :class:`ParameterError`.
 
     The message shows an integer past 128 bits by its size: ``repr`` fails past 4300 digits.
     """
-    low, high, message = spec["range"]
-    integer = type(low) is int
-    if not (_is_int(value) if integer else _is_number(value)):
-        message = f"must be {'an integer' if integer else 'a number'}"
-    elif low <= value <= high:
+    if (problem := _range_problem(value, *spec["range"])) is None:
         return value
     big = _is_int(value) and value.bit_length() > 128
     shown = f"{'a negative' if value < 0 else 'an'} integer of {value.bit_length()} bits" if big else repr(value)
-    raise ParameterError(f"{name} {message}, got {shown}")
+    raise ParameterError(f"{name} {problem}, got {shown}")
 
 
 def _check_type(value: Any, name: str, cls: type) -> Any:
@@ -416,22 +420,17 @@ def _ranges(cls: type) -> tuple[tuple[str, dict], ...]:
 
 @functools.cache
 def _range_check(cls: type) -> Callable[[Any], list[tuple[str, str]]]:
-    """The range check of dataclass ``cls``, built once per class from its :func:`_ranges`.
-
-    It gives ``(field name, message)`` for each field of a record outside its
-    declared range, in field order.  A field with an integer range must
-    first hold an integer, as in :func:`_check_arg`.
-    """
-    bounds = tuple((name, *spec["range"], type(spec["range"][0]) is int) for name, spec in _ranges(cls))
+    """The range check of dataclass ``cls``, built once per class from its :func:`_ranges`: ``(field name,
+    message)`` for each field of a record that :func:`_range_problem` refuses, in field order."""
+    bounds = tuple((name, *spec["range"], None if type(spec["range"][0]) is int else float) for name, spec in _ranges(cls))
 
     def problems(record):
         found = []
-        for name, low, high, message, integer in bounds:
+        for name, low, high, message, fast in bounds:
             value = getattr(record, name)
-            if integer and not _is_int(value):
-                found.append((name, "must be an integer"))
-            elif not low <= value <= high:
-                found.append((name, message))
+            accepted = type(value) is fast and low <= value <= high  # a float in a float range: no call needed
+            if not accepted and (problem := _range_problem(value, low, high, message)):
+                found.append((name, problem))
         return found
 
     return problems
@@ -665,10 +664,12 @@ def validate_scenario(config: ScenarioConfig) -> list[Violation]:
     Idempotent and order-independent: permuting node or link lists changes
     only the index part of violation paths, never the violation set.  The
     records are checked once each, in record order, and a violation's path
-    is built only when it is reported.
+    is built only when it is reported.  Records, enums and dicts of another
+    class than declared are reported alone (:func:`_wrong_classes`).
     """
     _check_type(config, "config", ScenarioConfig)
-    vios: list[Violation] = []
+    if vios := _wrong_classes(config):
+        return vios
     node_ids: set[str] = set()
     profile_problems: dict[int, list[tuple[str, str]]] = {}
     check_memory, check_profile = _range_check(MemorySpec), _range_check(CryptoProfile)
@@ -726,8 +727,9 @@ def validate_scenario(config: ScenarioConfig) -> list[Violation]:
     vios.extend(Violation(f"$.{name}", message) for name, message in _range_check(ScenarioConfig)(config))
     adv = config.adversary
     if adv is not None:
-        vios.extend(Violation(f"$.adversary.{name}", message) for name, message in _range_check(AdversaryConfig)(adv))
-        if adv.delta_t == math.inf and math.isfinite(adv.t_eve) and math.isfinite(adv.t_pqc):
+        problems = _range_check(AdversaryConfig)(adv)
+        vios.extend(Violation(f"$.adversary.{name}", message) for name, message in problems)
+        if not {"t_eve", "t_pqc"} & {name for name, _ in problems} and adv.delta_t == math.inf:
             vios.append(Violation("$.adversary", "t_eve + t_pqc must be finite"))
         pair = split_pair_key(adv.intercept_link)
         if pair is None or pair_key(*pair) not in seen_links:
@@ -739,6 +741,27 @@ def validate_scenario(config: ScenarioConfig) -> list[Violation]:
     if links_clean:
         vios.extend(_validate_topology(config))
     return vios
+
+
+def _wrong_classes(config: ScenarioConfig) -> list[Violation]:
+    """A violation at each record, enum or dict that validation reads and that is of another class than declared.
+
+    What the nodes and the channel table hold is read only once the scenario's own fields have their classes.
+    """
+    nodes, channels, adversary = config.nodes, config.classical_channels, config.adversary
+    found = _misfits([("$.nodes[{}]", enumerate(nodes), NodeSpec), ("$.classical_channels", [(0, channels)], dict),
+                      ("$.quantum_links[{}]", enumerate(config.quantum_links), QuantumLinkSpec),
+                      ("$.protocol", [(0, config.protocol)], Protocol),
+                      ("$.adversary", [] if adversary is None else [(0, adversary)], AdversaryConfig)])
+    return found or _misfits([("$.classical_channels[{!r}]", channels.items(), ClassicalChannelSpec)] + [
+        (f"$.nodes[{{}}].{name}", enumerate(map(operator.attrgetter(name), nodes)), cls)
+        for name, cls in (("role", NodeRole), ("memory", MemorySpec), ("crypto", CryptoProfile))])
+
+
+def _misfits(columns: list[tuple[str, Iterable, type]]) -> list[Violation]:
+    """For each ``(path, pairs, cls)``, a violation at ``path.format(key)`` for each pair whose value is no ``cls``."""
+    return [Violation(path.format(key), f"must be of type {cls.__name__}, got {type(value).__name__}")
+            for path, pairs, cls in columns for key, value in pairs if not isinstance(value, cls)]
 
 
 def _require_valid(config: ScenarioConfig) -> ScenarioConfig:

@@ -60,6 +60,7 @@ FIDELITY_TESTS = ("tests/test_fidelity.py",)
 MALFORMED = "tests/test_model.py::TestMalformedInput"
 VALID = "tests/test_model.py::TestValidScenarios"
 DIFFERENTIAL = "tests/test_model.py::TestReferenceDifferential"
+VALIDATE = "tests/test_model.py::TestValidateScenario"
 
 CATALOG = [
     # The two mutants that once survived the whole of tier-1.
@@ -110,15 +111,22 @@ CATALOG = [
            ENGINE_TESTS),
     Mutant(ENGINE, "zip(bsm_slot, gen_slot[1:])", "zip(bsm_slot, gen_slot)", ENGINE_TESTS),
     # One reader per JSON type: an early accept takes only what the full test would take unchanged, an item's
-    # problems carry its suffix, a pair key is taken as it is only in pair_key order, and the range check
-    # types integers first and keeps its bounds inclusive.
+    # problems carry its suffix, and a pair key is taken as it is only in pair_key order.
     Mutant(MODEL, "    if type(value) is float:", "    if _is_number(value):", (DIFFERENTIAL,)),
     Mutant(MODEL, 'problems += _under(f"[{i}]", exc)', "problems += exc.problems", (MALFORMED,)),
     Mutant(MODEL, "        if canon in out:", "        if False:", (MALFORMED,)),
-    Mutant(MODEL, "if integer and not _is_int(value):", "if False:",
-           ("tests/test_model.py::TestValidateScenario",)),
-    Mutant(MODEL, "elif not low <= value <= high:", "elif not low < value <= high:", (VALID,)),
-    Mutant(MODEL, "elif not low <= value <= high:", "elif not low <= value < high:", (VALID,)),
+    # The one range rule: an integer range takes integers only, any other range numbers only, the bounds are
+    # inclusive, and validation's early accept takes only floats in float ranges.
+    Mutant(MODEL, "_is_int(value) if type(low) is int else _is_number(value)", "_is_number(value)", (VALIDATE,)),
+    Mutant(MODEL, "if type(low) is int else _is_number(value)", "if type(low) is int else True", (VALIDATE,)),
+    Mutant(MODEL, "None if low <= value <= high else message", "None if low < value <= high else message", (VALID,)),
+    Mutant(MODEL, "None if low <= value <= high else message", "None if low <= value < high else message",
+           FIDELITY_TESTS),
+    Mutant(MODEL, 'None if type(spec["range"][0]) is int else float', "float", (VALIDATE,)),
+    # A record, enum or dict of another class is one violation, and nothing reads it.
+    Mutant(MODEL, '(("role", NodeRole), ("memory", MemorySpec),', '(("memory", MemorySpec),', (VALIDATE,)),
+    # The package re-exports every module's public names.
+    Mutant("pqnetsim/__init__.py", "from .errors import *\n", "", ("tests/test_exports.py",)),
     Mutant(MODEL, 'return len(parts) == 2 and "" < parts[0] < parts[1]',
            'return len(parts) == 2 and "" < parts[0] <= parts[1]', (MALFORMED,)),
     # Strict JSON: a key given twice is refused, not last-wins.
@@ -139,7 +147,8 @@ EQUIVALENT = [
 
 def _label(m: Mutant, text: str) -> str:
     line = text[: text.index(m.old)].count("\n") + 1
-    return f"{m.file}:{line}: {m.old.strip().splitlines()[0]!r} -> {m.new.strip().splitlines()[0]!r}"
+    first = [(text.strip().splitlines() or [""])[0] for text in (m.old, m.new)]  # a deletion's new text is empty
+    return f"{m.file}:{line}: {first[0]!r} -> {first[1]!r}"
 
 
 def _pytest(copy: Path, tests: tuple[str, ...], timeout: float) -> int | None:

@@ -27,6 +27,7 @@ from pqnetsim import (
     load_registry,
     load_scenario,
     pair_key,
+    run_trials,
     set_config_value,
     validate_scenario,
 )
@@ -170,6 +171,69 @@ class TestRegistry:
         )
 
 
+def edit_record(config, cls, change):
+    """``config`` with ``change`` applied to its first record of class ``cls``, the path of that record's fields,
+    and the prefix of their violation messages (``{}`` takes the field name)."""
+    if cls is model.ScenarioConfig:
+        return change(config), "$.", ""
+    if cls is model.AdversaryConfig:
+        return dataclasses.replace(config, adversary=change(config.adversary)), "$.adversary.", ""
+    if cls is model.QuantumLinkSpec:
+        link = config.quantum_links[0]
+        links = (change(link), *config.quantum_links[1:])
+        return dataclasses.replace(config, quantum_links=links), "$.quantum_links[0].", f"link {link.key!r}: {{}} "
+    if cls is model.ClassicalChannelSpec:
+        key, spec = next(iter(config.classical_channels.items()))
+        channels = {**config.classical_channels, key: change(spec)}
+        return dataclasses.replace(config, classical_channels=channels), f"$.classical_channels[{key!r}].", ""
+    node = config.nodes[0]
+    field = "memory" if cls is model.MemorySpec else "crypto"
+    nodes = (dataclasses.replace(node, **{field: change(getattr(node, field))}), *config.nodes[1:])
+    prefix = f"node {node.id!r}: {{}} " if cls is model.MemorySpec else f"profile {node.crypto.name!r}: "
+    return dataclasses.replace(config, nodes=nodes), f"$.nodes[0].{field}.", prefix
+
+
+RANGED_RECORDS = (model.ScenarioConfig, model.MemorySpec, model.CryptoProfile, model.QuantumLinkSpec,
+                  model.ClassicalChannelSpec, model.AdversaryConfig)
+
+WRONG_FIELD_VALUES = [
+    pytest.param(cls, name, value, id=f"{cls.__name__}.{name}={value!r}")
+    for cls in RANGED_RECORDS
+    for name, spec in model._ranges(cls)
+    for value in ["1", None, True, NAN] + ([2.5] if type(spec["range"][0]) is int else [])
+]
+
+
+def _edit_node(field, value):
+    return lambda c: dataclasses.replace(c, nodes=(dataclasses.replace(c.nodes[0], **{field: value}), *c.nodes[1:]))
+
+
+WRONG_CLASSES = [
+    pytest.param("teleport_single_hop.json", _edit_node("memory", None),
+                 [("$.nodes[0].memory", "must be of type MemorySpec, got NoneType")], id="memory-None"),
+    pytest.param("teleport_single_hop.json", _edit_node("crypto", None),
+                 [("$.nodes[0].crypto", "must be of type CryptoProfile, got NoneType")], id="crypto-None"),
+    pytest.param("teleport_single_hop.json", _edit_node("role", "end_node"),
+                 [("$.nodes[0].role", "must be of type NodeRole, got str")], id="role-str"),
+    pytest.param("teleport_single_hop.json", lambda c: dataclasses.replace(c, classical_channels=None),
+                 [("$.classical_channels", "must be of type dict, got NoneType")], id="channels-None"),
+    pytest.param("intercepted_chain.json", lambda c: dataclasses.replace(c, adversary=dataclasses.asdict(c.adversary)),
+                 [("$.adversary", "must be of type AdversaryConfig, got dict")], id="adversary-dict"),
+    pytest.param("teleport_single_hop.json",
+                 lambda c: dataclasses.replace(c, quantum_links=(c.quantum_links[0].endpoints,)),
+                 [("$.quantum_links[0]", "must be of type QuantumLinkSpec, got tuple")], id="link-tuple"),
+    pytest.param("repeater_chain.json", lambda c: dataclasses.replace(c, protocol="parallel_chain"),
+                 [("$.protocol", "must be of type Protocol, got str")], id="protocol-str-chain"),
+    pytest.param("teleport_single_hop.json", lambda c: dataclasses.replace(c, protocol="single_hop"),
+                 [("$.protocol", "must be of type Protocol, got str")], id="protocol-str-single-link"),
+    pytest.param("teleport_single_hop.json", lambda c: dataclasses.replace(c, nodes=(None, *c.nodes[1:])),
+                 [("$.nodes[0]", "must be of type NodeSpec, got NoneType")], id="node-None"),
+    pytest.param("teleport_single_hop.json", lambda c: dataclasses.replace(c, classical_channels={"alice,bob": 1.0}),
+                 [("$.classical_channels['alice,bob']", "must be of type ClassicalChannelSpec, got float")],
+                 id="channel-float"),
+]
+
+
 class TestValidateScenario:
     def test_well_formed_chain_has_no_violations(self):
         config = chain_scenario([(0.001, 0.002)], dec_end=0.001, t_coh_end=0.01)
@@ -272,13 +336,34 @@ class TestValidateScenario:
         config = dataclasses.replace(two_party_scenario(), seed=-1, n_trials=0, slot_duration=0.0, rounds_l=0)
         assert [v.path for v in validate_scenario(config)] == ["$.seed", "$.n_trials", "$.slot_duration", "$.rounds_l"]
 
-    @pytest.mark.parametrize("value", [2.5, 2.0, True])
-    @pytest.mark.parametrize("name", ["rounds_l", "n_trials"])
-    def test_integer_fields_built_in_code_must_hold_integers(self, name, value):
-        config = dataclasses.replace(load_scenario(SCENARIO_DIR / "purification_rounds.json"), **{name: value})
-        assert validate_scenario(config) == [Violation(f"$.{name}", "must be an integer")]
-        with pytest.raises(ScenarioValidationError, match=rf"\$\.{name}: must be an integer"):
-            check_scenario(config)
+    @pytest.mark.parametrize("cls, name, value", WRONG_FIELD_VALUES)
+    def test_every_ranged_field_built_in_code_must_hold_its_kind_of_number(self, cls, name, value):
+        spec = dict(model._ranges(cls))[name]
+        low, _, message = spec["range"]
+        integer = type(low) is int
+        problem = message if value != value and not integer else f"must be {'an integer' if integer else 'a number'}"
+        config = load_scenario(SCENARIO_DIR / "intercepted_chain.json")
+        bad, path, prefix = edit_record(config, cls, lambda record: dataclasses.replace(record, **{name: value}))
+        violation = Violation(path + name, prefix.format(name) + problem)
+        assert validate_scenario(bad) == [violation]
+        with pytest.raises(ParameterError) as info:
+            model._check_arg(value, name, spec)
+        assert str(info.value) == f"{name} {problem}, got {value!r}"
+        for call in (check_scenario, run_trials):
+            with pytest.raises(ScenarioValidationError, match=re.escape(str(violation))):
+                call(bad)
+
+    def test_the_table_covers_every_ranged_dataclass(self):
+        ranged = {c for c in vars(model).values() if dataclasses.is_dataclass(c) and model._ranges(c)}
+        assert ranged == set(RANGED_RECORDS)
+
+    @pytest.mark.parametrize("scenario, edit, expected", WRONG_CLASSES)
+    def test_records_and_enums_of_another_class_are_one_violation(self, scenario, edit, expected):
+        config = edit(load_scenario(SCENARIO_DIR / scenario))
+        assert validate_scenario(config) == [Violation(path, message) for path, message in expected]
+        for call in (check_scenario, run_trials):
+            with pytest.raises(ScenarioValidationError):
+                call(config)
 
     def test_end_roles_are_listed_in_path_order(self):
         config = two_party_scenario()

@@ -22,6 +22,7 @@ def project(tmp_path):
     "new, timeout, status, verdict",
     [
         pytest.param("x + x", 60, 1, "SURVIVED", id="survivor"),
+        pytest.param("", 60, 0, "killed", id="deletion"),
         # `iter(int, 1)` yields zeros forever, so `min` never returns; it holds no memory.
         pytest.param("min(iter(int, 1))", 5, 0, "killed (timeout)", id="timeout"),
     ],
