@@ -22,7 +22,7 @@ aborts a trial; its decoherence shows up only in the delivered fidelity.
 A repeater performs its Bell-state measurement (taken as instantaneous) in
 the first slot where both adjacent pairs are present and unexpired, then
 sends one correction message to the designated end node (the last node of
-the path, see :func:`pqnetsim.model.resolve_path`).  Each message costs the
+the path, the end whose id sorts later).  Each message costs the
 sender's ``t_encrypt``, the pair's classical-channel delay, and the end
 node's ``t_decrypt``; message delays reuse the exact arithmetic of
 :mod:`pqnetsim.timing`, so for deterministic scenarios (``p_success = 1``)
@@ -220,17 +220,14 @@ def _prepare(config: model.ScenarioConfig, max_slots: int = DEFAULT_MAX_SLOTS) -
     horizon = (max_slots * config.slot_duration + max(timings.totals)) * (1 + 2**-49)
     if not math.isfinite(horizon):
         raise ParameterError(f"max_slots * slot_duration + the longest message wait must be finite, got {horizon}")
-    path = timings.path
-    nodes = config.node_index()
-    links_by_key = {link.key: link for link in config.quantum_links}
-    links = [links_by_key[model.pair_key(a, b)] for a, b in zip(path, path[1:])]
+    nodes, links, _ = config._chain  # the path scenario_timings resolved, as records
     base_fids = [link.base_fidelity for link in links]
     adv = config.adversary
     if adv is not None:  # every pair on the intercepted link ages in the adversary's memory for its whole delay
-        j = links.index(links_by_key[adv.intercept_link])
+        j = [link.key for link in links].index(adv.intercept_link)
         base_fids[j] = fidelity._decay(base_fids[j], adv.delta_t, adv.t_coh_eve)
     if config.protocol is model.Protocol.PARALLEL_CHAIN:
-        t_coh = [nodes[node_id].memory.t_coh for node_id in path]
+        t_coh = [node.memory.t_coh for node in nodes]
         gap_of = {limit: _expiry_gap(limit, config.slot_duration) for limit in set(t_coh)}
         gaps = tuple(map(gap_of.get, t_coh))
         return _PreparedChain(
@@ -253,7 +250,7 @@ def _prepare(config: model.ScenarioConfig, max_slots: int = DEFAULT_MAX_SLOTS) -
     (total_delay,) = timings.totals
     if config.protocol is model.Protocol.SEQUENTIAL_ROUNDS:
         # Both parties keep their qubit through all rounds.
-        f = fidelity._decay(f, total_delay, nodes[path[0]].memory.t_coh)
+        f = fidelity._decay(f, total_delay, nodes[0].memory.t_coh)
     return _PreparedTwoParty(
         p=links[0].p_success,
         tau=config.slot_duration,

@@ -249,6 +249,9 @@ class AdversaryConfig:
         return self.t_eve + self.t_pqc
 
 
+_Chain = tuple[tuple[NodeSpec, ...] | None, tuple[QuantumLinkSpec, ...], tuple[Violation, ...]]
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Full declarative description of one simulation or analysis run."""
@@ -263,9 +266,10 @@ class ScenarioConfig:
     rounds_l: int = field(default=1, metadata=_range(1, 10**6, "must be in [1, 1000000]"))
     adversary: AdversaryConfig | None = None
 
-    def node_index(self) -> dict[str, NodeSpec]:
-        """Nodes by id, built in one pass; of duplicate ids the first wins."""
-        return {n.id: n for n in reversed(self.nodes)}
+    @functools.cached_property
+    def _chain(self) -> _Chain:
+        """:func:`_walk` of this scenario, walked once per object: validation holds its nodes and links to tuples."""
+        return _walk(self)
 
 
 def pair_key(a: str, b: str) -> str:
@@ -524,25 +528,17 @@ def _read_list(read, value, registry):
     return tuple(items)
 
 
-def _ordered_pair(text: str) -> bool:
-    """True if ``text`` is two distinct non-empty ids, comma-joined in :func:`pair_key` order."""
-    parts = text.split(",")
-    return len(parts) == 2 and "" < parts[0] < parts[1]
-
-
 def _read_pair_keyed(read, value, registry):
     """An object keyed by ``"a,b"`` node pairs; keys are canonicalised with :func:`pair_key`."""
     if not isinstance(value, dict):
         raise _problem(_mismatch("an object keyed by 'a,b' node pairs", value))
     out, problems = {}, []
     for text, item in value.items():
-        canon = text
-        if not _ordered_pair(text):
-            pair = split_pair_key(text)
-            if pair is None or pair[0] == pair[1]:
-                problems.append((f"[{text!r}]", "key must name two distinct node ids joined by a comma"))
-                continue
-            canon = pair_key(*pair)
+        pair = split_pair_key(text)
+        if pair is None or pair[0] == pair[1]:
+            problems.append((f"[{text!r}]", "key must name two distinct node ids joined by a comma"))
+            continue
+        canon = pair_key(*pair)
         try:
             parsed = read(item, registry)
         except _Problems as exc:
@@ -744,18 +740,31 @@ def validate_scenario(config: ScenarioConfig) -> list[Violation]:
 
 
 def _wrong_classes(config: ScenarioConfig) -> list[Violation]:
-    """A violation at each record, enum or dict that validation reads and that is of another class than declared.
+    """A violation at each value that validation reads and that is of another class than declared.
 
-    What the nodes and the channel table hold is read only once the scenario's own fields have their classes.
+    Items are read only once their containers have their classes; a link's ``endpoints`` is a tuple of two str.
     """
-    nodes, channels, adversary = config.nodes, config.classical_channels, config.adversary
-    found = _misfits([("$.nodes[{}]", enumerate(nodes), NodeSpec), ("$.classical_channels", [(0, channels)], dict),
-                      ("$.quantum_links[{}]", enumerate(config.quantum_links), QuantumLinkSpec),
-                      ("$.protocol", [(0, config.protocol)], Protocol),
-                      ("$.adversary", [] if adversary is None else [(0, adversary)], AdversaryConfig)])
-    return found or _misfits([("$.classical_channels[{!r}]", channels.items(), ClassicalChannelSpec)] + [
+    nodes, links, channels, adv = config.nodes, config.quantum_links, config.classical_channels, config.adversary
+    return _misfits([
+        ("$.nodes", [(0, nodes)], tuple), ("$.quantum_links", [(0, links)], tuple),
+        ("$.classical_channels", [(0, channels)], dict), ("$.protocol", [(0, config.protocol)], Protocol),
+        ("$.adversary", [] if adv is None else [(0, adv)], AdversaryConfig)]) or _misfits([
+        ("$.nodes[{}]", enumerate(nodes), NodeSpec), ("$.quantum_links[{}]", enumerate(links), QuantumLinkSpec),
+        ("$.classical_channels[{!r}]", zip(channels, channels), str),
+        ("$.classical_channels[{!r}]", channels.items(), ClassicalChannelSpec),
+        ("$.adversary.intercept_link", [] if adv is None else [(0, adv.intercept_link)], str)]) or _misfits([
         (f"$.nodes[{{}}].{name}", enumerate(map(operator.attrgetter(name), nodes)), cls)
-        for name, cls in (("role", NodeRole), ("memory", MemorySpec), ("crypto", CryptoProfile))])
+        for name, cls in (("id", str), ("role", NodeRole), ("memory", MemorySpec), ("crypto", CryptoProfile))]) or [
+        Violation(f"$.quantum_links[{i}].endpoints", f"must be of type tuple[str, str], got {_kind(e)}")
+        for i, e in enumerate(link.endpoints for link in links)
+        if not (type(e) is tuple and len(e) == 2 and type(e[0]) is type(e[1]) is str)]
+
+
+def _kind(value: Any) -> str:
+    """The class name of ``value``; a tuple's names its items' classes too, as in ``tuple[str, int]``."""
+    if type(value) is not tuple:
+        return type(value).__name__
+    return f"tuple[{', '.join(type(item).__name__ for item in value)}]"
 
 
 def _misfits(columns: list[tuple[str, Iterable, type]]) -> list[Violation]:
@@ -782,38 +791,39 @@ def _validate_topology(config: ScenarioConfig) -> list[Violation]:
     if chain and len(links) < 2:
         return [Violation("$.quantum_links", "protocol 'parallel_chain' requires a chain of at least two links")]
 
-    path, vios = _walk(config, links)
-    if path is None:
+    nodes, _, found = config._chain
+    vios = list(found)
+    if nodes is None:
         return vios
-    nodes = config.node_index()
-    for end_id in (path[0], path[-1]):
-        if nodes[end_id].role is not NodeRole.END_NODE:
-            vios.append(Violation("$.nodes", f"path endpoint {end_id!r} must have role 'end_node'"))
-    for interior_id in path[1:-1]:
-        if nodes[interior_id].role is NodeRole.END_NODE:
-            vios.append(Violation("$.nodes", f"interior node {interior_id!r} must not have role 'end_node'"))
+    for end in (nodes[0], nodes[-1]):
+        if end.role is not NodeRole.END_NODE:
+            vios.append(Violation("$.nodes", f"path endpoint {end.id!r} must have role 'end_node'"))
+    for interior in nodes[1:-1]:
+        if interior.role is NodeRole.END_NODE:
+            vios.append(Violation("$.nodes", f"interior node {interior.id!r} must not have role 'end_node'"))
 
-    for sender in message_senders(config.protocol, path):
-        key = pair_key(sender, path[-1])
+    for sender in message_senders(config.protocol, nodes):
+        key = pair_key(sender.id, nodes[-1].id)
         if key not in config.classical_channels:
             vios.append(Violation("$.classical_channels", f"missing classical channel for message pair {key!r}"))
     return vios
 
 
-def _walk(config: ScenarioConfig, links: Sequence[QuantumLinkSpec]) -> tuple[list[str] | None, list[Violation]]:
-    """The links as one path of node ids (None if they form none), and the shape violations found.
+def _walk(config: ScenarioConfig) -> _Chain:
+    """The links as one path of node and link records (None and () if they form none), and the violations found.
 
     The violations name each node with no link or more than two, and links
     that are not one simple path.  The end whose id sorts first starts the
-    path, so orientation never depends on list order.  A link naming an
-    unknown node id raises KeyError.
+    path, so orientation never depends on list order.  Of duplicate node ids
+    the first wins; a link naming an unknown node id raises KeyError.
     """
-    adjacency: dict[str, list[str]] = {n.id: [] for n in config.nodes}
-    for a, b in (link.endpoints for link in links):
-        adjacency[a].append(b)
-        adjacency[b].append(a)
-    vios = []
-    branching = False
+    records = {n.id: n for n in reversed(config.nodes)}
+    adjacency: dict[str, list[tuple[str, QuantumLinkSpec]]] = {n.id: [] for n in config.nodes}
+    for link in config.quantum_links:
+        a, b = link.endpoints
+        adjacency[a].append((b, link))
+        adjacency[b].append((a, link))
+    vios, branching = [], False
     for node_id, neighbours in adjacency.items():
         if not neighbours:
             vios.append(Violation("$.nodes", f"node {node_id!r} is not attached to any quantum link"))
@@ -825,25 +835,22 @@ def _walk(config: ScenarioConfig, links: Sequence[QuantumLinkSpec]) -> tuple[lis
     ends = sorted(n.id for n in config.nodes if len(adjacency[n.id]) == 1)
     if len(ends) != 2:
         vios.append(Violation("$.quantum_links", "links must form a simple path with exactly two endpoints"))
-        return None, vios
-    if branching:
-        return None, vios
-    start, finish = ends
-    path = [start]
-    node, previous = start, None
+    if len(ends) != 2 or branching:
+        return None, (), tuple(vios)
+    node, finish = ends
+    path, links, previous = [node], [], None
     # Every node here has one or two neighbours, and every one the walk reaches
     # lists the node it came from; it leaves by the other.  (Only an isolated
     # doubled link would list one neighbour twice, and no walk reaches it.)
-    for _ in links:
-        if node == finish:
-            break
+    while node != finish and len(links) < len(config.quantum_links):
         neighbours = adjacency[node]
-        node, previous = neighbours[-1] if neighbours[0] == previous else neighbours[0], node
+        (node, link), previous = neighbours[-1] if neighbours[0][0] == previous else neighbours[0], node
         path.append(node)
-    if path[-1] != finish or len(path) != len(links) + 1:
+        links.append(link)
+    if path[-1] != finish or len(links) != len(config.quantum_links):
         vios.append(Violation("$.quantum_links", "links must form one connected path (no cycles or islands)"))
-        return None, vios
-    return path, vios
+        return None, (), tuple(vios)
+    return tuple(records[node_id] for node_id in path), tuple(links), tuple(vios)
 
 
 def resolve_path(config: ScenarioConfig) -> list[str]:
@@ -855,16 +862,16 @@ def resolve_path(config: ScenarioConfig) -> list[str]:
     """
     _check_type(config, "config", ScenarioConfig)
     try:
-        path, _ = _walk(config, config.quantum_links)
+        nodes, _, _ = config._chain
     except KeyError as exc:
         raise ParameterError(f"quantum link references unknown node id {exc.args[0]!r}") from None
-    if path is None:
+    if nodes is None:
         raise ParameterError("quantum links do not form a simple path")
-    return path
+    return [node.id for node in nodes]
 
 
-def message_senders(protocol: Protocol, path: Sequence[str]) -> Sequence[str]:
-    """Node ids that send a correction message to the receiver ``path[-1]``.
+def message_senders(protocol: Protocol, path: Sequence) -> Sequence:
+    """The nodes of ``path`` (ids or records) that send a correction message to the receiver ``path[-1]``.
 
     Every interior node on a ``parallel_chain``; the first path node otherwise.
     """

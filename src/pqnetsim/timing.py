@@ -195,17 +195,15 @@ class ScenarioTimings:
 def scenario_timings(config: model.ScenarioConfig) -> ScenarioTimings:
     """The receiver's message waits, from a validated scenario; a wait that overflows is refused."""
     path = model.resolve_path(config)
-    nodes = config.node_index()
-    receiver = nodes[path[-1]]
-    channels, t_decrypt = config.classical_channels, receiver.crypto.t_decrypt
-    senders = model.message_senders(config.protocol, path)
-    totals = tuple(
-        _wait(nodes[s].crypto.t_encrypt, channels[model.pair_key(s, receiver.id)].t_comm, t_decrypt) for s in senders
-    )
+    nodes, _, _ = config._chain  # the records of the path just resolved
+    receiver, channels, t_decrypt = nodes[-1], config.classical_channels, nodes[-1].crypto.t_decrypt
+    senders = model.message_senders(config.protocol, nodes)
+    totals = tuple(_wait(s.crypto.t_encrypt, channels[model.pair_key(s.id, receiver.id)].t_comm, t_decrypt)
+                   for s in senders)
     if config.protocol is model.Protocol.SEQUENTIAL_ROUNDS:
         totals = (sequential_total(itertools.repeat(totals[0], config.rounds_l)),)
     if math.inf in totals:  # a sum of finite waits >= 0 is finite or +inf, never NaN
-        raise ParameterError(f"message wait from node {senders[totals.index(math.inf)]!r} must be finite, got inf")
+        raise ParameterError(f"message wait from node {senders[totals.index(math.inf)].id!r} must be finite, got inf")
     return ScenarioTimings(config.protocol, tuple(path), totals, receiver.memory.t_coh)
 
 

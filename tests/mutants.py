@@ -61,6 +61,8 @@ MALFORMED = "tests/test_model.py::TestMalformedInput"
 VALID = "tests/test_model.py::TestValidScenarios"
 DIFFERENTIAL = "tests/test_model.py::TestReferenceDifferential"
 VALIDATE = "tests/test_model.py::TestValidateScenario"
+VALIDATION_TABLE = "tests/test_model.py::TestValidationTable"
+SETUP = "tests/test_engine.py::TestSetupScaling"
 
 CATALOG = [
     # The two mutants that once survived the whole of tier-1.
@@ -110,8 +112,8 @@ CATALOG = [
            "reduce(fidelity._swap, [*map(decay, map(decay, run.base_fids, waits_lo, lo_tcoh), waits_hi, hi_tcoh)][1:])",
            ENGINE_TESTS),
     Mutant(ENGINE, "zip(bsm_slot, gen_slot[1:])", "zip(bsm_slot, gen_slot)", ENGINE_TESTS),
-    # One reader per JSON type: an early accept takes only what the full test would take unchanged, an item's
-    # problems carry its suffix, and a pair key is taken as it is only in pair_key order.
+    # One reader per JSON type: an early accept takes only what the full test would take unchanged, and an item's
+    # problems carry its suffix.
     Mutant(MODEL, "    if type(value) is float:", "    if _is_number(value):", (DIFFERENTIAL,)),
     Mutant(MODEL, 'problems += _under(f"[{i}]", exc)', "problems += exc.problems", (MALFORMED,)),
     Mutant(MODEL, "        if canon in out:", "        if False:", (MALFORMED,)),
@@ -123,16 +125,29 @@ CATALOG = [
     Mutant(MODEL, "None if low <= value <= high else message", "None if low <= value < high else message",
            FIDELITY_TESTS),
     Mutant(MODEL, 'None if type(spec["range"][0]) is int else float', "float", (VALIDATE,)),
-    # A record, enum or dict of another class is one violation, and nothing reads it.
-    Mutant(MODEL, '(("role", NodeRole), ("memory", MemorySpec),', '(("memory", MemorySpec),', (VALIDATE,)),
+    # A value of another class is one violation, and nothing reads it: records, enums, dicts, the tuples of nodes
+    # and links, node ids, channel keys, intercept_link and endpoints.
+    Mutant(MODEL, '("role", NodeRole), ("memory", MemorySpec),', '("memory", MemorySpec),', (VALIDATE,)),
+    Mutant(MODEL, '(("id", str), ("role", NodeRole),', '(("role", NodeRole),', (VALIDATE,)),
+    Mutant(MODEL, '("$.nodes", [(0, nodes)], tuple), ', "", (VALIDATE,)),
+    Mutant(MODEL, '("$.quantum_links", [(0, links)], tuple),', "", (VALIDATE,)),
+    Mutant(MODEL, '("$.classical_channels[{!r}]", zip(channels, channels), str),', "", (VALIDATE,)),
+    Mutant(MODEL, "[] if adv is None else [(0, adv.intercept_link)]", "[]", (VALIDATE,)),
+    Mutant(MODEL, "if not (type(e) is tuple and len(e) == 2 and type(e[0]) is type(e[1]) is str)]", "if False]",
+           (VALIDATE,)),
+    Mutant(MODEL, "and len(e) == 2 and", "and len(e) >= 2 and", (VALIDATE,)),
     # The package re-exports every module's public names.
     Mutant("pqnetsim/__init__.py", "from .errors import *\n", "", ("tests/test_exports.py",)),
-    Mutant(MODEL, 'return len(parts) == 2 and "" < parts[0] < parts[1]',
-           'return len(parts) == 2 and "" < parts[0] <= parts[1]', (MALFORMED,)),
     # Strict JSON: a key given twice is refused, not last-wins.
     Mutant(MODEL, ", object_pairs_hook=_json_object)", ")", (MALFORMED,)),
     # The walk leaves each node by the neighbour it did not come from.
-    Mutant(MODEL, "if neighbours[0] == previous else", "if neighbours[0] != previous else", (VALID,)),
+    Mutant(MODEL, "if neighbours[0][0] == previous else", "if neighbours[0][0] != previous else", (VALID,)),
+    # One walk per scenario object, of duplicate ids the first wins, and _prepare reads its records in path order.
+    Mutant(MODEL, "    @functools.cached_property\n    def _chain", "    @property\n    def _chain", (SETUP,)),
+    Mutant(MODEL, "records = {n.id: n for n in reversed(config.nodes)}", "records = {n.id: n for n in config.nodes}",
+           (VALIDATION_TABLE,)),
+    Mutant(ENGINE, "nodes, links, _ = config._chain", "nodes, links, _ = config._chain; links = links[1:] + links[:1]",
+           ENGINE_TESTS),
 ]
 
 EQUIVALENT = [

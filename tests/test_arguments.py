@@ -7,6 +7,7 @@ whose message names the argument and stays short, never ``TypeError``,
 ``OverflowError`` or a bare ``ValueError``.
 """
 
+import dataclasses
 import math
 from typing import Any, Callable, NamedTuple
 
@@ -256,6 +257,20 @@ def test_structural_messages_are_pinned():
         (lambda: summarize(CONFIG, [None]), "outcomes[0] must be of type TrialOutcome, got NoneType"),
         (lambda: resolve_path(None), "config must be of type ScenarioConfig, got NoneType"),
         (lambda: scenario_timings(None), "config must be of type ScenarioConfig, got NoneType"),
+        (lambda: summarize(CONFIG, []), "summarize requires at least one outcome"),
+        (lambda: set_config_value(CONFIG, "", 1.0), "empty parameter path"),
+        (
+            lambda: set_config_value(CONFIG, "classical_channels.x,y.propagation_delay", 1.0),
+            "invalid parameter path 'classical_channels.x,y.propagation_delay': no key 'x,y'",
+        ),
+        (
+            lambda: set_config_value(CONFIG, "protocol.x", 1.0),
+            "invalid parameter path 'protocol.x': cannot descend into Protocol",
+        ),
+        (
+            lambda: resolve_path(dataclasses.replace(CONFIG, quantum_links=CONFIG.quantum_links * 2)),
+            "quantum links do not form a simple path",
+        ),
     ]
     for call, message in cases:
         with pytest.raises(ParameterError) as info:

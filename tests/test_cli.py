@@ -713,6 +713,12 @@ class TestValidateOnceWriteLast:
 
     INTERCEPTED = str(SCENARIO_DIR / "intercepted_chain.json")
     SWEEP = ["sweep", INTERCEPTED, "--param", "slot_duration", "--values"]
+    # The error line of refusals that no other test pins, by their arguments.
+    ERRORS = {
+        (*SWEEP, ","): "--values must contain at least one number",
+        ("adversary", INTERCEPTED, "--baseline-trials", "1", "--observed-trials", "1"):
+            "not enough successful trials to form QBER samples (baseline 1, observed 1); raise the trial counts",
+    }
 
     @pytest.mark.parametrize(
         "argv, calls",
@@ -809,6 +815,7 @@ class TestValidateOnceWriteLast:
                 id="sweep-rate",
             ),
             pytest.param(["kms", "--nodes", "10", "100", "--cluster-size", "7"], id="kms-cluster-size-full-mesh"),
+            *[pytest.param(list(argv), id=f"{argv[0]}-error-line") for argv in ERRORS],
         ],
     )
     def test_refused_command_leaves_no_out_dir(self, tmp_path, capsys, argv):
@@ -821,8 +828,10 @@ class TestValidateOnceWriteLast:
         out = tmp_path / "fresh"
         assert main(["--out", str(out), *args]) == 2
         assert not out.exists()
-        stdout = capsys.readouterr().out
+        stdout, stderr = capsys.readouterr()
         assert "Infinity" not in stdout
+        if tuple(argv) in self.ERRORS:
+            assert stderr == f"error: {self.ERRORS[tuple(argv)]}\n"
         if scenario is not None:
             violations = json.loads(stdout)["violations"]
             expected = validate_scenario(load_scenario(scenario))

@@ -701,28 +701,58 @@ class TestSetupScaling:
             return pair_key(a, b)
 
         monkeypatch.setattr(model, "pair_key", counted_pair_key)
-        for step in (model.validate_scenario, timing.scenario_timings, engine._prepare):
+        for step in (model.validate_scenario, timing.scenario_timings):
             calls = 0
             step(config)
             assert calls <= 4 * n, f"{step.__name__}: {calls} lookups for {n} repeaters"
+        # _prepare's own body looks up nothing by pair key: it reads the walked path's link records.
+        timings = timing.scenario_timings(config)
+        monkeypatch.setattr(timing, "scenario_timings", lambda _: timings)
+        calls = 0
+        engine._prepare(config)
+        assert calls == 0
+
+    @staticmethod
+    def count_calls(monkeypatch, module, name) -> list:
+        """The configs that ``module.name`` is called with from here to the end of the test, in call order."""
+        seen, original = [], getattr(module, name)
+
+        def counted(config):
+            seen.append(config)
+            return original(config)
+
+        monkeypatch.setattr(module, name, counted)
+        return seen
 
     def test_prepare_walks_the_path_once(self, monkeypatch):
-        # _prepare reads the path from scenario_timings rather than resolving it again.
-        walks = 0
-        resolve_path = model.resolve_path
-
-        def counted_resolve_path(config):
-            nonlocal walks
-            walks += 1
-            return resolve_path(config)
-
-        monkeypatch.setattr(model, "resolve_path", counted_resolve_path)
+        # _prepare reads the path from scenario_timings rather than resolving it again,
+        # and the links do not form a path a second time when it runs again.
+        resolves = self.count_calls(monkeypatch, model, "resolve_path")
+        walks = self.count_calls(monkeypatch, model, "_walk")
         configs = (
             two_party_scenario(),
             two_party_scenario(protocol=Protocol.SEQUENTIAL_ROUNDS, rounds_l=3),
             chain_scenario([(0.001, 0.001)] * 2),
         )
         for config in configs:
-            walks = 0
+            resolves.clear()
+            walks.clear()
             engine._prepare(config)
-            assert walks == 1, config.protocol
+            assert (len(resolves), len(walks)) == (1, 1), config.protocol
+            engine._prepare(config)
+            assert (len(resolves), len(walks)) == (2, 1), config.protocol
+
+    def test_each_scenario_is_walked_once(self, monkeypatch):
+        # Validation, the static check and _prepare read one walk of a scenario object; a replaced
+        # config, as a sweep row is, is a new object and walks its own links and nodes.
+        walks = self.count_calls(monkeypatch, model, "_walk")
+        config = chain_scenario([(0.0, 0.001)] * 3, t_coh_far=0.5)
+        assert model.validate_scenario(config) == []
+        timing.scenario_timings(config)
+        assert engine._prepare(config).lo_tcoh[0] == 0.5
+        assert walks == [config]
+        row = model.set_config_value(config, "nodes.0.memory.t_coh", 0.25)
+        assert model.validate_scenario(row) == []
+        assert engine._prepare(row).lo_tcoh[0] == 0.25
+        assert walks == [config, row]
+        assert not hasattr(model.ScenarioConfig, "node_index")

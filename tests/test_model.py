@@ -208,6 +208,10 @@ def _edit_node(field, value):
     return lambda c: dataclasses.replace(c, nodes=(dataclasses.replace(c.nodes[0], **{field: value}), *c.nodes[1:]))
 
 
+def _edit_endpoints(value):
+    return lambda c: dataclasses.replace(c, quantum_links=(dataclasses.replace(c.quantum_links[0], endpoints=value),))
+
+
 WRONG_CLASSES = [
     pytest.param("teleport_single_hop.json", _edit_node("memory", None),
                  [("$.nodes[0].memory", "must be of type MemorySpec, got NoneType")], id="memory-None"),
@@ -231,6 +235,30 @@ WRONG_CLASSES = [
     pytest.param("teleport_single_hop.json", lambda c: dataclasses.replace(c, classical_channels={"alice,bob": 1.0}),
                  [("$.classical_channels['alice,bob']", "must be of type ClassicalChannelSpec, got float")],
                  id="channel-float"),
+    # Sequences must be tuples, so that a scenario's walk can be kept; ids, keys and endpoints must be strings.
+    pytest.param("teleport_single_hop.json", lambda c: dataclasses.replace(c, nodes=None),
+                 [("$.nodes", "must be of type tuple, got NoneType")], id="nodes-None"),
+    pytest.param("teleport_single_hop.json", lambda c: dataclasses.replace(c, quantum_links=None),
+                 [("$.quantum_links", "must be of type tuple, got NoneType")], id="links-None"),
+    pytest.param("teleport_single_hop.json", lambda c: dataclasses.replace(c, nodes=list(c.nodes)),
+                 [("$.nodes", "must be of type tuple, got list")], id="nodes-list"),
+    pytest.param("teleport_single_hop.json", _edit_endpoints(None),
+                 [("$.quantum_links[0].endpoints", "must be of type tuple[str, str], got NoneType")],
+                 id="endpoints-None"),
+    pytest.param("teleport_single_hop.json", _edit_endpoints(("alice", "bob", "x")),
+                 [("$.quantum_links[0].endpoints", "must be of type tuple[str, str], got tuple[str, str, str]")],
+                 id="endpoints-three"),
+    pytest.param("teleport_single_hop.json", _edit_endpoints(("alice", 5)),
+                 [("$.quantum_links[0].endpoints", "must be of type tuple[str, str], got tuple[str, int]")],
+                 id="endpoints-int"),
+    pytest.param("teleport_single_hop.json",
+                 lambda c: dataclasses.replace(c, classical_channels={5: c.classical_channels["alice,bob"]}),
+                 [("$.classical_channels[5]", "must be of type str, got int")], id="channel-key-int"),
+    pytest.param("intercepted_chain.json",
+                 lambda c: dataclasses.replace(c, adversary=dataclasses.replace(c.adversary, intercept_link=None)),
+                 [("$.adversary.intercept_link", "must be of type str, got NoneType")], id="intercept-link-None"),
+    pytest.param("teleport_single_hop.json", _edit_node("id", None),
+                 [("$.nodes[0].id", "must be of type str, got NoneType")], id="node-id-None"),
 ]
 
 
@@ -307,6 +335,14 @@ class TestValidateScenario:
         for call in (check_scenario, run_trials, lambda c: sweep(c, "slot_duration", [0.001], n_trials=1)):
             with pytest.raises(ScenarioValidationError, match="pair_key order"):
                 call(reversed_link)
+
+        single = load_scenario(SCENARIO_DIR / "teleport_single_hop.json")
+        for key in ("alice", "bob,bob"):
+            channels = {key: single.classical_channels["alice,bob"]}
+            assert validate_scenario(dataclasses.replace(single, classical_channels=channels)) == [
+                Violation(f"$.classical_channels[{key!r}]", "key must name two distinct node ids joined by a comma"),
+                Violation("$.classical_channels", "missing classical channel for message pair 'alice,bob'"),
+            ]
 
         chain = load_scenario(SCENARIO_DIR / "repeater_chain.json")
         channels = {("r1,bob" if key == "bob,r1" else key): spec for key, spec in chain.classical_channels.items()}
@@ -904,6 +940,9 @@ VALIDATION_TABLE = [
                  id="missing-message-channel"),
     pytest.param([(("nodes", 3), RELAY_NODE)], [("$.nodes[3].id", "duplicate node id 'relay'")],
                  id="duplicate-interior-id"),
+    # Of duplicate ids the first wins: the later 'relay' is no end node on the path.
+    pytest.param([(("nodes", 3), {**RELAY_NODE, "role": "end_node"})], [("$.nodes[3].id", "duplicate node id 'relay'")],
+                 id="duplicate-interior-id-first-wins"),
     pytest.param([(("nodes", 3), {**RELAY_NODE, "id": "alice"})],
                  [("$.nodes[3].id", "duplicate node id 'alice'"),
                   ("$.quantum_links", "links must form a simple path with exactly two endpoints")],
