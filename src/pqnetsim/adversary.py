@@ -16,7 +16,6 @@ QBER against a clean baseline.
 from __future__ import annotations
 
 import math
-import statistics
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass
 from enum import Enum
@@ -123,6 +122,8 @@ def detect(
             raise ParameterError(f"{name} must hold at least 2 samples, got {len(samples)}")
         for i, value in enumerate(samples):
             _check_arg(value, f"{name}[{i}]", _FINITE)
+
+    import statistics  # here, so that a command that detects nothing does not load it
 
     baseline_mean = statistics.fmean(baseline_samples)
     observed_mean = statistics.fmean(observed_samples)

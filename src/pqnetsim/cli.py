@@ -17,20 +17,23 @@ randomness flows from the scenario seed or the ``--seed`` override, outputs
 are assembled in deterministic order, and re-running an invocation
 reproduces identical bytes.  CSV files always start with a header row and
 format numbers with shortest round-trip precision.
+
+A process pays only for its command: a command that runs ``engine`` or
+``kms`` imports it itself, and ``csv`` and ``tempfile`` load only where an
+artifact is written.  The process exits through :func:`_run_process`.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
+import gc
 import json
 import sys
-import tempfile
 from enum import Enum
 from pathlib import Path
 
-from . import engine, kms, model, timing
+from . import model, timing
 from .adversary import detect, qber_of
 from .errors import ParameterError, ScenarioValidationError
 
@@ -66,6 +69,8 @@ def _dump_json(data) -> str:
 
 
 def _write_rows(handle, header: list[str], rows: list) -> None:
+    import csv
+
     writer = csv.writer(handle, lineterminator="\n")
     writer.writerow(header)
     for row in rows:
@@ -84,6 +89,8 @@ def _write(args, *artifacts: tuple) -> None:
     order, only after the last is written.  The write is its own check of ``--out``: an ``OSError``
     is bad input, reported with its path, and removes every artifact this write had put in place.
     """
+    import tempfile
+
     path = out = Path(args.out)
     staged, placed = [], []
     try:
@@ -131,6 +138,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from . import engine
+
     config = _load_scenario(args)
     outcomes = engine.run_trials(config, args.trials, args.seed, max_slots=args.max_slots)
     summary = _dump_json(engine.summarize(config, outcomes).as_dict())
@@ -141,6 +150,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_adversary(args) -> int:
+    from . import engine
+
     config = _load_scenario(args)
     if config.adversary is None:
         raise ParameterError("scenario has no adversary block; nothing to detect")
@@ -171,6 +182,8 @@ def cmd_adversary(args) -> int:
 
 
 def cmd_kms(args) -> int:
+    from . import kms
+
     hierarchical = args.mode == "hierarchical"
     if hierarchical and args.cluster_size is None:
         raise ParameterError("--cluster-size is required in hierarchical mode")
@@ -186,6 +199,8 @@ def cmd_kms(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    from . import engine
+
     config = _load_scenario(args)
     try:
         values = [float(v) for v in args.values.split(",") if v != ""]
@@ -266,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", parents=[common], help="run the Monte Carlo engine and write trials.csv / summary.json")
     p_sim.add_argument("scenario")
     p_sim.add_argument("--trials", type=int, default=None, help="override the scenario's n_trials")
-    p_sim.add_argument("--max-slots", type=int, default=engine.DEFAULT_MAX_SLOTS, help="per-trial slot budget")
+    p_sim.add_argument("--max-slots", type=int, default=model._DEFAULT_MAX_SLOTS, help="per-trial slot budget")
     p_sim.set_defaults(func=cmd_simulate)
 
     p_adv = sub.add_parser("adversary", parents=[common], help="run intercepted vs clean traffic and test for anomalies")
@@ -274,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_adv.add_argument("--baseline-trials", type=int, default=2000, help="trials for the attack-free baseline")
     p_adv.add_argument("--observed-trials", type=int, default=500, help="trials for the intercepted run")
     p_adv.add_argument("--threshold-sigma", type=float, default=3.0, help="flagging threshold in sigmas")
-    p_adv.add_argument("--max-slots", type=int, default=engine.DEFAULT_MAX_SLOTS, help="per-trial slot budget")
+    p_adv.add_argument("--max-slots", type=int, default=model._DEFAULT_MAX_SLOTS, help="per-trial slot budget")
     p_adv.set_defaults(func=cmd_adversary)
 
     p_kms = sub.add_parser("kms", parents=[common], help="handshake counts and re-key cycle times")
@@ -291,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--param", required=True, help="dot path, e.g. nodes.0.memory.t_coh")
     p_sweep.add_argument("--values", required=True, help="comma-separated numbers")
     p_sweep.add_argument("--trials", type=int, default=None, help="override the scenario's n_trials")
-    p_sweep.add_argument("--max-slots", type=int, default=engine.DEFAULT_MAX_SLOTS, help="per-trial slot budget")
+    p_sweep.add_argument("--max-slots", type=int, default=model._DEFAULT_MAX_SLOTS, help="per-trial slot budget")
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_prof = sub.add_parser("profiles", parents=[common], help="list the crypto-profile registry")
@@ -317,5 +332,17 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INTERNAL_ERROR
 
 
+def _run_process() -> None:
+    """Run :func:`main` as the process (``python -m pqnetsim.cli``, the ``pqnetsim`` script) and exit with its code.
+
+    ``gc.freeze()`` spares what the command built from the interpreter's collections at exit.  ``os._exit``
+    would also skip ``atexit``, the flush of stdout and stderr, and a ``runpy`` caller's ``finally``.
+    :func:`main` leaves the collector alone: tests call it in process.
+    """
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    _run_process()

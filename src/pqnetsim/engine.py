@@ -63,9 +63,10 @@ it for all but one value in 256.  Words fetched past the first success are
 the next uniforms of the stream: the slots after it read them before drawing
 afresh.  The draws, and so every outcome, are those of the slot-by-slot loop.
 
-Each public function that runs a scenario (:func:`run_trial`, :func:`run_trials`,
-:func:`run_monte_carlo`, :func:`sweep`) validates it first; set-up, linear in the chain
-length, and the trial loops then trust it, calling only the unchecked fidelity kernels.
+Each public function that takes a scenario (:func:`run_trial`, :func:`run_trials`,
+:func:`summarize`, :func:`run_monte_carlo`, :func:`sweep`) validates it first; set-up, linear
+in the chain length, the trial loops and the summary of a run then trust it, calling only the
+unchecked fidelity kernels.
 """
 
 from __future__ import annotations
@@ -73,7 +74,6 @@ from __future__ import annotations
 import hashlib
 import math
 import random
-import statistics
 from dataclasses import asdict, dataclass
 from enum import Enum
 from functools import lru_cache, reduce
@@ -97,7 +97,7 @@ __all__ = [
 ]
 
 # Bounds runtime when generation probabilities are near zero.
-DEFAULT_MAX_SLOTS = 1_000_000
+DEFAULT_MAX_SLOTS = model._DEFAULT_MAX_SLOTS
 
 _MAX_GAP = 2**52  # cap on a slot count to an expiry; no trial lasts that long
 _MAX_SLOTS = model._range(1, _MAX_GAP, f"must be in [1, {_MAX_GAP}]")
@@ -523,21 +523,31 @@ def run_trials(
 
 
 def _fmean(values: list[float]) -> float:
-    """``statistics.fmean``, scaled by an exact power of two where the sum of finite values overflows."""
+    """The mean of ``values``, scaled by an exact power of two where the sum of finite values overflows.
+
+    ``math.fsum(values) / len(values)`` is the body of ``statistics.fmean``, so the bits are the same,
+    without importing ``statistics``.
+    """
+    n = len(values)
     try:
-        return statistics.fmean(values)
+        return math.fsum(values) / n
     except OverflowError:
-        k = len(values).bit_length()
-        return math.ldexp(statistics.fmean([math.ldexp(v, -k) for v in values]), k)
+        k = n.bit_length()
+        return math.ldexp(math.fsum([math.ldexp(v, -k) for v in values]) / n, k)
 
 
 def summarize(config: model.ScenarioConfig, outcomes: Sequence[TrialOutcome]) -> RunSummary:
-    """Aggregate trial outcomes; order-independent for the reported statistics.
+    """Aggregate trial outcomes of a scenario, validated first; order-independent for the reported statistics.
 
     Raises:
+        ScenarioValidationError: when the scenario is invalid.
         ParameterError: when a link's ``re_tcoh_product`` overflows a float.
     """
-    model._check_type(config, "config", model.ScenarioConfig)
+    return _summarize(model._require_valid(config), outcomes)
+
+
+def _summarize(config: model.ScenarioConfig, outcomes: Sequence[TrialOutcome]) -> RunSummary:
+    """:func:`summarize` of a scenario already validated."""
     if not model._check_type(outcomes, "outcomes", Sequence):
         raise ParameterError("summarize requires at least one outcome")
     for i, outcome in enumerate(outcomes):
@@ -557,7 +567,7 @@ def summarize(config: model.ScenarioConfig, outcomes: Sequence[TrialOutcome]) ->
         n_trials=len(outcomes),
         success_rate=len(successes) / len(outcomes),
         mean_t_dist=_fmean([o.t_dist for o in successes]) if successes else None,
-        f_end_mean=statistics.fmean(o.f_end for o in successes) if successes else None,
+        f_end_mean=_fmean([o.f_end for o in successes]) if successes else None,
         f_end_min=min(o.f_end for o in successes) if successes else None,
         re_tcoh_product=products,
     )
@@ -570,7 +580,7 @@ def run_monte_carlo(
     max_slots: int = DEFAULT_MAX_SLOTS,
 ) -> RunSummary:
     """Validated Monte Carlo run; bit-identical across calls with equal inputs."""
-    return summarize(config, run_trials(config, n_trials, master_seed, max_slots=max_slots))
+    return _summarize(config, run_trials(config, n_trials, master_seed, max_slots=max_slots))
 
 
 def sweep(

@@ -84,6 +84,8 @@ _FIDELITY = _range(0.25, 1.0, "must be in [0.25, 1]")
 _COUNT = _range(0, math.inf, "must be >= 0")
 _AT_LEAST_ONE = _range(1, math.inf, "must be >= 1")
 _SEED = _range(0, 2**64 - 1, "must fit in an unsigned 64-bit integer")
+# The engine's default slot budget per trial (engine.DEFAULT_MAX_SLOTS), here so the CLI reads it without the engine.
+_DEFAULT_MAX_SLOTS = 1_000_000
 
 
 def _range_problem(value: Any, low: Any, high: Any, message: str) -> str | None:
@@ -858,9 +860,13 @@ def resolve_path(config: ScenarioConfig) -> list[str]:
 
     Classical correction messages flow toward ``path[-1]``, the path endpoint
     whose id sorts lexicographically later.  Assumes the scenario is valid;
-    raises :class:`ParameterError` when no simple path over known nodes exists.
+    raises :class:`ParameterError` when no simple path over known nodes exists,
+    or when ``nodes`` or ``quantum_links`` is not a tuple (the walk it keeps
+    would go stale if the list changed).
     """
     _check_type(config, "config", ScenarioConfig)
+    _check_type(config.nodes, "config.nodes", tuple)
+    _check_type(config.quantum_links, "config.quantum_links", tuple)
     try:
         nodes, _, _ = config._chain
     except KeyError as exc:

@@ -63,6 +63,12 @@ DIFFERENTIAL = "tests/test_model.py::TestReferenceDifferential"
 VALIDATE = "tests/test_model.py::TestValidateScenario"
 VALIDATION_TABLE = "tests/test_model.py::TestValidationTable"
 SETUP = "tests/test_engine.py::TestSetupScaling"
+INIT = "pqnetsim/__init__.py"
+LAZY_ORDER = "tests/test_layers.py::test_a_name_loads_the_modules_up_to_its_own_in_layer_order"
+LAZY_LISTS = "tests/test_layers.py::test_the_package_exports_only_what_the_modules_list"
+MEANS = "tests/test_engine.py::TestMeans"
+SUMMARIZE = "tests/test_engine.py::TestSummarizeValidates"
+PATHS = "tests/test_model.py::TestPathsAndEditing"
 
 CATALOG = [
     # The two mutants that once survived the whole of tier-1.
@@ -94,7 +100,7 @@ CATALOG = [
     Mutant(ENGINE, "config.slot_duration + max(timings.totals))", "config.slot_duration)", ENGINE_TESTS + CLI_TESTS),
     Mutant(ENGINE, "max(timings.totals)) * (1 + 2**-49)", "max(timings.totals))", ENGINE_TESTS),
     Mutant(ENGINE, "+ max(timings.totals)", "+ timings.totals[0]", ENGINE_TESTS),
-    Mutant(ENGINE, "    except OverflowError:\n        k = len", "    except ZeroDivisionError:\n        k = len",
+    Mutant(ENGINE, "    except OverflowError:\n        k = n", "    except ZeroDivisionError:\n        k = n",
            ENGINE_TESTS),
     # The one write path: a failed write is bad input, and nothing else in --out is touched.
     Mutant(CLI, "except OSError as exc:", "except PermissionError as exc:", CLI_TESTS),
@@ -136,8 +142,19 @@ CATALOG = [
     Mutant(MODEL, "if not (type(e) is tuple and len(e) == 2 and type(e[0]) is type(e[1]) is str)]", "if False]",
            (VALIDATE,)),
     Mutant(MODEL, "and len(e) == 2 and", "and len(e) >= 2 and", (VALIDATE,)),
-    # The package re-exports every module's public names.
-    Mutant("pqnetsim/__init__.py", "from .errors import *\n", "", ("tests/test_exports.py",)),
+    # The package looks each name up in the modules' own lists, in layer order, importing no module past its own.
+    Mutant(INIT, '_LAYERS = ("errors", "model", "timing", "fidelity", "engine",',
+           '_LAYERS = ("errors", "model", "fidelity", "engine", "timing",', (LAZY_ORDER,)),
+    Mutant(INIT, "            if name in module.__all__:", "            if hasattr(module, name):", (LAZY_LISTS,)),
+    # The summary's means are fsum over the count, as statistics.fmean computes them, scaled or not.
+    Mutant(ENGINE, "        return math.fsum(values) / n", "        return math.fsum(values) / max(n - 1, 1)",
+           (MEANS,)),
+    Mutant(ENGINE, "for v in values]) / n, k)", "for v in values]) / (n + 1), k)", (MEANS,)),
+    # summarize validates its scenario; resolve_path refuses a list before it keeps a walk of it.
+    Mutant(ENGINE, "return _summarize(model._require_valid(config), outcomes)", "return _summarize(config, outcomes)",
+           (SUMMARIZE,)),
+    Mutant(MODEL, '    _check_type(config.nodes, "config.nodes", tuple)\n', "", (PATHS,)),
+    Mutant(MODEL, '    _check_type(config.quantum_links, "config.quantum_links", tuple)\n', "", (PATHS,)),
     # Strict JSON: a key given twice is refused, not last-wins.
     Mutant(MODEL, ", object_pairs_hook=_json_object)", ")", (MALFORMED,)),
     # The walk leaves each node by the neighbour it did not come from.

@@ -3,9 +3,13 @@
 import contextlib
 import csv
 import dataclasses
+import gc
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -14,6 +18,7 @@ from hypothesis import example, given, settings, strategies as st
 from pqnetsim import (
     HopTiming,
     ParameterError,
+    cli,
     engine,
     load_registry,
     load_scenario,
@@ -23,7 +28,8 @@ from pqnetsim import (
 )
 from pqnetsim.cli import main
 
-SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+ROOT = Path(__file__).resolve().parent.parent
+SCENARIO_DIR = ROOT / "scenarios"
 
 
 def write_profiles(tmp_path: Path, enc: float, dec: float) -> Path:
@@ -709,7 +715,7 @@ class TestHorizonRule:
 
 
 class TestValidateOnceWriteLast:
-    """Each scenario is validated once per run of it, and a refused command writes nothing."""
+    """Each scenario is validated once per public entry point a command calls, and a refused command writes nothing."""
 
     INTERCEPTED = str(SCENARIO_DIR / "intercepted_chain.json")
     SWEEP = ["sweep", INTERCEPTED, "--param", "slot_duration", "--values"]
@@ -724,7 +730,8 @@ class TestValidateOnceWriteLast:
         "argv, calls",
         [
             pytest.param(["check", INTERCEPTED], 1, id="check"),
-            pytest.param(["simulate", INTERCEPTED, "--trials", "3"], 1, id="simulate"),
+            # run_trials and summarize are each a public entry point, and each validates the scenario.
+            pytest.param(["simulate", INTERCEPTED, "--trials", "3"], 2, id="simulate"),
             pytest.param(
                 ["adversary", INTERCEPTED, "--baseline-trials", "40", "--observed-trials", "40"], 2, id="adversary"
             ),
@@ -837,6 +844,66 @@ class TestValidateOnceWriteLast:
             expected = validate_scenario(load_scenario(scenario))
             assert len(expected) == 3
             assert violations == [{"path": v.path, "message": v.message} for v in expected]
+
+
+class TestProcessExit:
+    """``python -m pqnetsim.cli`` exits as an in-process ``main()`` returns, byte for byte on stdout and stderr.
+
+    The process path adds only ``gc.freeze()`` before ``sys.exit``; ``main()`` itself leaves the collector alone.
+    """
+
+    CHAIN = str(SCENARIO_DIR / "repeater_chain.json")
+    BROKEN = "def broken_run_trials(*args, **kwargs):\n    raise RuntimeError('engine state corrupted')\n"
+    # Runs the module's ``__main__`` block as ``-m`` does, with the engine broken first: exit 3 has no other cause.
+    FAULT = BROKEN + (
+        "import runpy, pqnetsim.engine\n"
+        "pqnetsim.engine.run_trials = broken_run_trials\n"
+        "runpy.run_module('pqnetsim.cli', run_name='__main__', alter_sys=True)\n"
+    )
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            pytest.param(["check", CHAIN], 0, id="check"),
+            pytest.param(["simulate", CHAIN, "--trials", "3"], 0, id="simulate"),
+            pytest.param(["profiles", "--format", "csv"], 0, id="profiles-csv"),
+            pytest.param(["adversary", str(SCENARIO_DIR / "intercepted_chain.json"), "--baseline-trials", "20",
+                          "--observed-trials", "20"], 1, id="adversary-flagged"),
+            pytest.param(["check", "missing.json"], 2, id="violations"),
+            pytest.param(["simulate", CHAIN, "--max-slots", "0"], 2, id="error-line"),
+            pytest.param(["simulate", CHAIN, "--trials", "3"], 3, id="internal-error"),
+        ],
+    )
+    def test_process_exit_code_and_output_are_mains(self, argv, code, tmp_path, capsys, monkeypatch):
+        argv = ["--out", "out", *argv]
+        path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
+        entry = ["-c", self.FAULT] if code == 3 else ["-m", "pqnetsim.cli"]
+        process = subprocess.run([sys.executable, *entry, *argv], cwd=tmp_path, env=env, capture_output=True,
+                                 text=True, timeout=120)
+        monkeypatch.chdir(tmp_path)
+        if code == 3:
+            namespace = {}
+            exec(self.BROKEN, namespace)
+            monkeypatch.setattr(engine, "run_trials", namespace["broken_run_trials"])
+        assert main(argv) == code
+        captured = capsys.readouterr()
+        assert (process.returncode, process.stdout, process.stderr) == (code, captured.out, captured.err)
+
+    def test_main_leaves_the_collector_as_it_was(self, tmp_path, capsys):
+        before = gc.get_freeze_count(), gc.isenabled()
+        assert main(["--out", str(tmp_path), "simulate", self.CHAIN, "--trials", "3"]) == 0
+        capsys.readouterr()
+        assert (gc.get_freeze_count(), gc.isenabled()) == before
+
+    def test_the_process_entry_freezes_after_main_then_exits_with_its_code(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+        monkeypatch.setattr(cli, "main", lambda: calls.append("main") or 1)
+        with pytest.raises(SystemExit) as info:
+            cli._run_process()
+        assert (info.value.code, calls) == (1, ["main", "freeze"])
+        assert 'pqnetsim = "pqnetsim.cli:_run_process"' in (ROOT / "pyproject.toml").read_text()
 
 
 class TestRoundsCap:

@@ -4,6 +4,8 @@ import dataclasses
 import math
 import random
 import re
+import statistics
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,6 +21,7 @@ from pqnetsim import (
     check_scenario,
     decay,
     engine,
+    load_scenario,
     model,
     run_monte_carlo,
     run_trial,
@@ -267,6 +270,91 @@ class TestRunInvariants:
         # r1 memory (0.0045 s) is the binding one on both links at p=0.5/ms
         assert summary.re_tcoh_product["alice,r1"] == pytest.approx(0.5 / 0.001 * 0.0045)
         assert summary.re_tcoh_product["bob,r1"] == pytest.approx(0.5 / 0.001 * 0.0040)
+
+
+def fmean_reference(values: list[float]) -> float:
+    """The mean as ``statistics.fmean`` gives it, scaled by ``2**-k`` where the sum of finite values overflows."""
+    try:
+        return statistics.fmean(values)
+    except OverflowError:
+        k = len(values).bit_length()
+        return math.ldexp(statistics.fmean([math.ldexp(v, -k) for v in values]), k)
+
+
+# Subnormal, ordinary and huge magnitudes, of either sign.
+MEAN_INPUTS = st.one_of(
+    st.floats(min_value=-2.0**-1022, max_value=2.0**-1022),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(min_value=2.0**1000, max_value=1.7976931348623157e308),
+)
+
+
+class TestMeans:
+    """The summary's means are ``math.fsum(values) / len(values)``, the body of ``statistics.fmean``: the same bits."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(MEAN_INPUTS, min_size=1, max_size=40))
+    def test_mean_is_statistics_fmean_to_the_bit(self, values):
+        assert engine._fmean(values).hex() == fmean_reference(values).hex()
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [1.5e308] * 5,
+            [1e308, 1.7e308],
+            [1.7976931348623157e308] * 3 + [5e-324],
+            [5e-324, 1e-310, 2.2250738585072014e-308],
+            [1e308, 1e308, -1e308],
+        ],
+    )
+    def test_overflow_fallback_is_the_scaled_fmean(self, values):
+        assert engine._fmean(values).hex() == fmean_reference(values).hex()
+
+    @pytest.mark.parametrize("path", sorted((Path(__file__).resolve().parent.parent / "scenarios").glob("*.json")),
+                             ids=lambda path: path.stem)
+    def test_golden_scenario_means_are_statistics_fmean(self, path):
+        config = load_scenario(path)
+        outcomes = run_trials(config)
+        successes = [o for o in outcomes if o.success]
+        summary = summarize(config, outcomes)
+        assert summary.mean_t_dist.hex() == statistics.fmean(o.t_dist for o in successes).hex()
+        assert summary.f_end_mean.hex() == statistics.fmean(o.f_end for o in successes).hex()
+
+
+class TestSummarizeValidates:
+    """``summarize`` is a public entry point: an invalid scenario raises what ``run_trials`` raises."""
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            pytest.param(
+                lambda c: {"quantum_links": (dataclasses.replace(c.quantum_links[0], endpoints=("alice", "ghost")),)},
+                id="unknown-endpoint",
+            ),
+            pytest.param(lambda c: {"nodes": (None, c.nodes[1])}, id="none-node"),
+            pytest.param(lambda c: {"slot_duration": "0.001"}, id="string-slot"),
+            pytest.param(lambda c: {"slot_duration": 0.0}, id="zero-slot"),
+        ],
+    )
+    def test_invalid_scenario_is_refused_as_by_run_trials(self, edit):
+        config = load_scenario(Path(__file__).resolve().parent.parent / "scenarios" / "teleport_single_hop.json")
+        outcomes = run_trials(config, 3)
+        bad = dataclasses.replace(config, **edit(config))
+        with pytest.raises(ScenarioValidationError) as refused:
+            summarize(bad, outcomes)
+        with pytest.raises(ScenarioValidationError) as expected:
+            run_trials(bad, 3)
+        assert refused.value.violations == expected.value.violations
+
+    def test_runs_that_validated_summarize_without_validating_again(self, monkeypatch):
+        config = chain_scenario([(0.001, 0.001)] * 2)
+        seen = []
+        validate = model.validate_scenario
+        monkeypatch.setattr(model, "validate_scenario", lambda c: seen.append(c) or validate(c))
+        run_monte_carlo(config, 3)
+        assert len(seen) == 1
+        sweep(config, "slot_duration", [0.001, 0.002], 3)
+        assert len(seen) == 1 + 1 + 2
 
 
 class TestDeterminism:

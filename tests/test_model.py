@@ -490,6 +490,16 @@ class TestPathsAndEditing:
             with pytest.raises(ParameterError, match="ghost"):
                 call(config)
 
+    @pytest.mark.parametrize("field", ["nodes", "quantum_links"])
+    def test_a_list_is_refused_before_its_walk_is_kept(self, field):
+        # A walk kept for a list would go stale when the list changed: r1's t_coh would still read 0.02.
+        config = load_scenario(SCENARIO_DIR / "repeater_chain.json")
+        listed = dataclasses.replace(config, **{field: list(getattr(config, field))})
+        for call in (resolve_path, scenario_timings):
+            with pytest.raises(ParameterError, match=rf"^config\.{field} must be of type tuple, got list$"):
+                call(listed)
+        assert "_chain" not in vars(listed)
+
     def test_set_config_value_scalar(self):
         config = two_party_scenario()
         updated = set_config_value(config, "slot_duration", 0.5)
