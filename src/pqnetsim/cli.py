@@ -142,7 +142,7 @@ def cmd_simulate(args) -> int:
 
     config = _load_scenario(args)
     outcomes = engine.run_trials(config, args.trials, args.seed, max_slots=args.max_slots)
-    summary = _dump_json(engine.summarize(config, outcomes).as_dict())
+    summary = _dump_json(engine._summarize(config, outcomes).as_dict())
     rows = [[i, o.success, o.failure_reason, o.slots_used, o.t_dist, o.f_end] for i, o in enumerate(outcomes)]
     _write(args, ("trials.csv", TRIALS_CSV_COLUMNS, rows), ("summary.json", summary + "\n"))
     print(summary)

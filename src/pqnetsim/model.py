@@ -270,7 +270,13 @@ class ScenarioConfig:
 
     @functools.cached_property
     def _chain(self) -> _Chain:
-        """:func:`_walk` of this scenario, walked once per object: validation holds its nodes and links to tuples."""
+        """:func:`_walk` of this scenario, walked once per object.
+
+        Its nodes and links must be tuples (else :class:`ParameterError`): a walk kept for a list
+        would go stale when the list changed.
+        """
+        _check_type(self.nodes, "config.nodes", tuple)
+        _check_type(self.quantum_links, "config.quantum_links", tuple)
         return _walk(self)
 
 
@@ -865,8 +871,6 @@ def resolve_path(config: ScenarioConfig) -> list[str]:
     would go stale if the list changed).
     """
     _check_type(config, "config", ScenarioConfig)
-    _check_type(config.nodes, "config.nodes", tuple)
-    _check_type(config.quantum_links, "config.quantum_links", tuple)
     try:
         nodes, _, _ = config._chain
     except KeyError as exc:

@@ -150,11 +150,11 @@ CATALOG = [
     Mutant(ENGINE, "        return math.fsum(values) / n", "        return math.fsum(values) / max(n - 1, 1)",
            (MEANS,)),
     Mutant(ENGINE, "for v in values]) / n, k)", "for v in values]) / (n + 1), k)", (MEANS,)),
-    # summarize validates its scenario; resolve_path refuses a list before it keeps a walk of it.
+    # summarize validates its scenario; the cached walk refuses a list before it keeps a walk of it.
     Mutant(ENGINE, "return _summarize(model._require_valid(config), outcomes)", "return _summarize(config, outcomes)",
            (SUMMARIZE,)),
-    Mutant(MODEL, '    _check_type(config.nodes, "config.nodes", tuple)\n', "", (PATHS,)),
-    Mutant(MODEL, '    _check_type(config.quantum_links, "config.quantum_links", tuple)\n', "", (PATHS,)),
+    Mutant(MODEL, '        _check_type(self.nodes, "config.nodes", tuple)\n', "", (PATHS,)),
+    Mutant(MODEL, '        _check_type(self.quantum_links, "config.quantum_links", tuple)\n', "", (PATHS,)),
     # Strict JSON: a key given twice is refused, not last-wins.
     Mutant(MODEL, ", object_pairs_hook=_json_object)", ")", (MALFORMED,)),
     # The walk leaves each node by the neighbour it did not come from.

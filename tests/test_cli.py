@@ -715,7 +715,7 @@ class TestHorizonRule:
 
 
 class TestValidateOnceWriteLast:
-    """Each scenario is validated once per public entry point a command calls, and a refused command writes nothing."""
+    """Each scenario is validated once per run of it, and a refused command writes nothing."""
 
     INTERCEPTED = str(SCENARIO_DIR / "intercepted_chain.json")
     SWEEP = ["sweep", INTERCEPTED, "--param", "slot_duration", "--values"]
@@ -730,8 +730,7 @@ class TestValidateOnceWriteLast:
         "argv, calls",
         [
             pytest.param(["check", INTERCEPTED], 1, id="check"),
-            # run_trials and summarize are each a public entry point, and each validates the scenario.
-            pytest.param(["simulate", INTERCEPTED, "--trials", "3"], 2, id="simulate"),
+            pytest.param(["simulate", INTERCEPTED, "--trials", "3"], 1, id="simulate"),
             pytest.param(
                 ["adversary", INTERCEPTED, "--baseline-trials", "40", "--observed-trials", "40"], 2, id="adversary"
             ),
