@@ -270,11 +270,7 @@ class ScenarioConfig:
 
     @functools.cached_property
     def _chain(self) -> _Chain:
-        """:func:`_walk` of this scenario, walked once per object.
-
-        Its nodes and links must be tuples (else :class:`ParameterError`): a walk kept for a list
-        would go stale when the list changed.
-        """
+        """:func:`_walk` of this scenario, walked once per object; lists are refused, as their walk could go stale."""
         _check_type(self.nodes, "config.nodes", tuple)
         _check_type(self.quantum_links, "config.quantum_links", tuple)
         return _walk(self)
