@@ -4,7 +4,9 @@ Subcommands: ``check``, ``simulate``, ``adversary``, ``kms``, ``sweep`` and
 ``profiles``.  Exit codes follow a fixed taxonomy: 0 on success, 1 for a
 legitimate negative verdict (timing infeasible, intrusion flagged) so
 pipelines can branch without parsing JSON, 2 for malformed input, and 3 for
-an internal error, a fault of the program that is never a verdict.
+an internal error, a fault of the program that is never a verdict.  A
+process whose stdout reader has gone exits 141 (128 + SIGPIPE, as a shell
+reports it) with nothing on stderr: that is no fault of the program.
 
 Each command parses its input, computes, then writes.  The library function
 that runs a scenario validates it, and one write path creates ``--out`` just
@@ -29,6 +31,7 @@ import argparse
 import dataclasses
 import gc
 import json
+import os
 import sys
 from enum import Enum
 from pathlib import Path
@@ -43,6 +46,7 @@ EXIT_OK = 0
 EXIT_NEGATIVE_VERDICT = 1
 EXIT_INPUT_ERROR = 2
 EXIT_INTERNAL_ERROR = 3
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE
 
 TRIALS_CSV_COLUMNS = ["trial_index", "success", "failure_reason", "slots_used", "t_dist_s", "f_end"]
 
@@ -142,7 +146,7 @@ def cmd_simulate(args) -> int:
 
     config = _load_scenario(args)
     outcomes = engine.run_trials(config, args.trials, args.seed, max_slots=args.max_slots)
-    summary = _dump_json(engine._summarize(config, outcomes).as_dict())
+    summary = _dump_json(engine.summarize(config, outcomes).as_dict())
     rows = [[i, o.success, o.failure_reason, o.slots_used, o.t_dist, o.f_end] for i, o in enumerate(outcomes)]
     _write(args, ("trials.csv", TRIALS_CSV_COLUMNS, rows), ("summary.json", summary + "\n"))
     print(summary)
@@ -155,12 +159,10 @@ def cmd_adversary(args) -> int:
     config = _load_scenario(args)
     if config.adversary is None:
         raise ParameterError("scenario has no adversary block; nothing to detect")
+    model._require_valid(config)  # before its seed is used, so that a bad file reports every violation
     master = config.seed if args.seed is None else args.seed
     baseline_config = dataclasses.replace(config, adversary=None)
-
-    # The observed run validates the full scenario first, so a bad file reports every violation;
-    # `% 2**64` is the identity on a valid seed, and keeps a bad file seed from failing before that.
-    observed_seed = engine.derive_stream_seed(master % 2**64, "observed")
+    observed_seed = engine.derive_stream_seed(master, "observed")
     observed = engine.run_trials(config, args.observed_trials, observed_seed, max_slots=args.max_slots)
     baseline_seed = engine.derive_stream_seed(master, "baseline")
     baseline = engine.run_trials(baseline_config, args.baseline_trials, baseline_seed, max_slots=args.max_slots)
@@ -327,6 +329,8 @@ def main(argv: list[str] | None = None) -> int:
     except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    except BrokenPipeError:  # the reader is gone; the process entry handles it
+        raise
     except Exception as exc:  # any other failure is a bug; it must not pass for a verdict
         print(" ".join(f"internal error: {type(exc).__name__}: {exc}".split()), file=sys.stderr)
         return EXIT_INTERNAL_ERROR
@@ -337,9 +341,15 @@ def _run_process() -> None:
 
     ``gc.freeze()`` spares what the command built from the interpreter's collections at exit.  ``os._exit``
     would also skip ``atexit``, the flush of stdout and stderr, and a ``runpy`` caller's ``finally``.
-    :func:`main` leaves the collector alone: tests call it in process.
+    :func:`main` leaves the collector alone: tests call it in process.  A closed stdout is handled as the
+    Python ``signal`` documentation advises ("Note on SIGPIPE"): the rest of the output goes to ``os.devnull``.
     """
-    code = main()
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_BROKEN_PIPE
     gc.freeze()
     sys.exit(code)
 

@@ -40,7 +40,8 @@ that never complete within ``max_slots`` slots (default one million, at
 most ``2**52``) end as ``horizon_exceeded``.  A run
 is refused unless its horizon, ``max_slots * slot_duration`` plus the longest
 message wait, is a finite float with a margin of ``2**-49`` to spare; that
-bounds every time a trial reports, whatever the order of its roundings.
+bounds every time a trial reports, whatever the order of its roundings.  So is a run, before its
+first trial, where a link's ``re_tcoh_product`` (see :class:`RunSummary`) is not a finite float.
 
 Per-trial randomness comes from ``random.Random(trial_seed)`` where
 ``trial_seed`` is derived from the master seed by a fixed, documented hash
@@ -64,9 +65,9 @@ the next uniforms of the stream: the slots after it read them before drawing
 afresh.  The draws, and so every outcome, are those of the slot-by-slot loop.
 
 Each public function that takes a scenario (:func:`run_trial`, :func:`run_trials`,
-:func:`summarize`, :func:`run_monte_carlo`, :func:`sweep`) validates it first; set-up, linear
-in the chain length, the trial loops and the summary of a run then trust it, calling only the
-unchecked fidelity kernels.
+:func:`summarize`, :func:`run_monte_carlo`, :func:`sweep`) validates it, once per scenario object
+unless its ``classical_channels`` dict is changed in place; set-up, linear in the chain length, the
+trial loops and the summary then trust it, calling only the unchecked fidelity kernels.
 """
 
 from __future__ import annotations
@@ -221,6 +222,9 @@ def _prepare(config: model.ScenarioConfig, max_slots: int = DEFAULT_MAX_SLOTS) -
     if not math.isfinite(horizon):
         raise ParameterError(f"max_slots * slot_duration + the longest message wait must be finite, got {horizon}")
     nodes, links, _ = config._chain  # the path scenario_timings resolved, as records
+    # p_success <= 1 and rounding is monotone: while this bound is finite, no link's product overflows.
+    if not math.isfinite((1 / config.slot_duration) * max(node.memory.t_coh for node in nodes)):
+        _re_tcoh_products(config)
     base_fids = [link.base_fidelity for link in links]
     adv = config.adversary
     if adv is not None:  # every pair on the intercepted link ages in the adversary's memory for its whole delay
@@ -265,9 +269,8 @@ def run_trial(
 ) -> TrialOutcome:
     """Simulate one trial; deterministic given ``(config, trial_seed)``.
 
-    The scenario is validated and prepared on every call; :func:`run_trials`
-    does both once for a whole run.  Quiet chain slots are fast-forwarded,
-    with the same draws: one uniform per regenerating link per slot, in path order.
+    The scenario is prepared on every call, and once per run by :func:`run_trials`.  Quiet chain slots
+    are fast-forwarded, with the same draws: one uniform per regenerating link per slot, in path order.
     """
     model._require_valid(config)
     model._check_arg(trial_seed, "trial_seed", model._SEED)
@@ -511,7 +514,6 @@ def run_trials(
     """Run independent trials with per-trial seeds split from the master seed.
 
     ``n_trials`` and ``master_seed`` default to the scenario's own fields.
-    The scenario is validated once up front.
     """
     model._require_valid(config)
     n = config.n_trials if n_trials is None else n_trials
@@ -520,6 +522,20 @@ def run_trials(
     model._check_arg(seed, "master_seed", model._SEED)
     prepared = _prepare(config, max_slots)
     return [_execute(prepared, trial_seed_for(seed, i), max_slots) for i in range(n)]
+
+
+def _re_tcoh_products(config: model.ScenarioConfig) -> dict[str, float]:
+    """Each link's ``re_tcoh_product``; a :class:`ParameterError` for the first, in link order, past the float range."""
+    t_coh = {n.id: n.memory.t_coh for n in config.nodes}
+    products = {
+        link.key: (link.p_success / config.slot_duration)
+        * min(t_coh[link.endpoints[0]], t_coh[link.endpoints[1]])
+        for link in config.quantum_links
+    }
+    for key, product in products.items():
+        if not math.isfinite(product):
+            raise ParameterError(f"re_tcoh_product of link {key} must be finite, got {product}")
+    return products
 
 
 def _fmean(values: list[float]) -> float:
@@ -543,33 +559,20 @@ def summarize(config: model.ScenarioConfig, outcomes: Sequence[TrialOutcome]) ->
         ScenarioValidationError: when the scenario is invalid.
         ParameterError: when a link's ``re_tcoh_product`` overflows a float.
     """
-    return _summarize(model._require_valid(config), outcomes)
-
-
-def _summarize(config: model.ScenarioConfig, outcomes: Sequence[TrialOutcome]) -> RunSummary:
-    """:func:`summarize` of a scenario already validated."""
+    model._require_valid(config)
     if not model._check_type(outcomes, "outcomes", Sequence):
         raise ParameterError("summarize requires at least one outcome")
     for i, outcome in enumerate(outcomes):
         if not isinstance(outcome, TrialOutcome):  # builds the label only for a bad element
             model._check_type(outcome, f"outcomes[{i}]", TrialOutcome)
     successes = [o for o in outcomes if o.success]
-    t_coh = {n.id: n.memory.t_coh for n in config.nodes}
-    products = {
-        link.key: (link.p_success / config.slot_duration)
-        * min(t_coh[link.endpoints[0]], t_coh[link.endpoints[1]])
-        for link in config.quantum_links
-    }
-    for key, product in products.items():
-        if not math.isfinite(product):
-            raise ParameterError(f"re_tcoh_product of link {key} must be finite, got {product}")
     return RunSummary(
         n_trials=len(outcomes),
         success_rate=len(successes) / len(outcomes),
         mean_t_dist=_fmean([o.t_dist for o in successes]) if successes else None,
         f_end_mean=_fmean([o.f_end for o in successes]) if successes else None,
         f_end_min=min(o.f_end for o in successes) if successes else None,
-        re_tcoh_product=products,
+        re_tcoh_product=_re_tcoh_products(config),
     )
 
 
@@ -580,7 +583,7 @@ def run_monte_carlo(
     max_slots: int = DEFAULT_MAX_SLOTS,
 ) -> RunSummary:
     """Validated Monte Carlo run; bit-identical across calls with equal inputs."""
-    return _summarize(config, run_trials(config, n_trials, master_seed, max_slots=max_slots))
+    return summarize(config, run_trials(config, n_trials, master_seed, max_slots=max_slots))
 
 
 def sweep(

@@ -778,10 +778,16 @@ def _misfits(columns: list[tuple[str, Iterable, type]]) -> list[Violation]:
 
 
 def _require_valid(config: ScenarioConfig) -> ScenarioConfig:
-    """``config`` if :func:`validate_scenario` finds nothing; else a :class:`ScenarioValidationError`."""
-    violations = validate_scenario(config)
-    if violations:
-        raise ScenarioValidationError(violations)
+    """``config`` if :func:`validate_scenario` finds nothing; else a :class:`ScenarioValidationError`.
+
+    The one place that decides to validate.  A pass keeps a copy of ``classical_channels`` on the object, as
+    ``_chain`` keeps its walk; the rest of a valid scenario is immutable, so only a changed dict revalidates.
+    """
+    passed = _check_type(config, "config", ScenarioConfig).__dict__.get("_valid_channels")
+    if passed is None or passed != config.classical_channels:
+        if violations := validate_scenario(config):
+            raise ScenarioValidationError(violations)
+        config.__dict__["_valid_channels"] = dict(config.classical_channels)
     return config
 
 

@@ -69,6 +69,10 @@ LAZY_LISTS = "tests/test_layers.py::test_the_package_exports_only_what_the_modul
 MEANS = "tests/test_engine.py::TestMeans"
 SUMMARIZE = "tests/test_engine.py::TestSummarizeValidates"
 PATHS = "tests/test_model.py::TestPathsAndEditing"
+VALIDATED_ONCE = "tests/test_engine.py::TestValidatedOnce"
+PROCESS_EXIT = "tests/test_cli.py::TestProcessExit"
+REFUSED = "tests/test_cli.py::TestValidateOnceWriteLast::test_refused_command_leaves_no_out_dir"
+EXPIRY_STEP = "tests/test_engine.py::TestFastForward::test_expiry_gap_steps_up_where_the_ratio_rounds_down_to_a_multiple"
 
 CATALOG = [
     # The two mutants that once survived the whole of tier-1.
@@ -78,6 +82,7 @@ CATALOG = [
            "f_end_min=min(o.f_end for o in successes[1:] or successes) if", ENGINE_TESTS),
     # The chain engine's expiry rule: `d * tau >= limit`, read as integer slot gaps.
     Mutant(ENGINE, "while d < _MAX_GAP and d * tau < limit:", "while d < _MAX_GAP and d * tau <= limit:", ENGINE_TESTS),
+    Mutant(ENGINE, "    while d < _MAX_GAP and d * tau < limit:\n        d += 1\n", "", (EXPIRY_STEP,)),
     # The differential tests hang on this one (a window of 0 slots); the boundary test fails it at once.
     Mutant(ENGINE, "if slot - gen_slot[j] >= gap:", "if slot - gen_slot[j] > gap:",
            ("tests/test_engine.py::TestFastForward::test_dense_chain_expiring_on_a_slot_boundary_matches_reference",)),
@@ -151,10 +156,27 @@ CATALOG = [
            (MEANS,)),
     Mutant(ENGINE, "for v in values]) / n, k)", "for v in values]) / (n + 1), k)", (MEANS,)),
     # summarize validates its scenario; the cached walk refuses a list before it keeps a walk of it.
-    Mutant(ENGINE, "return _summarize(model._require_valid(config), outcomes)", "return _summarize(config, outcomes)",
-           (SUMMARIZE,)),
+    Mutant(ENGINE, "    model._require_valid(config)\n    if not model._check_type(outcomes,",
+           "    if not model._check_type(outcomes,", (SUMMARIZE,)),
     Mutant(MODEL, '        _check_type(self.nodes, "config.nodes", tuple)\n', "", (PATHS,)),
     Mutant(MODEL, '        _check_type(self.quantum_links, "config.quantum_links", tuple)\n', "", (PATHS,)),
+    # A scenario object is validated once: it keeps a copy of its channels only once it has passed, and is
+    # validated again when its channels no longer equal that copy.
+    Mutant(MODEL, "if passed is None or passed != config.classical_channels:", "if passed is None:", (VALIDATED_ONCE,)),
+    Mutant(MODEL, "        if violations := validate_scenario(config):\n",
+           '        config.__dict__["_valid_channels"] = dict(config.classical_channels)\n'
+           "        if violations := validate_scenario(config):\n", (VALIDATED_ONCE,)),
+    Mutant(MODEL, "= dict(config.classical_channels)", "= config.classical_channels", (VALIDATED_ONCE,)),
+    # adversary validates before it derives its stream seeds, so a bad file seed is one violation among all.
+    Mutant(CLI, "    model._require_valid(config)  # before", "    pass  # before", (REFUSED,)),
+    # A run whose re_tcoh_product overflows is refused before its first trial, by a bound over every link.
+    Mutant(ENGINE, "        _re_tcoh_products(config)\n", "        pass\n", ENGINE_TESTS),
+    Mutant(ENGINE, "* max(node.memory.t_coh for node in nodes)", "* min(node.memory.t_coh for node in nodes)",
+           ENGINE_TESTS),
+    # A closed stdout exits 141 with nothing on stderr: main passes the error on, and the entry flushes in its try.
+    Mutant(CLI, "    except BrokenPipeError:  # the reader is gone; the process entry handles it\n        raise\n", "",
+           (PROCESS_EXIT,)),
+    Mutant(CLI, "        sys.stdout.flush()\n", "", (PROCESS_EXIT,)),
     # Strict JSON: a key given twice is refused, not last-wins.
     Mutant(MODEL, ", object_pairs_hook=_json_object)", ")", (MALFORMED,)),
     # The walk leaves each node by the neighbour it did not come from.

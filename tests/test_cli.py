@@ -820,20 +820,27 @@ class TestValidateOnceWriteLast:
                 ["sweep", "@rate:teleport_single_hop.json", "--param", "seed", "--values", "1", "--trials", "3"],
                 id="sweep-rate",
             ),
+            pytest.param(["adversary", "@rate:intercepted_chain.json"], id="adversary-rate"),
             pytest.param(["kms", "--nodes", "10", "100", "--cluster-size", "7"], id="kms-cluster-size-full-mesh"),
             *[pytest.param(list(argv), id=f"{argv[0]}-error-line") for argv in ERRORS],
         ],
     )
-    def test_refused_command_leaves_no_out_dir(self, tmp_path, capsys, argv):
+    def test_refused_command_leaves_no_out_dir(self, tmp_path, capsys, monkeypatch, argv):
         """A ``None`` scenario stands for an invalid file, whose full violation list must be printed;
-        an ``@`` token for the arguments :meth:`overflowing` builds."""
+        an ``@`` token for the arguments :meth:`overflowing` builds.  A rate past the float range is
+        refused before the first trial."""
         scenario = self.invalid_scenario(tmp_path) if None in argv else None
         args = []
         for a in argv:
             args += [scenario] if a is None else self.overflowing(tmp_path, a[1:]) if a[0] == "@" else [a]
+        seeds = []
+        split = engine.trial_seed_for
+        monkeypatch.setattr(engine, "trial_seed_for", lambda *split_args: seeds.append(split_args) or split(*split_args))
         out = tmp_path / "fresh"
         assert main(["--out", str(out), *args]) == 2
         assert not out.exists()
+        if any(str(a).startswith("@rate:") for a in argv):
+            assert seeds == []
         stdout, stderr = capsys.readouterr()
         assert "Infinity" not in stdout
         if tuple(argv) in self.ERRORS:
@@ -848,7 +855,8 @@ class TestValidateOnceWriteLast:
 class TestProcessExit:
     """``python -m pqnetsim.cli`` exits as an in-process ``main()`` returns, byte for byte on stdout and stderr.
 
-    The process path adds only ``gc.freeze()`` before ``sys.exit``; ``main()`` itself leaves the collector alone.
+    The process path adds only a flush of stdout and ``gc.freeze()`` before ``sys.exit``; ``main()`` itself
+    leaves the collector alone.
     """
 
     CHAIN = str(SCENARIO_DIR / "repeater_chain.json")
@@ -903,6 +911,32 @@ class TestProcessExit:
             cli._run_process()
         assert (info.value.code, calls) == (1, ["main", "freeze"])
         assert 'pqnetsim = "pqnetsim.cli:_run_process"' in (ROOT / "pyproject.toml").read_text()
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("argv", [["profiles"], ["check", CHAIN]], ids=["profiles", "check"])
+    def test_a_closed_stdout_exits_141_with_nothing_on_stderr(self, argv, unbuffered, tmp_path):
+        """The reader of stdout is gone before the command writes, as in ``pqnetsim profiles | head -1``.
+
+        Buffered, the write fails only when stdout is flushed; unbuffered, in the command's ``print``.
+        """
+        path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path, "PYTHONUNBUFFERED": unbuffered}
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            process = subprocess.run([sys.executable, "-m", "pqnetsim.cli", *argv], cwd=tmp_path, stdout=write,
+                                     stderr=subprocess.PIPE, env=env, timeout=120)
+        finally:
+            os.close(write)
+        assert (process.returncode, process.stderr) == (141, b"")
+
+    def test_main_passes_a_broken_pipe_on(self, monkeypatch):
+        def closed(args):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(cli, "cmd_profiles", closed)
+        with pytest.raises(BrokenPipeError):
+            main(["profiles"])
 
 
 class TestRoundsCap:

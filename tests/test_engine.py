@@ -256,13 +256,30 @@ class TestRunInvariants:
         mixed = [TrialOutcome(True, 1, t_dist=t, f_end=0.9) for t in (1e308, 1.7e308)]
         assert summarize(config, mixed).mean_t_dist == pytest.approx(1.35e308, rel=1e-15)
 
-    @pytest.mark.parametrize("slot_duration, t_coh", [(1e-310, 1.0), (1e-300, 1e300)])
-    def test_re_tcoh_product_past_the_float_range_is_refused(self, slot_duration, t_coh):
-        """The rate itself, or only its product with the coherence time, may overflow."""
-        config = two_party_scenario(slot_duration=slot_duration, t_coh_end=t_coh, t_coh_far=t_coh)
-        outcome = TrialOutcome(True, 1, t_dist=0.01, f_end=0.9)
-        with pytest.raises(ParameterError, match=r"^re_tcoh_product of link alice,bob must be finite, got inf$"):
-            summarize(config, [outcome])
+    @pytest.mark.parametrize(
+        "config, link",
+        [
+            pytest.param(two_party_scenario(slot_duration=1e-310), "alice,bob", id="rate"),
+            pytest.param(two_party_scenario(slot_duration=1e-300, t_coh_end=1e300, t_coh_far=1e300), "alice,bob",
+                         id="product"),
+            # Only the first link overflows; bob's short memory keeps the second finite.
+            pytest.param(chain_scenario([(0.001, 0.001)], slot_duration=1e-300, t_coh_far=1e300,
+                                        t_coh_repeater=1e300, t_coh_end=1e-10), "alice,r1", id="chain"),
+        ],
+    )
+    def test_re_tcoh_product_past_the_float_range_is_refused(self, monkeypatch, config, link):
+        """The rate itself, or only its product with the coherence time, may overflow; a run is refused
+        before its first trial, and ``summarize`` refuses too."""
+        seeds = []
+        monkeypatch.setattr(engine, "trial_seed_for", lambda *args: seeds.append(args))
+        message = rf"^re_tcoh_product of link {link} must be finite, got inf$"
+        with pytest.raises(ParameterError, match=message):
+            summarize(config, [TrialOutcome(True, 1, t_dist=0.01, f_end=0.9)])
+        with pytest.raises(ParameterError, match=message):
+            run_trials(config, 3)
+        with pytest.raises(ParameterError, match=message):
+            run_trial(config, 5)
+        assert seeds == []
 
     def test_re_tcoh_diagnostic_uses_weakest_memory(self, mixed_outcomes):
         config, outcomes = mixed_outcomes
@@ -321,6 +338,17 @@ class TestMeans:
         assert summary.f_end_mean.hex() == statistics.fmean(o.f_end for o in successes).hex()
 
 
+REPEATER_CHAIN = Path(__file__).resolve().parent.parent / "scenarios" / "repeater_chain.json"
+
+
+def counting_validations(monkeypatch) -> list:
+    """The scenarios ``model.validate_scenario`` is called on from now on."""
+    seen = []
+    validate = model.validate_scenario
+    monkeypatch.setattr(model, "validate_scenario", lambda c: seen.append(c) or validate(c))
+    return seen
+
+
 class TestSummarizeValidates:
     """``summarize`` is a public entry point: an invalid scenario raises what ``run_trials`` raises."""
 
@@ -348,13 +376,63 @@ class TestSummarizeValidates:
 
     def test_runs_that_validated_summarize_without_validating_again(self, monkeypatch):
         config = chain_scenario([(0.001, 0.001)] * 2)
-        seen = []
-        validate = model.validate_scenario
-        monkeypatch.setattr(model, "validate_scenario", lambda c: seen.append(c) or validate(c))
+        seen = counting_validations(monkeypatch)
         run_monte_carlo(config, 3)
         assert len(seen) == 1
         sweep(config, "slot_duration", [0.001, 0.002], 3)
-        assert len(seen) == 1 + 1 + 2
+        assert len(seen) == 1 + 2  # the base passed in run_monte_carlo; each row is a new object
+
+
+class TestValidatedOnce:
+    """A scenario object is validated once, and again whenever its ``classical_channels`` dict has changed."""
+
+    EDITS = {
+        "negative-delay": (
+            lambda channels: channels.__setitem__("bob,r1", model.ClassicalChannelSpec(-1.0, 0.0)),
+            ("$.classical_channels['bob,r1'].propagation_delay", "must be finite and >= 0"),
+        ),
+        "missing-channel": (
+            lambda channels: channels.pop("bob,r2"),
+            ("$.classical_channels", "missing classical channel for message pair 'bob,r2'"),
+        ),
+    }
+    ENTRIES = {
+        "run_trials": lambda config: run_trials(config, 3),
+        "summarize": lambda config: summarize(config, [TrialOutcome(False, 1, failure_reason=FailureReason.MESSAGE_LATE)]),
+        "check_scenario": check_scenario,
+        "run_trial": lambda config: run_trial(config, 5),
+    }
+
+    @pytest.mark.parametrize("edit", EDITS)
+    @pytest.mark.parametrize("entry", ENTRIES)
+    @pytest.mark.parametrize("passed", ENTRIES)
+    def test_a_scenario_changed_in_place_is_refused_as_a_fresh_copy_so_changed(self, passed, entry, edit):
+        change, violation = self.EDITS[edit]
+        config = load_scenario(REPEATER_CHAIN)
+        self.ENTRIES[passed](config)
+        change(config.classical_channels)
+        fresh = load_scenario(REPEATER_CHAIN)
+        change(fresh.classical_channels)
+        expected = model.validate_scenario(fresh)
+        assert [(v.path, v.message) for v in expected] == [violation]
+        with pytest.raises(ScenarioValidationError) as refused:
+            self.ENTRIES[entry](config)
+        assert refused.value.violations == expected
+
+    def test_an_invalid_scenario_is_refused_on_every_call(self, monkeypatch):
+        config = dataclasses.replace(load_scenario(REPEATER_CHAIN), slot_duration=0.0)
+        seen = counting_validations(monkeypatch)
+        for _ in range(3):
+            with pytest.raises(ScenarioValidationError):
+                run_trial(config, 5)
+        assert len(seen) == 3
+
+    def test_trials_on_one_scenario_validate_it_once(self, monkeypatch):
+        config = load_scenario(REPEATER_CHAIN)
+        seen = counting_validations(monkeypatch)
+        for i in range(10):
+            run_trial(config, i)
+        assert seen == [config]
 
 
 class TestDeterminism:
@@ -629,6 +707,17 @@ class TestFastForward:
             "uniform": u * slots * tau,
         }[shape]
         assert gen + engine._expiry_gap(limit, tau) == first_firing_slot(gen, limit, tau)
+
+    @pytest.mark.parametrize(
+        "limit, tau",
+        [(57.116200000000006, 1e-4), (446.82860000000005, 1e-4), (6437.244000000001, 1e-3), (470.82000000000005, 0.007)],
+    )
+    def test_expiry_gap_steps_up_where_the_ratio_rounds_down_to_a_multiple(self, limit, tau):
+        """``ceil(limit / tau)`` slots fall short of ``limit`` here; the gap is the next one."""
+        d = engine._expiry_gap(limit, tau)
+        assert math.ceil(limit / tau) * tau < limit
+        assert d == math.ceil(limit / tau) + 1
+        assert d * tau >= limit and (d - 1) * tau < limit
 
     def test_expiry_gap_caps_huge_ratios_early(self):
         assert engine._expiry_gap(1e300, 1e-300) == engine._MAX_GAP
