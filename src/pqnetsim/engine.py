@@ -48,7 +48,12 @@ Per-trial randomness comes from ``random.Random(trial_seed)`` where
 split (:func:`trial_seed_for`): the first eight bytes, little-endian, of
 ``SHA-256(master_seed_le64 || trial_index_le64)``.  Only regenerating links
 draw, one uniform variate per link per slot, in path order.  Every trial is
-therefore an isolated state machine, bit-reproducible in isolation.
+therefore an isolated state machine, bit-reproducible in isolation.  The
+SHA-256 is CPython's built-in one (``_sha2``, or ``_sha256`` before Python
+3.12), the FIPS 180-4 function that ``hashlib`` also gives, taken as the
+standard library's ``random`` takes its sha512: ``hashlib`` would load the
+OpenSSL binding, about 3.6 MB of a process's peak RSS, to hash 16 bytes a
+trial.  Only a build without the built-in module imports ``hashlib``.
 
 Chain trials fast-forward through quiet slots.  Until the next expiry is
 due, nothing happens but the down links' draws, so when those links are rare
@@ -72,7 +77,6 @@ trial loops and the summary then trust it, calling only the unchecked fidelity k
 
 from __future__ import annotations
 
-import hashlib
 import math
 import random
 from dataclasses import asdict, dataclass
@@ -82,6 +86,15 @@ from typing import Sequence
 
 from . import fidelity, model, timing
 from .errors import ParameterError
+
+# The seed split's SHA-256, without loading the OpenSSL binding (see the module docstring).
+try:
+    from _sha2 import sha256 as _sha256  # Python 3.12 on
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256  # Python 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256 as _sha256  # a build without the built-in module
 
 __all__ = [
     "DEFAULT_MAX_SLOTS",
@@ -166,15 +179,23 @@ def trial_seed_for(master_seed: int, trial_index: int) -> int:
     model._check_arg(master_seed, "master_seed", model._SEED)
     model._check_arg(trial_index, "trial_index", model._SEED)
     payload = master_seed.to_bytes(8, "little") + trial_index.to_bytes(8, "little")
-    return int.from_bytes(hashlib.sha256(payload).digest()[:8], "little")
+    return int.from_bytes(_sha256(payload).digest()[:8], "little")
 
 
 def derive_stream_seed(master_seed: int, label: str) -> int:
-    """Derive an independent named seed stream (e.g. baseline vs observed)."""
+    """Derive an independent named seed stream (e.g. baseline vs observed).
+
+    The same split as :func:`trial_seed_for`, over ``master_seed`` (little-endian, 64 bits) followed by the UTF-8
+    bytes of ``label``; a label that has none (a lone surrogate) is a :class:`ParameterError`.
+    """
     model._check_arg(master_seed, "master_seed", model._SEED)
     model._check_type(label, "label", str)
-    payload = master_seed.to_bytes(8, "little") + label.encode("utf-8")
-    return int.from_bytes(hashlib.sha256(payload).digest()[:8], "little")
+    try:
+        payload = master_seed.to_bytes(8, "little") + label.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        bad = exc.start
+        raise ParameterError(f"label must be encodable as UTF-8, got {label[bad]!r} at index {bad}") from None
+    return int.from_bytes(_sha256(payload).digest()[:8], "little")
 
 
 # ---------------------------------------------------------------------------

@@ -62,6 +62,7 @@ VALID = "tests/test_model.py::TestValidScenarios"
 DIFFERENTIAL = "tests/test_model.py::TestReferenceDifferential"
 VALIDATE = "tests/test_model.py::TestValidateScenario"
 VALIDATION_TABLE = "tests/test_model.py::TestValidationTable"
+UNKNOWN_KEY = "tests/test_model.py::TestScenarioFiles::test_unknown_key_is_a_violation"
 SETUP = "tests/test_engine.py::TestSetupScaling"
 INIT = "pqnetsim/__init__.py"
 LAZY_ORDER = "tests/test_layers.py::test_a_name_loads_the_modules_up_to_its_own_in_layer_order"
@@ -73,6 +74,11 @@ VALIDATED_ONCE = "tests/test_engine.py::TestValidatedOnce"
 PROCESS_EXIT = "tests/test_cli.py::TestProcessExit"
 REFUSED = "tests/test_cli.py::TestValidateOnceWriteLast::test_refused_command_leaves_no_out_dir"
 EXPIRY_STEP = "tests/test_engine.py::TestFastForward::test_expiry_gap_steps_up_where_the_ratio_rounds_down_to_a_multiple"
+SEED_SPLIT = "tests/test_engine.py::TestSeedSplit"
+SEQUENTIAL = "tests/test_timing.py::TestScenarioWaits::test_sequential_slack_is_the_left_fold_over_rounds"
+TIMING = "pqnetsim/timing.py"
+# The built-in SHA-256 module this interpreter imports first: _sha2 from Python 3.12 on, _sha256 before.
+SHA_RUNG = "_sha2" if sys.version_info >= (3, 12) else "_sha256"
 
 CATALOG = [
     # The two mutants that once survived the whole of tier-1.
@@ -187,6 +193,38 @@ CATALOG = [
            (VALIDATION_TABLE,)),
     Mutant(ENGINE, "nodes, links, _ = config._chain", "nodes, links, _ = config._chain; links = links[1:] + links[:1]",
            ENGINE_TESTS),
+    # The seed split is its definition, on every rung of the SHA-256 import: the built-in module this interpreter
+    # takes, and hashlib where neither built-in module exists; little-endian inputs, the digest's first eight bytes.
+    Mutant(ENGINE, f"from {SHA_RUNG} import sha256 as", f"from {SHA_RUNG} import sha224 as", (SEED_SPLIT,)),
+    Mutant(ENGINE, "from hashlib import sha256 as", "from hashlib import sha224 as", (SEED_SPLIT,)),
+    Mutant(ENGINE, 'trial_index.to_bytes(8, "little")', 'trial_index.to_bytes(8, "big")', (SEED_SPLIT,)),
+    Mutant(ENGINE, 'master_seed.to_bytes(8, "little") + label', 'master_seed.to_bytes(8, "big") + label',
+           (SEED_SPLIT,)),
+    Mutant(ENGINE, 'label.encode("utf-8")', 'label.encode("utf-16")', (SEED_SPLIT,)),
+    Mutant(ENGINE, '.digest()[:8], "little")\n\n\ndef derive', '.digest()[8:16], "little")\n\n\ndef derive',
+           (SEED_SPLIT,)),
+    # A label with no UTF-8 bytes is a ParameterError, not a UnicodeEncodeError.
+    Mutant(ENGINE, "    except UnicodeEncodeError as exc:\n", "    except LookupError as exc:\n",
+           ("tests/test_arguments.py::test_structural_messages_are_pinned",)),
+    # Sequential rounds are summed round by round, not multiplied out.
+    Mutant(TIMING, "sequential_total(itertools.repeat(totals[0], config.rounds_l))", "totals[0] * config.rounds_l",
+           (SEQUENTIAL,)),
+    # The parser and validation: a bool is neither a number nor an integer, an unknown key or enum value is refused,
+    # each record is read against its own fields, a node id is taken once, and the early accept takes only floats.
+    Mutant(MODEL, "    return isinstance(value, (int, float)) and not isinstance(value, bool)",
+           "    return isinstance(value, (int, float))", (MALFORMED,)),
+    Mutant(MODEL, "    return isinstance(value, int) and not isinstance(value, bool)", "    return isinstance(value, int)",
+           (MALFORMED,)),
+    Mutant(MODEL, "problems = [] if raw.keys() <= names else", "problems = [] if True else", (UNKNOWN_KEY,)),
+    Mutant(MODEL, "        return members[value]\n", "        return members.get(value)\n", (MALFORMED,)),
+    Mutant(MODEL, "    names = _field_names(cls)\n    steps", "    names = _field_names(ScenarioConfig)\n    steps",
+           (MALFORMED,)),
+    Mutant(MODEL, "        if node.id in node_ids:", "        if False:", (VALIDATION_TABLE,)),
+    Mutant(MODEL, "accepted = type(value) is fast and", "accepted = fast is float and", (VALIDATE,)),
+    Mutant(MODEL, "and low <= value <= high  # a float", "and low <= value  # a float", (VALIDATION_TABLE,)),
+    # Only the first path node sends on a single hop or sequential rounds; every interior node on a chain.
+    Mutant(MODEL, "return path[1:-1] if protocol is Protocol.PARALLEL_CHAIN else path[:1]", "return path[:1]",
+           ("tests/test_timing.py",)),
 ]
 
 EQUIVALENT = [
@@ -196,6 +234,8 @@ EQUIVALENT = [
      "a swap value of exactly 1.0 then takes the else branch, which returns 1.0: the same float"),
     (Mutant(FIDELITY, "decayed < f0", "decayed <= f0", FIDELITY_TESTS),
      "where decayed equals f0 it is the float float(f0) would give, so either branch returns the same bits"),
+    (Mutant(MODEL, "and low <= value <= high  # a float", "and low < value <= high  # a float", (VALIDATE,)),
+     "the early accept only skips the full rule: a float on the low bound that it no longer takes, the rule takes"),
 ]
 
 

@@ -250,6 +250,7 @@ def test_structural_messages_are_pinned():
         (lambda: run_trials(None), "config must be of type ScenarioConfig, got NoneType"),
         (lambda: check_scenario(5), "config must be of type ScenarioConfig, got int"),
         (lambda: derive_stream_seed(1, None), "label must be of type str, got NoneType"),
+        (lambda: derive_stream_seed(1, "ab\ud800"), "label must be encodable as UTF-8, got '\\ud800' at index 2"),
         (lambda: set_config_value(CONFIG, 5, 0.1), "parameter_path must be of type str, got int"),
         (lambda: sweep(CONFIG, "slot_duration", None), "values must be of type Sequence, got NoneType"),
         (lambda: summarize(CONFIG, 5), "outcomes must be of type Sequence, got int"),

@@ -1,10 +1,15 @@
 """Monte Carlo engine: deterministic traces, statistical oracles, determinism."""
 
 import dataclasses
+import hashlib
+import json
 import math
+import os
 import random
 import re
 import statistics
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -501,6 +506,64 @@ class TestDeterminism:
             rng.shuffle(flipped)
             permuted = dataclasses.replace(config, nodes=tuple(nodes), quantum_links=tuple(flipped))
             assert run_trials(permuted) == expected
+
+
+class TestSeedSplit:
+    """The split is its definition: the first eight bytes, little-endian, of SHA-256 over the 64-bit little-endian
+    master seed followed by the 64-bit little-endian trial index, or by the UTF-8 bytes of a stream label."""
+
+    # Computed once from hashlib.sha256.
+    TRIALS = [
+        (0, 0, 15392584411371816759),
+        (0, 1, 8639909309411767453),
+        (1, 0, 15111851994976402252),
+        (99, 0, 9698357853891526453),
+        (99, 999, 5068814797333640301),
+        (2**63, 12345, 8529354134289969629),
+        (2**64 - 1, 0, 5718656214445508192),
+        (0, 2**64 - 1, 11157519002496498040),
+        (2**64 - 1, 2**64 - 1, 671060944249800282),
+    ]
+    STREAMS = [
+        (0, "", 8794265229978523055),
+        (1, "baseline", 14766251323082616396),
+        (1, "observed", 9679546617343061331),
+        (99, "baseline", 11642244579855471307),
+        (808, "attacked-0", 9017738599568189575),
+        (2**64 - 1, "observed", 17788357952179619087),
+        (7, "f\u00e9\u2192\U0001f511", 1883259481380937699),
+    ]
+    # Splits the table in a process where neither built-in SHA-256 module can be imported.
+    WITHOUT_BUILTIN = (
+        "import json, sys\n"
+        "sys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
+        "from pqnetsim import engine\n"
+        "trials, streams = json.loads(sys.stdin.read())\n"
+        "print(json.dumps(['hashlib' in sys.modules, [engine.trial_seed_for(m, i) for m, i, _ in trials],\n"
+        "                  [engine.derive_stream_seed(m, label) for m, label, _ in streams]]))\n"
+    )
+
+    def test_known_answers(self):
+        assert [trial_seed_for(m, i) for m, i, _ in self.TRIALS] == [seed for *_, seed in self.TRIALS]
+        assert [derive_stream_seed(m, label) for m, label, _ in self.STREAMS] == [seed for *_, seed in self.STREAMS]
+
+    @given(st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 1), st.text())
+    def test_split_is_the_sha256_formula(self, master, index, label):
+        def split(data: bytes) -> int:
+            return int.from_bytes(hashlib.sha256(master.to_bytes(8, "little") + data).digest()[:8], "little")
+
+        assert trial_seed_for(master, index) == split(index.to_bytes(8, "little"))
+        assert derive_stream_seed(master, label) == split(label.encode("utf-8"))
+
+    def test_a_build_without_the_builtin_module_splits_the_same_through_hashlib(self, tmp_path):
+        path = os.pathsep.join(filter(None, [str(Path(engine.__file__).parent.parent), os.environ.get("PYTHONPATH")]))
+        process = subprocess.run([sys.executable, "-c", self.WITHOUT_BUILTIN], cwd=tmp_path,
+                                 input=json.dumps([self.TRIALS, self.STREAMS]), capture_output=True, text=True,
+                                 env={**os.environ, "PYTHONPATH": path}, timeout=120)
+        assert process.returncode == 0, process.stderr
+        assert json.loads(process.stdout) == [
+            True, [seed for *_, seed in self.TRIALS], [seed for *_, seed in self.STREAMS]
+        ]
 
 
 class TestAdversaryIntegration:

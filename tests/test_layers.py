@@ -62,19 +62,20 @@ ROOT = PACKAGE.parent.parent
 SCENARIOS = ROOT / "scenarios"
 # The package modules every command loads: the CLI's own imports (``adversary`` holds ``cli.detect``).
 BASE = {"pqnetsim", "pqnetsim.errors", "pqnetsim.model", "pqnetsim.timing", "pqnetsim.fidelity", "pqnetsim.adversary"}
-# The standard-library modules that some commands load and others do not.
-WATCHED = {"csv", "hashlib", "random", "statistics", "tempfile"}
+# The standard-library modules that some commands load and others do not; no command loads ``hashlib`` or its
+# OpenSSL binding ``_hashlib`` (the seed split hashes with the built-in SHA-256).
+WATCHED = {"_hashlib", "csv", "hashlib", "random", "statistics", "tempfile"}
 WRITES = {"csv", "random", "tempfile"}  # a written artifact: CSV, staged in a temporary directory
 CHAIN = str(SCENARIOS / "repeater_chain.json")
 
 COMMANDS = {
     "check": (["check", CHAIN], BASE, set()),
     "profiles": (["profiles"], BASE, set()),
-    "simulate": (["simulate", CHAIN, "--trials", "3"], BASE | {"pqnetsim.engine"}, WRITES | {"hashlib"}),
+    "simulate": (["simulate", CHAIN, "--trials", "3"], BASE | {"pqnetsim.engine"}, WRITES),
     "sweep": (["sweep", CHAIN, "--param", "slot_duration", "--values", "0.001", "--trials", "2"],
-              BASE | {"pqnetsim.engine"}, WRITES | {"hashlib"}),
+              BASE | {"pqnetsim.engine"}, WRITES),
     "adversary": (["adversary", str(SCENARIOS / "intercepted_chain.json"), "--baseline-trials", "20",
-                   "--observed-trials", "20"], BASE | {"pqnetsim.engine"}, WRITES | {"hashlib", "statistics"}),
+                   "--observed-trials", "20"], BASE | {"pqnetsim.engine"}, WRITES | {"statistics"}),
     "kms": (["kms", "--nodes", "10"], BASE | {"pqnetsim.kms"}, WRITES),
 }
 
