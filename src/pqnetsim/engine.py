@@ -69,9 +69,10 @@ it for all but one value in 256.  Words fetched past the first success are
 the next uniforms of the stream: the slots after it read them before drawing
 afresh.  The draws, and so every outcome, are those of the slot-by-slot loop.
 
-Each public function that takes a scenario (:func:`run_trial`, :func:`run_trials`,
-:func:`summarize`, :func:`run_monte_carlo`, :func:`sweep`) validates it, once per scenario object
-unless its ``classical_channels`` dict is changed in place; set-up, linear in the chain length, the
+Each public function that takes a scenario (:func:`run_trial`, :func:`run_trials`, :func:`summarize`,
+:func:`run_monte_carlo`, :func:`sweep`, as those of :mod:`pqnetsim.timing` and
+:func:`pqnetsim.model.resolve_path`) validates it, once per scenario object unless its
+``classical_channels`` dict is changed in place; set-up, linear in the chain length, the
 trial loops and the summary then trust it, calling only the unchecked fidelity kernels.
 """
 
@@ -128,12 +129,12 @@ class FailureReason(Enum):
 
 @dataclass(frozen=True)
 class TrialOutcome:
-    """Result of one simulated trial.
+    """Result of one simulated trial, a plain record: :func:`summarize` checks the outcomes it reads.
 
     ``t_dist`` is present whenever the protocol ran to completion (all
     messages decrypted), even if they arrived too late; ``f_end`` is present
-    only for successes.  ``slots_used`` is the last slot index processed
-    before the outcome was decided.
+    only for successes, and ``failure_reason`` only for failures.
+    ``slots_used`` is the last slot index processed before the outcome was decided.
     """
 
     success: bool
@@ -141,10 +142,6 @@ class TrialOutcome:
     t_dist: float | None = None
     f_end: float | None = None
     failure_reason: FailureReason | None = None
-
-    def __post_init__(self):
-        assert self.success == (self.failure_reason is None)
-        assert not self.success or (self.t_dist is not None and self.f_end is not None)
 
 
 @dataclass(frozen=True)
@@ -573,19 +570,31 @@ def _fmean(values: list[float]) -> float:
         return math.ldexp(math.fsum([math.ldexp(v, -k) for v in values]) / n, k)
 
 
+# What summarize reads of a success, and each value's legal range.
+_SUCCESS_RANGES = (("t_dist", model._NON_NEGATIVE), ("f_end", model._FIDELITY))
+
+
 def summarize(config: model.ScenarioConfig, outcomes: Sequence[TrialOutcome]) -> RunSummary:
     """Aggregate trial outcomes of a scenario, validated first; order-independent for the reported statistics.
 
     Raises:
         ScenarioValidationError: when the scenario is invalid.
-        ParameterError: when a link's ``re_tcoh_product`` overflows a float.
+        ParameterError: when a link's ``re_tcoh_product`` overflows a float, or an outcome is not a consistent
+            :class:`TrialOutcome`, or a success's ``t_dist`` or ``f_end`` is out of its range.
     """
     model._require_valid(config)
     if not model._check_type(outcomes, "outcomes", Sequence):
         raise ParameterError("summarize requires at least one outcome")
-    for i, outcome in enumerate(outcomes):
-        if not isinstance(outcome, TrialOutcome):  # builds the label only for a bad element
+    for i, outcome in enumerate(outcomes):  # each check builds its label only for a bad element
+        if not isinstance(outcome, TrialOutcome):
             model._check_type(outcome, f"outcomes[{i}]", TrialOutcome)
+        if outcome.success != (outcome.failure_reason is None):
+            expected = "None for a success" if outcome.success else "set for a failure"
+            raise ParameterError(f"outcomes[{i}].failure_reason must be {expected}, got {outcome.failure_reason!r}")
+        if outcome.success:
+            for name, spec in _SUCCESS_RANGES:
+                if model._range_problem(value := getattr(outcome, name), *spec["range"]):
+                    model._check_arg(value, f"outcomes[{i}].{name}", spec)
     successes = [o for o in outcomes if o.success]
     return RunSummary(
         n_trials=len(outcomes),

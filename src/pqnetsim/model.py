@@ -270,9 +270,7 @@ class ScenarioConfig:
 
     @functools.cached_property
     def _chain(self) -> _Chain:
-        """:func:`_walk` of this scenario, walked once per object; lists are refused, as their walk could go stale."""
-        _check_type(self.nodes, "config.nodes", tuple)
-        _check_type(self.quantum_links, "config.quantum_links", tuple)
+        """:func:`_walk` of this scenario, walked once per object; validation reads it once its sequences are tuples."""
         return _walk(self)
 
 
@@ -825,7 +823,7 @@ def _walk(config: ScenarioConfig) -> _Chain:
     The violations name each node with no link or more than two, and links
     that are not one simple path.  The end whose id sorts first starts the
     path, so orientation never depends on list order.  Of duplicate node ids
-    the first wins; a link naming an unknown node id raises KeyError.
+    the first wins.
     """
     records = {n.id: n for n in reversed(config.nodes)}
     adjacency: dict[str, list[tuple[str, QuantumLinkSpec]]] = {n.id: [] for n in config.nodes}
@@ -864,21 +862,12 @@ def _walk(config: ScenarioConfig) -> _Chain:
 
 
 def resolve_path(config: ScenarioConfig) -> list[str]:
-    """Node ids in path order; the last entry is the designated receiver.
+    """Node ids in path order, of a scenario validated first; the last entry is the designated receiver.
 
     Classical correction messages flow toward ``path[-1]``, the path endpoint
-    whose id sorts lexicographically later.  Assumes the scenario is valid;
-    raises :class:`ParameterError` when no simple path over known nodes exists,
-    or when ``nodes`` or ``quantum_links`` is not a tuple (the walk it keeps
-    would go stale if the list changed).
+    whose id sorts lexicographically later.
     """
-    _check_type(config, "config", ScenarioConfig)
-    try:
-        nodes, _, _ = config._chain
-    except KeyError as exc:
-        raise ParameterError(f"quantum link references unknown node id {exc.args[0]!r}") from None
-    if nodes is None:
-        raise ParameterError("quantum links do not form a simple path")
+    nodes, _, _ = _require_valid(config)._chain
     return [node.id for node in nodes]
 
 

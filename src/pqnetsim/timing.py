@@ -13,9 +13,9 @@ covered, each with a strict inequality (equality counts as infeasible):
 Results carry a signed slack (negative values quantify the deficit) so
 planners can see how far a configuration is from feasibility, plus the index
 of the binding message for aggregated checks.  For a whole scenario,
-:func:`scenario_timings` derives one total wait per correction message from the
-validated fields, refusing only a wait that overflows; :func:`check_scenario`
-validates the scenario, then reads them as the engine does.
+:func:`scenario_timings` validates it, then derives one total wait per
+correction message, refusing only a wait that overflows; :func:`check_scenario`
+reads them as the engine does.
 """
 
 from __future__ import annotations
@@ -193,9 +193,8 @@ class ScenarioTimings:
 
 
 def scenario_timings(config: model.ScenarioConfig) -> ScenarioTimings:
-    """The receiver's message waits, from a validated scenario; a wait that overflows is refused."""
-    path = model.resolve_path(config)
-    nodes, _, _ = config._chain  # the records of the path just resolved
+    """The receiver's message waits, from a scenario validated first; a wait that overflows is refused."""
+    nodes, _, _ = model._require_valid(config)._chain
     receiver, channels, t_decrypt = nodes[-1], config.classical_channels, nodes[-1].crypto.t_decrypt
     senders = model.message_senders(config.protocol, nodes)
     totals = tuple(_wait(s.crypto.t_encrypt, channels[model.pair_key(s.id, receiver.id)].t_comm, t_decrypt)
@@ -204,10 +203,11 @@ def scenario_timings(config: model.ScenarioConfig) -> ScenarioTimings:
         totals = (sequential_total(itertools.repeat(totals[0], config.rounds_l)),)
     if math.inf in totals:  # a sum of finite waits >= 0 is finite or +inf, never NaN
         raise ParameterError(f"message wait from node {senders[totals.index(math.inf)].id!r} must be finite, got inf")
-    return ScenarioTimings(config.protocol, tuple(path), totals, receiver.memory.t_coh)
+    return ScenarioTimings(config.protocol, tuple(node.id for node in nodes), totals, receiver.memory.t_coh)
 
 
 def check_scenario(config: model.ScenarioConfig) -> FeasibilityResult:
     """Validate the scenario, then run the timing check matching its protocol."""
+    # Validated here, so that scenario_timings finds it valid and its own time holds no validation.
     t = scenario_timings(model._require_valid(config))
     return _verdict(t.t_coh_end, t.totals, binding=t.protocol is model.Protocol.PARALLEL_CHAIN)

@@ -69,6 +69,7 @@ LAZY_ORDER = "tests/test_layers.py::test_a_name_loads_the_modules_up_to_its_own_
 LAZY_LISTS = "tests/test_layers.py::test_the_package_exports_only_what_the_modules_list"
 MEANS = "tests/test_engine.py::TestMeans"
 SUMMARIZE = "tests/test_engine.py::TestSummarizeValidates"
+OUTCOMES = "tests/test_engine.py::TestSummarizeChecksOutcomes"
 PATHS = "tests/test_model.py::TestPathsAndEditing"
 VALIDATED_ONCE = "tests/test_engine.py::TestValidatedOnce"
 PROCESS_EXIT = "tests/test_cli.py::TestProcessExit"
@@ -161,11 +162,18 @@ CATALOG = [
     Mutant(ENGINE, "        return math.fsum(values) / n", "        return math.fsum(values) / max(n - 1, 1)",
            (MEANS,)),
     Mutant(ENGINE, "for v in values]) / n, k)", "for v in values]) / (n + 1), k)", (MEANS,)),
-    # summarize validates its scenario; the cached walk refuses a list before it keeps a walk of it.
+    # Every public reader of a scenario validates it: summarize, resolve_path and scenario_timings too, so none
+    # keeps a walk of a list or walks links to an unknown node.
     Mutant(ENGINE, "    model._require_valid(config)\n    if not model._check_type(outcomes,",
            "    if not model._check_type(outcomes,", (SUMMARIZE,)),
-    Mutant(MODEL, '        _check_type(self.nodes, "config.nodes", tuple)\n', "", (PATHS,)),
-    Mutant(MODEL, '        _check_type(self.quantum_links, "config.quantum_links", tuple)\n', "", (PATHS,)),
+    Mutant(MODEL, "nodes, _, _ = _require_valid(config)._chain", "nodes, _, _ = config._chain", (PATHS,)),
+    Mutant(TIMING, "nodes, _, _ = model._require_valid(config)._chain", "nodes, _, _ = config._chain", (PATHS,)),
+    # summarize checks each outcome it reads: failure_reason is None exactly for a success, whose t_dist and
+    # f_end are in their ranges.
+    Mutant(ENGINE, "if outcome.success != (outcome.failure_reason is None):", "if False:", (OUTCOMES,)),
+    Mutant(ENGINE, '_SUCCESS_RANGES = (("t_dist", model._NON_NEGATIVE), ("f_end", model._FIDELITY))',
+           '_SUCCESS_RANGES = (("f_end", model._FIDELITY),)', (OUTCOMES,)),
+    Mutant(ENGINE, ', ("f_end", model._FIDELITY))', ",)", (OUTCOMES,)),
     # A scenario object is validated once: it keeps a copy of its channels only once it has passed, and is
     # validated again when its channels no longer equal that copy.
     Mutant(MODEL, "if passed is None or passed != config.classical_channels:", "if passed is None:", (VALIDATED_ONCE,)),
@@ -236,6 +244,10 @@ EQUIVALENT = [
      "where decayed equals f0 it is the float float(f0) would give, so either branch returns the same bits"),
     (Mutant(MODEL, "and low <= value <= high  # a float", "and low < value <= high  # a float", (VALIDATE,)),
      "the early accept only skips the full rule: a float on the low bound that it no longer takes, the rule takes"),
+    (Mutant(TIMING, "t = scenario_timings(model._require_valid(config))", "t = scenario_timings(config)",
+            ("tests/test_timing.py",)),
+     "scenario_timings validates the scenario itself; check_scenario validates first only to keep that time out "
+     "of the traced scenario_timings span"),
 ]
 
 

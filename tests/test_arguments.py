@@ -270,7 +270,8 @@ def test_structural_messages_are_pinned():
         ),
         (
             lambda: resolve_path(dataclasses.replace(CONFIG, quantum_links=CONFIG.quantum_links * 2)),
-            "quantum links do not form a simple path",
+            "invalid scenario (2 violation(s)): $.quantum_links[2].endpoints: duplicate quantum link 'alice,r1'; "
+            "$.quantum_links[3].endpoints: duplicate quantum link 'bob,r1'",
         ),
     ]
     for call, message in cases:

@@ -388,6 +388,65 @@ class TestSummarizeValidates:
         assert len(seen) == 1 + 2  # the base passed in run_monte_carlo; each row is a new object
 
 
+class TestSummarizeChecksOutcomes:
+    """``summarize`` checks each outcome it reads; a :class:`TrialOutcome` itself is a plain record."""
+
+    # Outcome source text and what summarize says of it at index 1, after one good outcome.
+    CASES = [
+        ("TrialOutcome(True, 1, t_dist=0.1, f_end=7.0)", "outcomes[1].f_end must be in [0.25, 1], got 7.0"),
+        ("TrialOutcome(True, 1, t_dist=0.1, f_end=nan)", "outcomes[1].f_end must be in [0.25, 1], got nan"),
+        ("TrialOutcome(True, 1, t_dist=0.1, f_end=0.2)", "outcomes[1].f_end must be in [0.25, 1], got 0.2"),
+        ("TrialOutcome(True, 1, t_dist='x', f_end=0.9)", "outcomes[1].t_dist must be a number, got 'x'"),
+        ("TrialOutcome(True, 1, t_dist=inf, f_end=0.9)", "outcomes[1].t_dist must be finite and >= 0, got inf"),
+        ("TrialOutcome(True, 1, t_dist=-0.5, f_end=0.9)", "outcomes[1].t_dist must be finite and >= 0, got -0.5"),
+        ("TrialOutcome(True, 1)", "outcomes[1].t_dist must be a number, got None"),
+        ("TrialOutcome(True, 1, t_dist=0.1, f_end=0.9, failure_reason=FailureReason.MESSAGE_LATE)",
+         "outcomes[1].failure_reason must be None for a success, got <FailureReason.MESSAGE_LATE: 'message_late'>"),
+        ("TrialOutcome(False, 1)", "outcomes[1].failure_reason must be set for a failure, got None"),
+    ]
+    # Prints the interpreter's optimize level, then what summarize says of each outcome in CASES (read as JSON
+    # from stdin), one line each.
+    SCRIPT = (
+        "import json, sys\n"
+        "from pqnetsim import ParameterError, load_scenario, summarize\n"
+        "from pqnetsim.engine import FailureReason, TrialOutcome\n"
+        "config = load_scenario(sys.argv[1])\n"
+        "print('optimize', sys.flags.optimize)\n"
+        "names = {'TrialOutcome': TrialOutcome, 'FailureReason': FailureReason, 'nan': float('nan'),"
+        " 'inf': float('inf')}\n"
+        "for text in json.loads(sys.stdin.read()):\n"
+        "    try:\n"
+        "        summarize(config, [TrialOutcome(True, 1, t_dist=0.1, f_end=0.9), eval(text, names)])\n"
+        "        print('accepted')\n"
+        "    except ParameterError as exc:\n"
+        "        print(exc)\n"
+    )
+    GOOD = TrialOutcome(True, 1, t_dist=0.1, f_end=0.9)
+    NAMES = {"TrialOutcome": TrialOutcome, "FailureReason": FailureReason, "nan": math.nan, "inf": math.inf}
+
+    @pytest.mark.parametrize("text, message", CASES)
+    def test_a_bad_outcome_is_a_parameter_error_naming_its_field(self, text, message):
+        config = load_scenario(REPEATER_CHAIN)
+        with pytest.raises(ParameterError) as refused:
+            summarize(config, [self.GOOD, eval(text, self.NAMES)])
+        assert str(refused.value) == message
+
+    @pytest.mark.parametrize("optimize", [[], ["-O"]], ids=["plain", "-O"])
+    def test_the_checks_hold_in_a_process_with_or_without_asserts(self, optimize, tmp_path):
+        path = os.pathsep.join(filter(None, [str(Path(engine.__file__).parent.parent), os.environ.get("PYTHONPATH")]))
+        process = subprocess.run([sys.executable, *optimize, "-c", self.SCRIPT, str(REPEATER_CHAIN)], cwd=tmp_path,
+                                 input=json.dumps([text for text, _ in self.CASES]), capture_output=True, text=True,
+                                 env={**os.environ, "PYTHONPATH": path}, timeout=120)
+        assert process.returncode == 0, process.stderr
+        assert process.stdout.splitlines() == [f"optimize {len(optimize)}"] + [message for _, message in self.CASES]
+
+    def test_consistent_outcomes_are_summarized(self):
+        failure = TrialOutcome(False, 3, t_dist=math.inf, failure_reason=FailureReason.MESSAGE_LATE)
+        edge = TrialOutcome(True, 2, t_dist=0.0, f_end=0.25)
+        summary = summarize(load_scenario(REPEATER_CHAIN), [self.GOOD, failure, edge])
+        assert (summary.success_rate, summary.f_end_min, summary.mean_t_dist) == (2 / 3, 0.25, 0.05)
+
+
 class TestValidatedOnce:
     """A scenario object is validated once, and again whenever its ``classical_channels`` dict has changed."""
 
@@ -965,7 +1024,7 @@ class TestSetupScaling:
         return seen
 
     def test_prepare_walks_the_path_once(self, monkeypatch):
-        # _prepare reads the path from scenario_timings rather than resolving it again,
+        # _prepare and scenario_timings read the walked records and never resolve the path by id,
         # and the links do not form a path a second time when it runs again.
         resolves = self.count_calls(monkeypatch, model, "resolve_path")
         walks = self.count_calls(monkeypatch, model, "_walk")
@@ -978,9 +1037,9 @@ class TestSetupScaling:
             resolves.clear()
             walks.clear()
             engine._prepare(config)
-            assert (len(resolves), len(walks)) == (1, 1), config.protocol
+            assert (len(resolves), len(walks)) == (0, 1), config.protocol
             engine._prepare(config)
-            assert (len(resolves), len(walks)) == (2, 1), config.protocol
+            assert (len(resolves), len(walks)) == (0, 1), config.protocol
 
     def test_each_scenario_is_walked_once(self, monkeypatch):
         # Validation, the static check and _prepare read one walk of a scenario object; a replaced

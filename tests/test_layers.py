@@ -2,9 +2,10 @@
 
 The layers are read from the source with ``ast``, so a dependency shows here
 whether or not the code path that uses it runs in a test.  What a process
-loads is read from ``python -S -X importtime``, which lists every module that
-the process imports; ``-S`` leaves out ``site``, whose ``.pth`` files load
-modules on some installations, so the sets pinned here hold on every one.
+loads is what its ``sys.modules`` holds at exit, printed by an ``atexit`` hook
+(an import that failed leaves nothing there); ``python -S`` leaves out
+``site``, whose ``.pth`` files load modules on some installations, so the sets
+pinned here hold on every one.
 """
 
 import ast
@@ -68,6 +69,9 @@ WATCHED = {"_hashlib", "csv", "hashlib", "random", "statistics", "tempfile"}
 WRITES = {"csv", "random", "tempfile"}  # a written artifact: CSV, staged in a temporary directory
 CHAIN = str(SCENARIOS / "repeater_chain.json")
 
+# The CLI as `python -m pqnetsim.cli` runs it, with the arguments after `-c CODE`.
+CLI = "import runpy; runpy.run_module('pqnetsim.cli', run_name='__main__', alter_sys=True)"
+
 COMMANDS = {
     "check": (["check", CHAIN], BASE, set()),
     "profiles": (["profiles"], BASE, set()),
@@ -80,21 +84,24 @@ COMMANDS = {
 }
 
 
-def imported(args: list[str], cwd: Path) -> set[str]:
-    """The modules that ``python -S -X importtime ARGS`` imports, read from its import-time report on stderr."""
+# Run first in the process: at exit, write the names in sys.modules to stderr on one line after a marker.
+AT_EXIT = "import atexit, sys; atexit.register(lambda: sys.stderr.write('\\nmodules: ' + ' '.join(sys.modules) + '\\n'))\n"
+
+
+def imported(code: str, args: list[str], cwd: Path) -> set[str]:
+    """The modules that ``python -S -c CODE ARGS`` holds in ``sys.modules`` at exit; a failed import is not one."""
     path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
-    result = subprocess.run([sys.executable, "-S", "-X", "importtime", *args], cwd=cwd, env=env,
+    result = subprocess.run([sys.executable, "-S", "-c", AT_EXIT + code, *args], cwd=cwd, env=env,
                             capture_output=True, text=True, timeout=120)
     assert result.returncode in (0, 1), result.stderr
-    rows = [line.split("|") for line in result.stderr.splitlines() if line.startswith("import time:")]
-    return {row[2].strip() for row in rows[1:]}  # the first row is the report's header
+    return set(result.stderr.rpartition("\nmodules: ")[2].split())
 
 
 @pytest.mark.parametrize("command", sorted(COMMANDS))
 def test_each_command_imports_only_the_modules_it_runs(command, tmp_path):
     argv, package, stdlib = COMMANDS[command]
-    loaded = imported(["-m", "pqnetsim.cli", "--out", "out", *argv], tmp_path)
+    loaded = imported(CLI, ["--out", "out", *argv], tmp_path)
     assert {name for name in loaded if name.split(".")[0] == "pqnetsim"} == package
     assert loaded & WATCHED == stdlib
 
@@ -111,8 +118,14 @@ def test_each_command_imports_only_the_modules_it_runs(command, tmp_path):
     ],
 )
 def test_a_name_loads_the_modules_up_to_its_own_in_layer_order(statement, package, tmp_path):
-    loaded = imported(["-c", statement], tmp_path)
+    loaded = imported(statement, [], tmp_path)
     assert {name for name in loaded if name.split(".")[0] == "pqnetsim"} == package
+
+
+def test_an_import_that_failed_is_not_reported(tmp_path):
+    # An import-time report lists such a module too: Python 3.11 reports `_sha2` after it fails to load.
+    loaded = imported("try:\n    import _no_such_module\nexcept ImportError:\n    import csv\n", [], tmp_path)
+    assert "csv" in loaded and "_no_such_module" not in loaded
 
 
 def test_the_package_exports_only_what_the_modules_list():

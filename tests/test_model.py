@@ -40,6 +40,18 @@ from scenario_builders import chain_document, chain_scenario, two_party_scenario
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 NAN, INF = float("nan"), float("inf")
+# Public functions that read a scenario; each validates it first.
+READERS = (resolve_path, scenario_timings, check_scenario, run_trials)
+
+
+def validated(config) -> list[Violation]:
+    """``validate_scenario(config)``, once every function in ``READERS`` is seen to refuse it with those violations."""
+    violations = validate_scenario(config)
+    for read in READERS if violations else ():
+        with pytest.raises(ScenarioValidationError) as refused:
+            read(config)
+        assert refused.value.violations == violations, read.__name__
+    return violations
 
 
 class TestEffectiveSecurity:
@@ -269,7 +281,7 @@ class TestValidateScenario:
 
     def test_out_of_range_fidelity_names_link(self):
         config = chain_scenario([(0.001, 0.002)], base_fidelity=[0.95, 1.2])
-        violations = validate_scenario(config)
+        violations = validated(config)
         assert len(violations) == 1
         assert "base_fidelity" in violations[0].path
         assert "bob,r1" in violations[0].message
@@ -278,12 +290,12 @@ class TestValidateScenario:
         config = two_party_scenario()
         bad_link = dataclasses.replace(config.quantum_links[0], endpoints=("alice", "ghost"))
         config = dataclasses.replace(config, quantum_links=(bad_link,))
-        violations = validate_scenario(config)
+        violations = validated(config)
         assert any("ghost" in v.message for v in violations)
 
     def test_violation_set_is_permutation_invariant(self):
         config = chain_scenario([(0.001, 0.002), (0.001, 0.002)], base_fidelity=[1.5, 0.95, 0.2])
-        baseline = sorted(v.message for v in validate_scenario(config))
+        baseline = sorted(v.message for v in validated(config))
         rng = random.Random(3)
         for _ in range(5):
             nodes = list(config.nodes)
@@ -291,7 +303,7 @@ class TestValidateScenario:
             rng.shuffle(nodes)
             rng.shuffle(links)
             permuted = dataclasses.replace(config, nodes=tuple(nodes), quantum_links=tuple(links))
-            assert sorted(v.message for v in validate_scenario(permuted)) == baseline
+            assert sorted(v.message for v in validated(permuted)) == baseline
             assert sorted(v.message for v in validate_scenario(permuted)) == sorted(
                 v.message for v in validate_scenario(permuted)
             )
@@ -299,18 +311,18 @@ class TestValidateScenario:
     def test_missing_message_channel_flagged(self):
         config = chain_scenario([(0.001, 0.002)])
         config = dataclasses.replace(config, classical_channels={})
-        violations = validate_scenario(config)
+        violations = validated(config)
         assert any("classical channel" in v.message for v in violations)
 
     def test_parallel_chain_needs_two_links(self):
         config = two_party_scenario(protocol=Protocol.PARALLEL_CHAIN)
-        violations = validate_scenario(config)
+        violations = validated(config)
         assert any("at least two links" in v.message for v in violations)
 
     def test_single_hop_needs_exactly_one_link(self):
         config = chain_scenario([(0.001, 0.002)])
         config = dataclasses.replace(config, protocol=Protocol.SINGLE_HOP)
-        violations = validate_scenario(config)
+        violations = validated(config)
         assert any("exactly one quantum link" in v.message for v in violations)
 
     def test_adversary_link_must_exist(self):
@@ -319,7 +331,7 @@ class TestValidateScenario:
         config = two_party_scenario(
             adversary=AdversaryConfig(t_eve=0.0, t_pqc=0.0, t_coh_eve=1.0, intercept_link="alice,ghost")
         )
-        violations = validate_scenario(config)
+        violations = validated(config)
         assert any("intercept_link" in v.path for v in violations)
 
     def test_programmatic_pair_keys_must_be_in_pair_key_order(self):
@@ -329,7 +341,7 @@ class TestValidateScenario:
         config = load_scenario(SCENARIO_DIR / "intercepted_chain.json")
         adversary = dataclasses.replace(config.adversary, intercept_link="relay,alice")
         reversed_link = dataclasses.replace(config, adversary=adversary)
-        assert validate_scenario(reversed_link) == [
+        assert validated(reversed_link) == [
             Violation("$.adversary.intercept_link", "must be in pair_key order, 'alice,relay'")
         ]
         for call in (check_scenario, run_trials, lambda c: sweep(c, "slot_duration", [0.001], n_trials=1)):
@@ -339,14 +351,14 @@ class TestValidateScenario:
         single = load_scenario(SCENARIO_DIR / "teleport_single_hop.json")
         for key in ("alice", "bob,bob"):
             channels = {key: single.classical_channels["alice,bob"]}
-            assert validate_scenario(dataclasses.replace(single, classical_channels=channels)) == [
+            assert validated(dataclasses.replace(single, classical_channels=channels)) == [
                 Violation(f"$.classical_channels[{key!r}]", "key must name two distinct node ids joined by a comma"),
                 Violation("$.classical_channels", "missing classical channel for message pair 'alice,bob'"),
             ]
 
         chain = load_scenario(SCENARIO_DIR / "repeater_chain.json")
         channels = {("r1,bob" if key == "bob,r1" else key): spec for key, spec in chain.classical_channels.items()}
-        assert validate_scenario(dataclasses.replace(chain, classical_channels=channels)) == [
+        assert validated(dataclasses.replace(chain, classical_channels=channels)) == [
             Violation("$.classical_channels['r1,bob']", "key must be in pair_key order, 'bob,r1'"),
             Violation("$.classical_channels", "missing classical channel for message pair 'bob,r1'"),
         ]
@@ -354,23 +366,23 @@ class TestValidateScenario:
     def test_adversary_delays_that_overflow_in_sum(self):
         config = load_scenario(SCENARIO_DIR / "intercepted_chain.json")
         adversary = dataclasses.replace(config.adversary, t_eve=1e308, t_pqc=1e308)
-        assert validate_scenario(dataclasses.replace(config, adversary=adversary)) == [
+        assert validated(dataclasses.replace(config, adversary=adversary)) == [
             Violation("$.adversary", "t_eve + t_pqc must be finite")
         ]
         adversary = dataclasses.replace(adversary, t_pqc=math.inf)  # reported as the part out of range only
-        assert validate_scenario(dataclasses.replace(config, adversary=adversary)) == [
+        assert validated(dataclasses.replace(config, adversary=adversary)) == [
             Violation("$.adversary.t_pqc", "must be finite and >= 0")
         ]
 
     def test_bad_scalars_flagged(self):
         config = two_party_scenario()
         config = dataclasses.replace(config, n_trials=0, slot_duration=0.0, rounds_l=0)
-        paths = {v.path for v in validate_scenario(config)}
+        paths = {v.path for v in validated(config)}
         assert {"$.n_trials", "$.slot_duration", "$.rounds_l"} <= paths
 
     def test_scalars_are_listed_in_field_order(self):
         config = dataclasses.replace(two_party_scenario(), seed=-1, n_trials=0, slot_duration=0.0, rounds_l=0)
-        assert [v.path for v in validate_scenario(config)] == ["$.seed", "$.n_trials", "$.slot_duration", "$.rounds_l"]
+        assert [v.path for v in validated(config)] == ["$.seed", "$.n_trials", "$.slot_duration", "$.rounds_l"]
 
     @pytest.mark.parametrize("cls, name, value", WRONG_FIELD_VALUES)
     def test_every_ranged_field_built_in_code_must_hold_its_kind_of_number(self, cls, name, value):
@@ -381,13 +393,10 @@ class TestValidateScenario:
         config = load_scenario(SCENARIO_DIR / "intercepted_chain.json")
         bad, path, prefix = edit_record(config, cls, lambda record: dataclasses.replace(record, **{name: value}))
         violation = Violation(path + name, prefix.format(name) + problem)
-        assert validate_scenario(bad) == [violation]
+        assert validated(bad) == [violation]
         with pytest.raises(ParameterError) as info:
             model._check_arg(value, name, spec)
         assert str(info.value) == f"{name} {problem}, got {value!r}"
-        for call in (check_scenario, run_trials):
-            with pytest.raises(ScenarioValidationError, match=re.escape(str(violation))):
-                call(bad)
 
     def test_the_table_covers_every_ranged_dataclass(self):
         ranged = {c for c in vars(model).values() if dataclasses.is_dataclass(c) and model._ranges(c)}
@@ -396,15 +405,12 @@ class TestValidateScenario:
     @pytest.mark.parametrize("scenario, edit, expected", WRONG_CLASSES)
     def test_records_and_enums_of_another_class_are_one_violation(self, scenario, edit, expected):
         config = edit(load_scenario(SCENARIO_DIR / scenario))
-        assert validate_scenario(config) == [Violation(path, message) for path, message in expected]
-        for call in (check_scenario, run_trials):
-            with pytest.raises(ScenarioValidationError):
-                call(config)
+        assert validated(config) == [Violation(path, message) for path, message in expected]
 
     def test_end_roles_are_listed_in_path_order(self):
         config = two_party_scenario()
         repeaters = [dataclasses.replace(n, role=NodeRole.REPEATER) for n in reversed(config.nodes)]
-        assert [v.message for v in validate_scenario(dataclasses.replace(config, nodes=tuple(repeaters)))] == [
+        assert [v.message for v in validated(dataclasses.replace(config, nodes=tuple(repeaters)))] == [
             "path endpoint 'alice' must have role 'end_node'",
             "path endpoint 'bob' must have role 'end_node'",
         ]
@@ -482,22 +488,24 @@ class TestPathsAndEditing:
         config = chain_scenario([(0.001, 0.001), (0.001, 0.001)])
         assert resolve_path(config) == ["alice", "r1", "r2", "bob"]
 
-    def test_link_to_unknown_node_is_a_parameter_error(self):
-        config = two_party_scenario()
-        ghost_link = dataclasses.replace(config.quantum_links[0], endpoints=("alice", "ghost"))
-        config = dataclasses.replace(config, quantum_links=(ghost_link,))
-        for call in (resolve_path, scenario_timings):
-            with pytest.raises(ParameterError, match="ghost"):
-                call(config)
+    @pytest.mark.parametrize(
+        "edit, expected",
+        [
+            pytest.param(_edit_endpoints(("alice", "ghost")),
+                         [("$.quantum_links[0].endpoints", "link references unknown node id 'ghost'")], id="ghost"),
+            pytest.param(lambda c: dataclasses.replace(c, quantum_links=c.quantum_links * 2),
+                         [("$.quantum_links[1].endpoints", "duplicate quantum link 'alice,bob'")], id="doubled-link"),
+        ],
+    )
+    def test_a_path_over_unknown_or_doubled_links_is_refused_with_every_violation(self, edit, expected):
+        assert validated(edit(two_party_scenario())) == [Violation(path, message) for path, message in expected]
 
     @pytest.mark.parametrize("field", ["nodes", "quantum_links"])
     def test_a_list_is_refused_before_its_walk_is_kept(self, field):
         # A walk kept for a list would go stale when the list changed: r1's t_coh would still read 0.02.
         config = load_scenario(SCENARIO_DIR / "repeater_chain.json")
         listed = dataclasses.replace(config, **{field: list(getattr(config, field))})
-        for call in (resolve_path, scenario_timings):
-            with pytest.raises(ParameterError, match=rf"^config\.{field} must be of type tuple, got list$"):
-                call(listed)
+        assert validated(listed) == [Violation(f"$.{field}", "must be of type tuple, got list")]
         assert "_chain" not in vars(listed)
 
     def test_set_config_value_scalar(self):
@@ -997,7 +1005,7 @@ class TestValidationTable:
         config = two_party_scenario()
         bad = dataclasses.replace(config.nodes[1].crypto, t_decrypt=NAN, ciphertext_or_sig_bytes=-1)
         nodes = (config.nodes[0], dataclasses.replace(config.nodes[1], crypto=bad))
-        assert validate_scenario(dataclasses.replace(config, nodes=nodes)) == [
+        assert validated(dataclasses.replace(config, nodes=nodes)) == [
             Violation("$.nodes[1].crypto.t_decrypt", "profile 'receiver-profile': must be finite and >= 0"),
             Violation("$.nodes[1].crypto.ciphertext_or_sig_bytes", "profile 'receiver-profile': must be >= 0"),
         ]
