@@ -22,7 +22,7 @@ from enum import Enum
 
 from . import fidelity
 from .errors import ParameterError
-from .model import _FIDELITY, _FINITE, _POSITIVE, AdversaryConfig, _check_arg, _check_type, _ranges
+from .model import _FIDELITY, _FINITE, _POSITIVE, AdversaryConfig, _check_arg, _check_fields, _check_type, _fmean
 
 __all__ = [
     "AttackOutcome",
@@ -44,8 +44,8 @@ class DetectionReport:
     """Result of comparing observed QBER samples against a baseline.
 
     ``flagged`` holds exactly when ``z_score > threshold_sigma``; with a
-    zero-variance baseline the z-score degenerates to +inf (observed mean
-    above baseline) or 0 (otherwise).
+    standard error of 0 the z-score degenerates to +inf (observed mean above
+    baseline) or 0 (otherwise).
     """
 
     baseline_mean_qber: float
@@ -59,11 +59,8 @@ class DetectionReport:
 
 
 def _check_adversary(adv: AdversaryConfig) -> None:
-    _check_type(adv, "adversary", AdversaryConfig)
-    for name, spec in _ranges(AdversaryConfig):
-        _check_arg(getattr(adv, name), f"adversary {name}", spec)
-    if adv.delta_t == math.inf:
-        raise ParameterError("adversary t_eve + t_pqc must be finite, got inf")
+    _check_fields(_check_type(adv, "adversary", AdversaryConfig), "adversary ")
+    _check_arg(adv.delta_t, "adversary t_eve + t_pqc", _FINITE)
 
 
 def attack_outcome(adv: AdversaryConfig) -> AttackOutcome:
@@ -101,11 +98,10 @@ def detect(
 ) -> DetectionReport:
     """One-sided z-test of observed mean QBER against a baseline.
 
-    The statistic is the observed-minus-baseline mean shift in units of the
-    baseline standard deviation scaled by sqrt(observed count):
-    ``z = (mean(observed) - mean(baseline)) / (sd(baseline) / sqrt(n_obs))``.
-    A zero-variance baseline flags exactly when the observed mean exceeds
-    the baseline mean.
+    ``z = (mean(observed) - mean(baseline)) / se``, ``se = sd(baseline) / sqrt(n_obs)``;
+    a mean is finite even where its samples' sum overflows.  Where ``se`` is 0 (no
+    baseline spread, or one that underflows) z is +inf if the observed mean exceeds
+    the baseline's, else 0; a z past the float range is +inf or -inf.
 
     Args:
         baseline_samples: QBER samples from attack-free operation (>= 2).
@@ -113,8 +109,8 @@ def detect(
         threshold_sigma: flagging threshold, > 0.
 
     Raises:
-        ParameterError: on short sample lists, non-finite samples, or a
-            non-positive threshold.
+        ParameterError: on short sample lists, non-finite samples, a baseline
+            standard deviation that overflows a float, or a non-positive threshold.
     """
     _check_arg(threshold_sigma, "threshold_sigma", _POSITIVE)
     for name, samples in (("baseline_samples", baseline_samples), ("observed_samples", observed_samples)):
@@ -125,13 +121,15 @@ def detect(
 
     import statistics  # here, so that a command that detects nothing does not load it
 
-    baseline_mean = statistics.fmean(baseline_samples)
-    observed_mean = statistics.fmean(observed_samples)
-    baseline_sd = statistics.stdev(baseline_samples)
-    if baseline_sd == 0.0:
+    try:
+        baseline_sd = statistics.stdev(baseline_samples)
+    except OverflowError:
+        raise ParameterError("baseline_samples overflow a float in their standard deviation") from None
+    baseline_mean, observed_mean = _fmean(baseline_samples), _fmean(observed_samples)
+    if (standard_error := baseline_sd / math.sqrt(len(observed_samples))) == 0.0:
         z_score = math.inf if observed_mean > baseline_mean else 0.0
     else:
-        z_score = (observed_mean - baseline_mean) / (baseline_sd / math.sqrt(len(observed_samples)))
+        z_score = (observed_mean - baseline_mean) / standard_error
     return DetectionReport(
         baseline_mean_qber=baseline_mean,
         observed_mean_qber=observed_mean,

@@ -80,7 +80,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 from functools import lru_cache, reduce
 from typing import Sequence
@@ -131,16 +131,16 @@ class FailureReason(Enum):
 class TrialOutcome:
     """Result of one simulated trial, a plain record: :func:`summarize` checks the outcomes it reads.
 
-    ``t_dist`` is present whenever the protocol ran to completion (all
-    messages decrypted), even if they arrived too late; ``f_end`` is present
-    only for successes, and ``failure_reason`` only for failures.
-    ``slots_used`` is the last slot index processed before the outcome was decided.
+    ``t_dist`` is present whenever the protocol ran to completion (all messages decrypted), even if they arrived
+    too late; ``f_end`` is present only for successes, and ``failure_reason`` only for failures.  The ranges
+    declared on ``t_dist`` and ``f_end`` apply to a success's values.  ``slots_used`` is the last slot index
+    processed before the outcome was decided.
     """
 
     success: bool
     slots_used: int
-    t_dist: float | None = None
-    f_end: float | None = None
+    t_dist: float | None = field(default=None, metadata=model._NON_NEGATIVE)
+    f_end: float | None = field(default=None, metadata=model._FIDELITY)
     failure_reason: FailureReason | None = None
 
 
@@ -556,24 +556,6 @@ def _re_tcoh_products(config: model.ScenarioConfig) -> dict[str, float]:
     return products
 
 
-def _fmean(values: list[float]) -> float:
-    """The mean of ``values``, scaled by an exact power of two where the sum of finite values overflows.
-
-    ``math.fsum(values) / len(values)`` is the body of ``statistics.fmean``, so the bits are the same,
-    without importing ``statistics``.
-    """
-    n = len(values)
-    try:
-        return math.fsum(values) / n
-    except OverflowError:
-        k = n.bit_length()
-        return math.ldexp(math.fsum([math.ldexp(v, -k) for v in values]) / n, k)
-
-
-# What summarize reads of a success, and each value's legal range.
-_SUCCESS_RANGES = (("t_dist", model._NON_NEGATIVE), ("f_end", model._FIDELITY))
-
-
 def summarize(config: model.ScenarioConfig, outcomes: Sequence[TrialOutcome]) -> RunSummary:
     """Aggregate trial outcomes of a scenario, validated first; order-independent for the reported statistics.
 
@@ -592,15 +574,13 @@ def summarize(config: model.ScenarioConfig, outcomes: Sequence[TrialOutcome]) ->
             expected = "None for a success" if outcome.success else "set for a failure"
             raise ParameterError(f"outcomes[{i}].failure_reason must be {expected}, got {outcome.failure_reason!r}")
         if outcome.success:
-            for name, spec in _SUCCESS_RANGES:
-                if model._range_problem(value := getattr(outcome, name), *spec["range"]):
-                    model._check_arg(value, f"outcomes[{i}].{name}", spec)
+            model._check_fields(outcome, "outcomes[{}].", i)
     successes = [o for o in outcomes if o.success]
     return RunSummary(
         n_trials=len(outcomes),
         success_rate=len(successes) / len(outcomes),
-        mean_t_dist=_fmean([o.t_dist for o in successes]) if successes else None,
-        f_end_mean=_fmean([o.f_end for o in successes]) if successes else None,
+        mean_t_dist=model._fmean([o.t_dist for o in successes]) if successes else None,
+        f_end_mean=model._fmean([o.f_end for o in successes]) if successes else None,
         f_end_min=min(o.f_end for o in successes) if successes else None,
         re_tcoh_product=_re_tcoh_products(config),
     )

@@ -6,13 +6,13 @@ description, and the validation machinery that turns a JSON document into a
 checked :class:`ScenarioConfig`.
 
 The dataclasses are the schema: their field names give the keys, their type
-hints the JSON type of each value (read by :func:`_record_reader`), and their
-``range`` metadata each value's legal range (checked by :func:`_range_problem`).
-Durations are numbers in seconds; unknown keys are violations, never ignored,
-and so is a key given twice in one JSON object.
-Unordered node pairs (classical-channel keys and the adversary's
-``intercept_link``) are encoded as the two node ids joined by a comma, e.g.
-``"alice,relay"``; key order does not matter and is normalized on load.
+hints (or ``read_as`` marks) the JSON type of each value, read by
+:func:`_record_reader`, and their ``range`` metadata each value's legal range,
+read by :func:`_range_check` and :func:`_check_fields` only.  Durations are
+seconds; unknown keys are violations, never ignored, and so is a key given
+twice in one JSON object.  Unordered node pairs (channel keys, the adversary's
+``intercept_link``) are two ids joined by a comma, ``"alice,relay"``, so no id
+holds a comma; key order does not matter and is normalized on load.
 
 Every JSON type has one reader, and valid and invalid input take the same
 path.  A reader returns its value or raises every problem it found, each
@@ -114,6 +114,20 @@ def _check_type(value: Any, name: str, cls: type) -> Any:
     return value
 
 
+def _fmean(values: list[float]) -> float:
+    """The mean of ``values``, scaled by an exact power of two where the sum of finite values overflows.
+
+    ``math.fsum(values) / len(values)`` is the body of ``statistics.fmean``, so the bits are the same,
+    without importing ``statistics``.
+    """
+    n = len(values)
+    try:
+        return math.fsum(values) / n
+    except OverflowError:
+        k = n.bit_length()
+        return math.ldexp(math.fsum([math.ldexp(v, -k) for v in values]) / n, k)
+
+
 class CryptoKind(Enum):
     KEM = "kem"
     SIGNATURE = "signature"
@@ -189,10 +203,10 @@ class NodeSpec:
     In JSON, ``crypto`` is the name of a profile in the registry.
     """
 
-    id: str
+    id: str = field(metadata={"read_as": "node id"})
     role: NodeRole
     memory: MemorySpec
-    crypto: CryptoProfile = field(metadata={"registry_name": True})
+    crypto: CryptoProfile = field(metadata={"read_as": "profile name"})
 
 
 @dataclass(frozen=True)
@@ -243,7 +257,7 @@ class AdversaryConfig:
     t_eve: float = field(metadata=_NON_NEGATIVE)
     t_pqc: float = field(metadata=_NON_NEGATIVE)
     t_coh_eve: float = field(metadata=_POSITIVE)
-    intercept_link: str
+    intercept_link: str = field(metadata={"read_as": "node pair"})
 
     @property
     def delta_t(self) -> float:
@@ -349,8 +363,8 @@ def default_registry() -> CryptoRegistry:
 def load_registry(path: str | Path) -> CryptoRegistry:
     """Load a registry from a JSON array of profile objects.
 
-    Entries are read by the same type rules as scenario files, and every
-    problem in the file is reported together.
+    Entries are read by the record reader of scenario files: every problem
+    in the file, an entry's unknown keys included, is reported together.
 
     Raises:
         ParameterError: on malformed JSON, unknown keys, bad field values or
@@ -366,10 +380,6 @@ def load_registry(path: str | Path) -> CryptoRegistry:
     vios: list[Violation] = []
     profiles = []
     for i, raw in enumerate(data):
-        unknown = raw.keys() - _field_names(CryptoProfile) if isinstance(raw, dict) else None
-        if unknown:
-            vios.append(Violation(f"[{i}]", f"unknown profile key(s): {sorted(unknown)}"))
-            continue
         try:
             profiles.append(read(raw, None))
             problems = [(f".{name}", message) for name, message in check(profiles[-1])]
@@ -422,6 +432,14 @@ def _field_names(cls: type) -> frozenset[str]:
 def _ranges(cls: type) -> tuple[tuple[str, dict], ...]:
     """A dataclass's range-checked fields, built once per class: name and :func:`_range` metadata."""
     return tuple((f.name, f.metadata) for f in dataclasses.fields(cls) if "range" in f.metadata)
+
+
+def _check_fields(record: Any, label: str, *keys: Any) -> Any:
+    """``record`` once :func:`_check_arg` passes each of its :func:`_ranges`, named ``label.format(*keys)`` + field."""
+    for name, spec in _ranges(type(record)):
+        if _range_problem(value := getattr(record, name), *spec["range"]):
+            _check_arg(value, label.format(*keys) + name, spec)
+    return record
 
 
 @functools.cache
@@ -497,6 +515,21 @@ def _read_profile(value, registry):
         raise _problem(f"unknown crypto profile {name!r}") from None
 
 
+_COMMA_IN_ID = "node id {!r} must not contain a comma"  # a comma joins the two ids of a node pair
+
+
+def _read_node_id(value, registry):
+    if "," in (node_id := _read_str(value, registry)):
+        raise _problem(_COMMA_IN_ID.format(node_id))
+    return node_id
+
+
+def _read_node_pair(value, registry):
+    if (pair := split_pair_key(_read_str(value, registry))) is None:
+        raise _problem("must name a link as 'a,b'")
+    return pair_key(*pair)
+
+
 def _read_ids(value, registry):
     if isinstance(value, list) and len(value) == 2:
         a, b = value
@@ -554,6 +587,8 @@ def _read_pair_keyed(read, value, registry):
     return out
 
 
+_READ_AS = {"profile name": _read_profile, "node id": _read_node_id, "node pair": _read_node_pair}
+
 _SCALARS = {
     float: _read_float,
     int: functools.partial(_read_checked, _is_int, "an integer"),
@@ -590,13 +625,13 @@ def _record_reader(cls: type) -> Callable:
 
     It reads a JSON object keyed by field names.  Its problems are the
     unknown keys, then each missing or ill-typed field in field order; a
-    missing field with a default takes it.  A field marked ``registry_name``
-    is read as a profile name.
+    missing field with a default takes it.  A field marked ``read_as`` is
+    read by the reader :data:`_READ_AS` holds for that mark.
     """
     hints = typing.get_type_hints(cls)
     names = _field_names(cls)
-    steps = tuple((f.name, f.default, _read_profile if f.metadata.get("registry_name") else _reader(hints[f.name]))
-                  for f in dataclasses.fields(cls))
+    steps = tuple((f.name, f.default, _READ_AS[f.metadata["read_as"]] if "read_as" in f.metadata
+                   else _reader(hints[f.name])) for f in dataclasses.fields(cls))
 
     def read(raw, registry):
         if not isinstance(raw, dict):
@@ -621,25 +656,18 @@ def _record_reader(cls: type) -> Callable:
 def parse_scenario(data: Any, registry: CryptoRegistry) -> ScenarioConfig:
     """Build a :class:`ScenarioConfig` from decoded JSON, strictly.
 
-    Structural problems (wrong types, missing or unknown keys, unknown
-    crypto-profile names, malformed pair keys) are collected and raised
-    together as a :class:`ScenarioValidationError`.  Range and referential
-    invariants are the job of :func:`validate_scenario`, which callers
-    should run next.
+    Structural problems (wrong types, missing or unknown keys, unknown profile
+    names, node ids with a comma, malformed pair keys and ``intercept_link``)
+    are found by one record reader and raised together, in field order, as a
+    :class:`ScenarioValidationError`.  :func:`validate_scenario`, which
+    callers should run next, checks ranges and references.
     """
     if not isinstance(data, dict):
         raise ScenarioValidationError([Violation("$", "scenario must be a JSON object")])
     try:
-        config = _record_reader(ScenarioConfig)(data, registry)
+        return _record_reader(ScenarioConfig)(data, registry)
     except _Problems as exc:
         raise ScenarioValidationError([Violation(f"${where}", message) for where, message in exc.problems]) from None
-    if config.adversary is not None:
-        pair = split_pair_key(config.adversary.intercept_link)
-        if pair is None:
-            raise ScenarioValidationError([Violation("$.adversary.intercept_link", "must name a link as 'a,b'")])
-        adversary = dataclasses.replace(config.adversary, intercept_link=pair_key(*pair))
-        config = dataclasses.replace(config, adversary=adversary)
-    return config
 
 
 def load_scenario(path: str | Path, registry: CryptoRegistry | None = None) -> ScenarioConfig:
@@ -672,6 +700,8 @@ def validate_scenario(config: ScenarioConfig) -> list[Violation]:
     profile_problems: dict[int, list[tuple[str, str]]] = {}
     check_memory, check_profile = _range_check(MemorySpec), _range_check(CryptoProfile)
     for i, node in enumerate(config.nodes):
+        if "," in node.id:
+            vios.append(Violation(f"$.nodes[{i}].id", _COMMA_IN_ID.format(node.id)))
         if node.id in node_ids:
             vios.append(Violation(f"$.nodes[{i}].id", f"duplicate node id {node.id!r}"))
         node_ids.add(node.id)
@@ -679,8 +709,7 @@ def validate_scenario(config: ScenarioConfig) -> list[Violation]:
             vios.append(Violation(f"$.nodes[{i}].memory.{name}", f"node {node.id!r}: {name} {message}"))
         # Many nodes share one profile object; check each once.
         crypto = node.crypto
-        problems = profile_problems.get(id(crypto))
-        if problems is None:
+        if (problems := profile_problems.get(id(crypto))) is None:
             problems = profile_problems[id(crypto)] = check_profile(crypto)
         for name, message in problems:
             vios.append(Violation(f"$.nodes[{i}].crypto.{name}", f"profile {crypto.name!r}: {message}"))

@@ -50,8 +50,7 @@ class HopTiming:
     t_decrypt: float = field(metadata=model._NON_NEGATIVE)
 
     def __post_init__(self):
-        for name, spec in model._ranges(HopTiming):
-            model._check_arg(getattr(self, name), f"HopTiming.{name}", spec)
+        model._check_fields(self, "HopTiming.")
 
 
 @dataclass(frozen=True)

@@ -78,12 +78,15 @@ EXPIRY_STEP = "tests/test_engine.py::TestFastForward::test_expiry_gap_steps_up_w
 SEED_SPLIT = "tests/test_engine.py::TestSeedSplit"
 SEQUENTIAL = "tests/test_timing.py::TestScenarioWaits::test_sequential_slack_is_the_left_fold_over_rounds"
 TIMING = "pqnetsim/timing.py"
+ADVERSARY = "pqnetsim/adversary.py"
+ENTRY_POINTS = "tests/test_model.py::TestValidationTable::test_library_entry_points_keep_their_messages"
+SCENARIO_FILES = "tests/test_model.py::TestScenarioFiles"
 # The built-in SHA-256 module this interpreter imports first: _sha2 from Python 3.12 on, _sha256 before.
 SHA_RUNG = "_sha2" if sys.version_info >= (3, 12) else "_sha256"
 
 CATALOG = [
     # The two mutants that once survived the whole of tier-1.
-    Mutant("pqnetsim/adversary.py", "flagged=z_score > threshold_sigma,", "flagged=z_score >= threshold_sigma,",
+    Mutant(ADVERSARY, "flagged=z_score > threshold_sigma,", "flagged=z_score >= threshold_sigma,",
            ("tests/test_adversary.py",)),
     Mutant(ENGINE, "f_end_min=min(o.f_end for o in successes) if",
            "f_end_min=min(o.f_end for o in successes[1:] or successes) if", ENGINE_TESTS),
@@ -112,7 +115,7 @@ CATALOG = [
     Mutant(ENGINE, "config.slot_duration + max(timings.totals))", "config.slot_duration)", ENGINE_TESTS + CLI_TESTS),
     Mutant(ENGINE, "max(timings.totals)) * (1 + 2**-49)", "max(timings.totals))", ENGINE_TESTS),
     Mutant(ENGINE, "+ max(timings.totals)", "+ timings.totals[0]", ENGINE_TESTS),
-    Mutant(ENGINE, "    except OverflowError:\n        k = n", "    except ZeroDivisionError:\n        k = n",
+    Mutant(MODEL, "    except OverflowError:\n        k = n", "    except ZeroDivisionError:\n        k = n",
            ENGINE_TESTS),
     # The one write path: a failed write is bad input, and nothing else in --out is touched.
     Mutant(CLI, "except OSError as exc:", "except PermissionError as exc:", CLI_TESTS),
@@ -159,9 +162,9 @@ CATALOG = [
            '_LAYERS = ("errors", "model", "fidelity", "engine", "timing",', (LAZY_ORDER,)),
     Mutant(INIT, "            if name in module.__all__:", "            if hasattr(module, name):", (LAZY_LISTS,)),
     # The summary's means are fsum over the count, as statistics.fmean computes them, scaled or not.
-    Mutant(ENGINE, "        return math.fsum(values) / n", "        return math.fsum(values) / max(n - 1, 1)",
+    Mutant(MODEL, "        return math.fsum(values) / n", "        return math.fsum(values) / max(n - 1, 1)",
            (MEANS,)),
-    Mutant(ENGINE, "for v in values]) / n, k)", "for v in values]) / (n + 1), k)", (MEANS,)),
+    Mutant(MODEL, "for v in values]) / n, k)", "for v in values]) / (n + 1), k)", (MEANS,)),
     # Every public reader of a scenario validates it: summarize, resolve_path and scenario_timings too, so none
     # keeps a walk of a list or walks links to an unknown node.
     Mutant(ENGINE, "    model._require_valid(config)\n    if not model._check_type(outcomes,",
@@ -169,11 +172,30 @@ CATALOG = [
     Mutant(MODEL, "nodes, _, _ = _require_valid(config)._chain", "nodes, _, _ = config._chain", (PATHS,)),
     Mutant(TIMING, "nodes, _, _ = model._require_valid(config)._chain", "nodes, _, _ = config._chain", (PATHS,)),
     # summarize checks each outcome it reads: failure_reason is None exactly for a success, whose t_dist and
-    # f_end are in their ranges.
+    # f_end are in the ranges declared on their fields.
     Mutant(ENGINE, "if outcome.success != (outcome.failure_reason is None):", "if False:", (OUTCOMES,)),
-    Mutant(ENGINE, '_SUCCESS_RANGES = (("t_dist", model._NON_NEGATIVE), ("f_end", model._FIDELITY))',
-           '_SUCCESS_RANGES = (("f_end", model._FIDELITY),)', (OUTCOMES,)),
-    Mutant(ENGINE, ', ("f_end", model._FIDELITY))', ",)", (OUTCOMES,)),
+    Mutant(ENGINE, "t_dist: float | None = field(default=None, metadata=model._NON_NEGATIVE)",
+           "t_dist: float | None = None", (OUTCOMES,)),
+    Mutant(ENGINE, "f_end: float | None = field(default=None, metadata=model._FIDELITY)",
+           "f_end: float | None = None", (OUTCOMES,)),
+    # One routine checks a record's declared ranges, each of them; HopTiming and the adversary's arguments use it,
+    # and the adversary's delay sum is checked after its parts.
+    Mutant(MODEL, "    for name, spec in _ranges(type(record)):", "    for name, spec in _ranges(type(record))[:-1]:",
+           (OUTCOMES,)),
+    Mutant(TIMING, '        model._check_fields(self, "HopTiming.")', "        pass", (ENTRY_POINTS,)),
+    Mutant(ADVERSARY, '    _check_arg(adv.delta_t, "adversary t_eve + t_pqc", _FINITE)\n', "",
+           ("tests/test_adversary.py::test_delays_that_overflow_in_sum_are_refused",)),
+    # detect is degenerate where the standard error is 0, also when a tiny spread underflows in the division.
+    Mutant(ADVERSARY, "    if (standard_error := baseline_sd / math.sqrt(len(observed_samples))) == 0.0:",
+           "    standard_error = baseline_sd / math.sqrt(len(observed_samples))\n    if baseline_sd == 0.0:",
+           ("tests/test_adversary.py::TestDetect",)),
+    # The record reader reads intercept_link as a pair in pair_key order, and refuses a node id with a comma, as
+    # validation refuses one built in code.
+    Mutant(MODEL, "        raise _problem(\"must name a link as 'a,b'\")\n    return pair_key(*pair)",
+           "        raise _problem(\"must name a link as 'a,b'\")\n    return value", (SCENARIO_FILES,)),
+    Mutant(MODEL, "        raise _problem(_COMMA_IN_ID.format(node_id))", "        pass", (MALFORMED,)),
+    Mutant(MODEL, '        if "," in node.id:\n'
+           '            vios.append(Violation(f"$.nodes[{i}].id", _COMMA_IN_ID.format(node.id)))\n', "", (VALIDATE,)),
     # A scenario object is validated once: it keeps a copy of its channels only once it has passed, and is
     # validated again when its channels no longer equal that copy.
     Mutant(MODEL, "if passed is None or passed != config.classical_channels:", "if passed is None:", (VALIDATED_ONCE,)),

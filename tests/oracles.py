@@ -262,10 +262,6 @@ def reference_load_registry(path: str | Path) -> CryptoRegistry:
     profiles = []
     for i, raw in enumerate(data):
         where = f"[{i}]"
-        unknown = raw.keys() - _field_names(CryptoProfile) if isinstance(raw, dict) else None
-        if unknown:
-            vios.append(Violation(where, f"unknown profile key(s): {sorted(unknown)}"))
-            continue
         found: list[Violation] = []
         profile = _parse_record(CryptoProfile, raw, where, found, None)
         if profile is not None:
@@ -324,6 +320,26 @@ def _read_profile(value, path, key, vios, registry):
             vios.append(Violation(path + key, f"unknown crypto profile {name!r}"))
 
 
+def _read_node_id(value, path, key, vios, registry):
+    """``NodeSpec.id``: a non-empty string without a comma, which joins a node pair."""
+    node_id = _read_str(value, path, key, vios, registry)
+    if node_id is not None and "," in node_id:
+        vios.append(Violation(path + key, f"node id {node_id!r} must not contain a comma"))
+        return None
+    return node_id
+
+
+def _read_node_pair(value, path, key, vios, registry):
+    """``AdversaryConfig.intercept_link``: an ``"a,b"`` node pair, canonicalised with :func:`pair_key`."""
+    text = _read_str(value, path, key, vios, registry)
+    if text is not None:
+        pair = split_pair_key(text)
+        if pair is None:
+            vios.append(Violation(path + key, "must name a link as 'a,b'"))
+            return None
+        return pair_key(*pair)
+
+
 def _read_ids(value, path, key, vios, registry):
     if isinstance(value, list) and len(value) == 2 and all(isinstance(e, str) and e for e in value):
         return value[0], value[1]
@@ -374,6 +390,8 @@ def _read_pair_keyed(read, value, path, key, vios, registry):
     return out
 
 
+_MARKED_READERS = {"profile name": _read_profile, "node id": _read_node_id, "node pair": _read_node_pair}
+
 _SCALAR_READERS = {
     float: _read_float,
     int: functools.partial(_read_checked, _is_int, "an integer"),
@@ -410,13 +428,13 @@ def _plan(cls: type) -> tuple[tuple[str, str, Any, Callable], ...]:
 
     One step per field, in field order: its name, its path suffix, its
     default (``dataclasses.MISSING`` when it has none), and the reader of
-    its type hint.  A field marked ``registry_name`` is read as a profile
-    name.
+    its type hint.  A field whose metadata names a reader as ``read_as`` is
+    read by that one: a profile name, a node id or a node pair.
     """
     hints = typing.get_type_hints(cls)
     steps = []
     for f in dataclasses.fields(cls):
-        read = _read_profile if f.metadata.get("registry_name") else _reader(hints[f.name])
+        read = _MARKED_READERS[f.metadata["read_as"]] if "read_as" in f.metadata else _reader(hints[f.name])
         steps.append((f.name, "." + f.name, f.default, read))
     return tuple(steps)
 
@@ -449,13 +467,6 @@ def reference_parse_scenario(data: dict, registry: CryptoRegistry) -> ScenarioCo
     """``model.parse_scenario`` on a JSON object: every structural violation, in field order."""
     vios: list[Violation] = []
     config = _parse_record(ScenarioConfig, data, "$", vios, registry)
-    if config is not None and config.adversary is not None:
-        pair = split_pair_key(config.adversary.intercept_link)
-        if pair is None:
-            vios.append(Violation("$.adversary.intercept_link", "must name a link as 'a,b'"))
-        else:
-            adversary = dataclasses.replace(config.adversary, intercept_link=pair_key(*pair))
-            config = dataclasses.replace(config, adversary=adversary)
     if vios:
         raise ScenarioValidationError(vios)
     return config
@@ -468,6 +479,8 @@ def reference_violations(config: ScenarioConfig) -> list[Violation]:
     profile_problems: dict[int, list[tuple[str, str]]] = {}
     for i, node in enumerate(config.nodes):
         path = f"$.nodes[{i}]"
+        if "," in node.id:
+            vios.append(Violation(f"{path}.id", f"node id {node.id!r} must not contain a comma"))
         if node.id in node_ids:
             vios.append(Violation(f"{path}.id", f"duplicate node id {node.id!r}"))
         node_ids.add(node.id)

@@ -19,6 +19,9 @@ from pqnetsim import (
 
 durations = st.floats(min_value=0.0, max_value=1e3, allow_nan=False)
 adversary_coherences = st.floats(min_value=1e-6, max_value=1e3, allow_nan=False)
+# Any finite sample, with the subnormals and the edges of the float range drawn often.
+finite_samples = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [5e-324, -5e-324, 1.7e308, -1.7e308])
 
 
 def adv(t_eve: float, t_pqc: float, t_coh_eve: float) -> AdversaryConfig:
@@ -152,6 +155,39 @@ class TestDetect:
             detect([0.1], [0.1, 0.2], 3.0)
         with pytest.raises(ParameterError):
             detect([0.1, 0.2], [0.1], 3.0)
+
+    def test_means_whose_sum_overflows_are_the_summarys_means(self):
+        # fsum([1e308, 1e308]) overflows; the mean is scaled, as the run summary's is, and is finite.
+        report = detect([1e308, 1e308], [1e308, 1e308], 3.0)
+        assert (report.baseline_mean_qber, report.observed_mean_qber, report.z_score) == (1e308, 1e308, 0.0)
+        report = detect([0.0, 0.0], [1e308, 1e308], 3.0)
+        assert (report.observed_mean_qber, report.z_score, report.flagged) == (1e308, math.inf, True)
+        report = detect([-1.7e308, -1.7e308], [1.7e308, 1.7e308], 3.0)
+        assert (report.baseline_mean_qber, report.observed_mean_qber, report.z_score) == (-1.7e308, 1.7e308, math.inf)
+
+    def test_a_baseline_spread_past_the_float_range_is_a_parameter_error(self):
+        with pytest.raises(ParameterError) as refused:
+            detect([1.7e308, -1.7e308], [0.0, 0.0], 3.0)
+        assert str(refused.value) == "baseline_samples overflow a float in their standard deviation"
+        assert detect([0.0, 0.0], [1.7e308, -1.7e308], 3.0).z_score == 0.0  # the observed spread is not used
+
+    def test_a_standard_error_that_underflows_to_zero_is_degenerate(self):
+        # stdev([0.0, 5e-324]) is 5e-324, and 5e-324 / sqrt(100) rounds to 0.
+        report = detect([0.0, 5e-324], [1.0] * 100, 3.0)
+        assert (report.z_score, report.flagged) == (math.inf, True)
+        assert detect([0.0, 5e-324], [0.0] * 100, 3.0).z_score == 0.0
+
+    @given(
+        st.lists(finite_samples, min_size=2, max_size=8),
+        st.lists(finite_samples, min_size=2, max_size=8),
+        st.floats(min_value=1e-3, max_value=1e3),
+    )
+    def test_finite_samples_give_a_report_or_a_parameter_error(self, baseline, observed, threshold):
+        try:
+            report = detect(baseline, observed, threshold)
+        except ParameterError:
+            return
+        assert report.flagged == (report.z_score > threshold)
 
     def test_null_false_positive_rate_is_small(self):
         # Two independent draws from the same distribution should rarely flag.

@@ -207,6 +207,25 @@ class TestCheck:
         assert code == 2
         assert any("qauntum_links_typo" in v["path"] for v in payload["violations"])
 
+    @pytest.mark.parametrize(
+        "name, argv, channel",
+        [
+            pytest.param("repeater_chain.json", ["simulate", "--trials", "50"], [], id="chain"),
+            pytest.param("teleport_single_hop.json", ["check"], [
+                {"path": "$.classical_channels['al,ice,bob']",
+                 "message": "key must name two distinct node ids joined by a comma"}], id="single-hop"),
+        ],
+    )
+    def test_a_node_id_with_a_comma_exits_two_at_the_id(self, tmp_path, capsys, name, argv, channel):
+        # Node pairs are written "a,b": an id with a comma would make pair keys that no reader can split.
+        text = (SCENARIO_DIR / name).read_text().replace('"alice"', '"al,ice"').replace('"alice,', '"al,ice,')
+        scenario = tmp_path / name
+        scenario.write_text(text)
+        assert main(["--out", str(tmp_path / "out"), *argv, str(scenario)]) == 2
+        assert json.loads(capsys.readouterr().out)["violations"] == [
+            {"path": "$.nodes[0].id", "message": "node id 'al,ice' must not contain a comma"}, *channel]
+        assert not (tmp_path / "out").exists()
+
     def test_missing_file_exits_two(self, tmp_path):
         assert main(["check", str(tmp_path / "nope.json")]) == 2
 

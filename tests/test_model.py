@@ -142,7 +142,7 @@ class TestRegistry:
         ]
         path = tmp_path / "profiles.json"
         path.write_text(json.dumps(payload))
-        with pytest.raises(ParameterError, match=r"^\[0\]: unknown profile key\(s\): \['speed'\]$"):
+        with pytest.raises(ParameterError, match=r"^\[0\]\.speed \(profile 'x'\): unknown key$"):
             load_registry(path)
 
     def test_load_registry_rejects_negative_latency(self, tmp_path):
@@ -363,6 +363,18 @@ class TestValidateScenario:
             Violation("$.classical_channels", "missing classical channel for message pair 'bob,r1'"),
         ]
 
+    def test_a_node_id_built_in_code_must_not_contain_a_comma(self):
+        # The file parser refuses such an id at once; a scenario built in code meets the same rule in validation.
+        config = load_scenario(SCENARIO_DIR / "teleport_single_hop.json")
+        nodes = (dataclasses.replace(config.nodes[0], id="al,ice"), config.nodes[1])
+        links = (dataclasses.replace(config.quantum_links[0], endpoints=("al,ice", "bob")),)
+        channels = {"al,ice,bob": config.classical_channels["alice,bob"]}
+        renamed = dataclasses.replace(config, nodes=nodes, quantum_links=links, classical_channels=channels)
+        assert validated(renamed) == [
+            Violation("$.nodes[0].id", "node id 'al,ice' must not contain a comma"),
+            Violation("$.classical_channels['al,ice,bob']", "key must name two distinct node ids joined by a comma"),
+        ]
+
     def test_adversary_delays_that_overflow_in_sum(self):
         config = load_scenario(SCENARIO_DIR / "intercepted_chain.json")
         adversary = dataclasses.replace(config.adversary, t_eve=1e308, t_pqc=1e308)
@@ -467,6 +479,27 @@ class TestScenarioFiles:
             load_scenario(path)
         assert len(err.value.violations) >= 3
 
+    def test_a_malformed_intercept_link_is_reported_with_the_other_problems(self, tmp_path):
+        data = json.loads((SCENARIO_DIR / "intercepted_chain.json").read_text())
+        data["n_trials"] = "x"
+        data["adversary"]["intercept_link"] = "nocomma"
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ScenarioValidationError) as err:
+            load_scenario(path)
+        assert err.value.violations == [
+            Violation("$.n_trials", "expected an integer, got str"),
+            Violation("$.adversary.intercept_link", "must name a link as 'a,b'"),
+        ]
+
+    def test_intercept_link_is_read_in_pair_key_order(self, tmp_path):
+        data = json.loads((SCENARIO_DIR / "intercepted_chain.json").read_text())
+        assert data["adversary"]["intercept_link"] == "alice,relay"
+        data["adversary"]["intercept_link"] = "relay,alice"
+        path = tmp_path / "reversed.json"
+        path.write_text(json.dumps(data))
+        assert load_scenario(path) == load_scenario(SCENARIO_DIR / "intercepted_chain.json")
+
     def test_malformed_json_reported(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -566,6 +599,8 @@ MALFORMED = [
     pytest.param(("rounds_l",), "1", ["$.rounds_l"], ["expected an integer, got str"], id="int-str"),
     pytest.param(("nodes", 0, "id"), 7, ["$.nodes[0].id"], None, id="string-int"),
     pytest.param(("nodes", 0, "id"), "", ["$.nodes[0].id"], None, id="string-empty"),
+    pytest.param(("nodes", 0, "id"), "al,ice", ["$.nodes[0].id"], ["node id 'al,ice' must not contain a comma"],
+                 id="string-comma"),
     pytest.param(("nodes", 0, "crypto"), 5, ["$.nodes[0].crypto"], None, id="crypto-int"),
     pytest.param(("adversary", "intercept_link"), 3, ["$.adversary.intercept_link"], None, id="intercept-int"),
     pytest.param(("protocol",), "mesh", ["$.protocol"],
@@ -1049,9 +1084,10 @@ def range_text(low, high):
 
 def test_readme_lists_every_declared_range():
     from pqnetsim import model
+    from pqnetsim.engine import TrialOutcome
     from pqnetsim.timing import HopTiming
 
-    classes = [c for c in vars(model).values() if dataclasses.is_dataclass(c)] + [HopTiming]
+    classes = [c for c in vars(model).values() if dataclasses.is_dataclass(c)] + [HopTiming, TrialOutcome]
     declared = [
         f"* `{cls.__name__}.{name}`: {range_text(*spec['range'][:2])}"
         for cls in classes
