@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from enum import Enum
 
 from . import fidelity
@@ -45,7 +45,8 @@ class DetectionReport:
 
     ``flagged`` holds exactly when ``z_score > threshold_sigma``; with a
     standard error of 0 the z-score degenerates to +inf (observed mean above
-    baseline) or 0 (otherwise).
+    baseline) or 0 (otherwise).  The CLI writes an infinite z-score as JSON
+    ``null``.
     """
 
     baseline_mean_qber: float
@@ -53,9 +54,6 @@ class DetectionReport:
     z_score: float
     flagged: bool
     threshold_sigma: float
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 def _check_adversary(adv: AdversaryConfig) -> None:

@@ -31,6 +31,7 @@ import argparse
 import dataclasses
 import gc
 import json
+import math
 import os
 import sys
 from enum import Enum
@@ -51,14 +52,10 @@ EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE
 TRIALS_CSV_COLUMNS = ["trial_index", "success", "failure_reason", "slots_used", "t_dist_s", "f_end"]
 
 
-def _plain(value):
-    """An enum as its ``value``, anything else unchanged: how CSV cells and JSON fields show enums."""
-    return value.value if isinstance(value, Enum) else value
-
-
 def _fmt_cell(value) -> str:
-    """Shortest round-trip formatting for CSV cells; absent values are empty."""
-    value = _plain(value)
+    """Shortest round-trip formatting for CSV cells; an enum is its ``value``, absent values are empty."""
+    if isinstance(value, Enum):
+        value = value.value
     if value is None:
         return ""
     if isinstance(value, bool):
@@ -68,8 +65,16 @@ def _fmt_cell(value) -> str:
     return str(value)
 
 
+def _json_field(value):
+    """How JSON shows what ``json`` cannot: an enum as its ``value``, a dataclass record as ``dataclasses.asdict``."""
+    if isinstance(value, Enum):
+        return value.value
+    return dataclasses.asdict(value)  # a TypeError for anything else
+
+
 def _dump_json(data) -> str:
-    return json.dumps(data, sort_keys=True, indent=2)
+    """The one JSON writer: RFC 8259 text with sorted keys; a non-finite float is a ValueError, not ``Infinity``."""
+    return json.dumps(data, sort_keys=True, indent=2, allow_nan=False, default=_json_field)
 
 
 def _write_rows(handle, header: list[str], rows: list) -> None:
@@ -135,9 +140,7 @@ def _load_scenario(args) -> model.ScenarioConfig:
 def cmd_check(args) -> int:
     config = _load_scenario(args)
     result = timing.check_scenario(config)
-    payload = result.as_dict()
-    payload["protocol"] = config.protocol.value
-    print(_dump_json(payload))
+    print(_dump_json({**dataclasses.asdict(result), "protocol": config.protocol}))
     return EXIT_OK if result.feasible else EXIT_NEGATIVE_VERDICT
 
 
@@ -146,7 +149,7 @@ def cmd_simulate(args) -> int:
 
     config = _load_scenario(args)
     outcomes = engine.run_trials(config, args.trials, args.seed, max_slots=args.max_slots)
-    summary = _dump_json(engine.summarize(config, outcomes).as_dict())
+    summary = _dump_json(engine.summarize(config, outcomes))
     rows = [[i, o.success, o.failure_reason, o.slots_used, o.t_dist, o.f_end] for i, o in enumerate(outcomes)]
     _write(args, ("trials.csv", TRIALS_CSV_COLUMNS, rows), ("summary.json", summary + "\n"))
     print(summary)
@@ -175,7 +178,8 @@ def cmd_adversary(args) -> int:
         )
 
     report = detect(baseline_qber, observed_qber, args.threshold_sigma)
-    detection = _dump_json(report.as_dict())
+    # JSON has no Infinity: an infinite z-score is written as null, and ``flagged`` carries the verdict.
+    detection = _dump_json(report if math.isfinite(report.z_score) else dataclasses.replace(report, z_score=None))
     rows = [["baseline", i, q] for i, q in enumerate(baseline_qber)]
     rows += [["observed", i, q] for i, q in enumerate(observed_qber)]
     _write(args, ("samples.csv", ["side", "sample_index", "qber"], rows), ("detection.json", detection + "\n"))
@@ -224,7 +228,7 @@ def cmd_profiles(args) -> int:
         header = [f.name for f in dataclasses.fields(model.CryptoProfile)]
         _write_rows(sys.stdout, header, [dataclasses.astuple(p) for p in profiles])
     else:
-        print(_dump_json([{k: _plain(v) for k, v in dataclasses.asdict(p).items()} for p in profiles]))
+        print(_dump_json(profiles))
     return EXIT_OK
 
 
@@ -324,7 +328,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except ScenarioValidationError as exc:
-        print(_dump_json({"violations": [{"path": v.path, "message": v.message} for v in exc.violations]}))
+        print(_dump_json({"violations": exc.violations}))
         return EXIT_INPUT_ERROR
     except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -80,7 +80,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache, reduce
 from typing import Sequence
@@ -160,9 +160,6 @@ class RunSummary:
     f_end_mean: float | None
     f_end_min: float | None
     re_tcoh_product: dict[str, float]
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 def trial_seed_for(master_seed: int, trial_index: int) -> int:

@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Iterable, Sequence
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 from . import model
 from .errors import ParameterError
@@ -66,9 +66,6 @@ class FeasibilityResult:
     feasible: bool
     slack: float
     binding_index: int | None = None
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 def _wait(t_encrypt: float, t_comm: float, t_decrypt: float) -> float:

@@ -78,6 +78,7 @@ EXPIRY_STEP = "tests/test_engine.py::TestFastForward::test_expiry_gap_steps_up_w
 SEED_SPLIT = "tests/test_engine.py::TestSeedSplit"
 SEQUENTIAL = "tests/test_timing.py::TestScenarioWaits::test_sequential_slack_is_the_left_fold_over_rounds"
 TIMING = "pqnetsim/timing.py"
+STRICT_JSON = "tests/test_cli.py::TestStrictJson"
 ADVERSARY = "pqnetsim/adversary.py"
 ENTRY_POINTS = "tests/test_model.py::TestValidationTable::test_library_entry_points_keep_their_messages"
 SCENARIO_FILES = "tests/test_model.py::TestScenarioFiles"
@@ -255,6 +256,10 @@ CATALOG = [
     # Only the first path node sends on a single hop or sequential rounds; every interior node on a chain.
     Mutant(MODEL, "return path[1:-1] if protocol is Protocol.PARALLEL_CHAIN else path[:1]", "return path[:1]",
            ("tests/test_timing.py",)),
+    # Every JSON document is RFC 8259: the one writer refuses a non-finite float, and adversary writes an
+    # infinite z-score as null.
+    Mutant(CLI, "indent=2, allow_nan=False, default=", "indent=2, default=", (STRICT_JSON,)),
+    Mutant(CLI, "report if math.isfinite(report.z_score) else", "report if True else", (STRICT_JSON,)),
 ]
 
 EQUIVALENT = [

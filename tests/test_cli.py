@@ -16,6 +16,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from pqnetsim import (
+    DetectionReport,
     HopTiming,
     ParameterError,
     cli,
@@ -96,6 +97,23 @@ def write_scenario(tmp_path: Path, data: dict, name: str = "scenario.json") -> P
     path = tmp_path / name
     path.write_text(json.dumps(data))
     return path
+
+
+def zero_spread_scenario(tmp_path: Path) -> Path:
+    """``intercepted_chain.json`` with every ``p_success`` 1.0: every baseline trial has the same QBER."""
+    data = json.loads((SCENARIO_DIR / "intercepted_chain.json").read_text())
+    for link in data["quantum_links"]:
+        link["p_success"] = 1.0
+    return write_scenario(tmp_path, data, "zero_spread.json")
+
+
+def strict_json(text: str):
+    """``text`` read as RFC 8259 JSON: the ``NaN``, ``Infinity`` and ``-Infinity`` that ``json`` accepts are refused."""
+
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
 
 
 # `check` stdout for each shipped scenario, captured before the CLI writers
@@ -689,6 +707,55 @@ class TestWritePath:
         capsys.readouterr()
         assert [p.name for p in out.iterdir()] == [name]
         assert not any((out / name).iterdir())
+
+
+class TestStrictJson:
+    """Every JSON document the CLI prints or writes is RFC 8259 JSON, rendered by one writer."""
+
+    @pytest.mark.parametrize(
+        "argv, code, artifact, fields",
+        [
+            *(pytest.param(["check", str(SCENARIO_DIR / name)], 0, None, {}, id=f"check-{name}")
+              for name in sorted(CHECK_STDOUT)),
+            pytest.param(["simulate", str(SCENARIO_DIR / "repeater_chain.json"), "--trials", "20"], 0,
+                         "summary.json", {}, id="simulate"),
+            pytest.param(["adversary", str(SCENARIO_DIR / "intercepted_chain.json"), "--baseline-trials", "20",
+                          "--observed-trials", "20"], 1, "detection.json", {}, id="adversary"),
+            # No baseline spread: the library's z-score is +inf, which JSON cannot hold; `flagged` carries the verdict.
+            pytest.param(["adversary", zero_spread_scenario, "--baseline-trials", "5", "--observed-trials", "5"], 1,
+                         "detection.json", {"flagged": True, "z_score": None}, id="adversary-zero-spread"),
+            pytest.param(["profiles"], 0, None, {}, id="profiles"),
+            pytest.param(["check", lambda d: write_scenario(d, {**scenario_dict(), "typo": 1})], 2, None, {},
+                         id="violations"),
+        ],
+    )
+    def test_every_document_parses_strictly(self, argv, code, artifact, fields, tmp_path, capsys):
+        out = tmp_path / "out"
+        argv = [str(arg(tmp_path)) if callable(arg) else arg for arg in argv]
+        assert main(["--out", str(out), *argv]) == code
+        documents = [capsys.readouterr().out] + ([(out / artifact).read_text()] if artifact else [])
+        for text in documents:
+            document = strict_json(text)
+            assert isinstance(document, list if argv[0] == "profiles" else dict)
+            assert {key: document[key] for key in fields} == fields
+
+    @pytest.mark.parametrize(
+        "value, error", [(math.inf, ValueError), (-math.inf, ValueError), (math.nan, ValueError), (object(), TypeError)]
+    )
+    def test_the_writer_refuses_what_json_cannot_hold(self, value, error):
+        with pytest.raises(error):
+            cli._dump_json({"value": value})
+
+    def test_a_non_finite_field_besides_z_score_is_an_internal_error(self, tmp_path, capsys, monkeypatch):
+        # Only a z-score may be non-finite by contract, and the CLI writes it as null; any other is a fault.
+        monkeypatch.setattr(cli, "detect", lambda *args: DetectionReport(math.nan, 0.1, 1.0, False, 3.0))
+        out = tmp_path / "out"
+        argv = ["--out", str(out), "adversary", str(SCENARIO_DIR / "intercepted_chain.json"),
+                "--baseline-trials", "5", "--observed-trials", "5"]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("internal error: ValueError: ")
+        assert not out.exists()
 
 
 class TestHorizonRule:
