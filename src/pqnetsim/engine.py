@@ -70,10 +70,10 @@ the next uniforms of the stream: the slots after it read them before drawing
 afresh.  The draws, and so every outcome, are those of the slot-by-slot loop.
 
 Each public function that takes a scenario (:func:`run_trial`, :func:`run_trials`, :func:`summarize`,
-:func:`run_monte_carlo`, :func:`sweep`, as those of :mod:`pqnetsim.timing` and
-:func:`pqnetsim.model.resolve_path`) validates it, once per scenario object unless its
-``classical_channels`` dict is changed in place; set-up, linear in the chain length, the
-trial loops and the summary then trust it, calling only the unchecked fidelity kernels.
+:func:`run_monte_carlo`, :func:`sweep`, as those of :mod:`pqnetsim.timing` and :func:`pqnetsim.model.resolve_path`)
+validates it, once per scenario object unless its ``classical_channels`` dict is changed in place; a :func:`sweep`
+row whose new value is in range inherits the base's pass.  Set-up, linear in the chain length, the trial loops and
+the summary then trust it, calling only the unchecked fidelity kernels.
 """
 
 from __future__ import annotations

@@ -756,8 +756,8 @@ def validate_scenario(config: ScenarioConfig) -> list[Violation]:
     if adv is not None:
         problems = _range_check(AdversaryConfig)(adv)
         vios.extend(Violation(f"$.adversary.{name}", message) for name, message in problems)
-        if not {"t_eve", "t_pqc"} & {name for name, _ in problems} and adv.delta_t == math.inf:
-            vios.append(Violation("$.adversary", "t_eve + t_pqc must be finite"))
+        if not {"t_eve", "t_pqc"} & {name for name, _ in problems} and (problem := _sum_problem(adv)):
+            vios.append(Violation("$.adversary", problem))
         pair = split_pair_key(adv.intercept_link)
         if pair is None or pair_key(*pair) not in seen_links:
             vios.append(Violation("$.adversary.intercept_link", f"no quantum link matches {adv.intercept_link!r}"))
@@ -804,14 +804,24 @@ def _misfits(columns: list[tuple[str, Iterable, type]]) -> list[Violation]:
             for path, pairs, cls in columns for key, value in pairs if not isinstance(value, cls)]
 
 
+def _sum_problem(record: Any) -> str | None:
+    """The rule on a sum of two fields in range, an adversary's ``t_eve + t_pqc``: None, or what is wrong."""
+    overflows = isinstance(record, AdversaryConfig) and record.delta_t == math.inf
+    return "t_eve + t_pqc must be finite" if overflows else None
+
+
+def _holds_pass(config: ScenarioConfig) -> bool:
+    """Whether ``config`` passed validation and its ``classical_channels`` still equal the copy the pass kept."""
+    return (passed := config.__dict__.get("_valid_channels")) is not None and passed == config.classical_channels
+
+
 def _require_valid(config: ScenarioConfig) -> ScenarioConfig:
     """``config`` if :func:`validate_scenario` finds nothing; else a :class:`ScenarioValidationError`.
 
-    The one place that decides to validate.  A pass keeps a copy of ``classical_channels`` on the object, as
-    ``_chain`` keeps its walk; the rest of a valid scenario is immutable, so only a changed dict revalidates.
+    A pass keeps a copy of ``classical_channels`` on the object, as ``_chain`` keeps its walk; the rest of a valid
+    scenario is immutable, so only a changed dict revalidates.  A :func:`set_config_value` copy may inherit a pass.
     """
-    passed = _check_type(config, "config", ScenarioConfig).__dict__.get("_valid_channels")
-    if passed is None or passed != config.classical_channels:
+    if not _holds_pass(_check_type(config, "config", ScenarioConfig)):
         if violations := validate_scenario(config):
             raise ScenarioValidationError(violations)
         config.__dict__["_valid_channels"] = dict(config.classical_channels)
@@ -919,19 +929,32 @@ def set_config_value(config: ScenarioConfig, parameter_path: str, value: float) 
     indexing lists, e.g. ``"slot_duration"``, ``"nodes.2.memory.t_coh"``,
     ``"quantum_links.0.p_success"``, or ``"classical_channels.a,b.propagation_delay"``.
 
+    A copy of a scenario holding a pass inherits it, and its walk with the rebuilt node or link record in place, when
+    the value's record passes its range check and :func:`_sum_problem`, the only rules of validation a number enters.
+
     Raises:
         ParameterError: when the path does not resolve to a numeric field.
     """
+    _check_type(config, "config", ScenarioConfig)
     _check_type(parameter_path, "parameter_path", str)
     tokens = parameter_path.split(".") if parameter_path else []
     if not tokens:
         raise ParameterError("empty parameter path")
     if not _is_number(value):
         raise ParameterError(f"value for {parameter_path!r} must be a number, got {type(value).__name__}")
-    return _with_value(config, tokens, value, parameter_path)
+    edited = _with_value(config, tokens, value, parameter_path, rebuilt := [])
+    record = rebuilt[0]  # every numeric field is a field of a record
+    if _holds_pass(config) and not _range_check(type(record))(record) and _sum_problem(record) is None:
+        chain = list(config._chain)
+        if tokens[0] in ("nodes", "quantum_links"):
+            k, old = ("nodes", "quantum_links").index(tokens[0]), getattr(config, tokens[0])[int(tokens[1])]
+            chain[k] = tuple(rebuilt[-2] if item is old else item for item in chain[k])
+        edited.__dict__.update(_chain=tuple(chain), _valid_channels=dict(edited.classical_channels))
+    return edited
 
 
-def _with_value(obj: Any, tokens: list[str], value: float, full_path: str) -> Any:
+def _with_value(obj: Any, tokens: list[str], value: float, full_path: str, rebuilt: list) -> Any:
+    """``obj`` with the field at ``tokens`` set to ``value``; appends each record it rebuilds to ``rebuilt``."""
     if not tokens:
         if not _is_number(obj):
             raise ParameterError(f"parameter path {full_path!r} does not address a numeric field")
@@ -946,14 +969,16 @@ def _with_value(obj: Any, tokens: list[str], value: float, full_path: str) -> An
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         if head not in _field_names(type(obj)):
             raise ParameterError(f"invalid parameter path {full_path!r}: no field {head!r}")
-        return dataclasses.replace(obj, **{head: _with_value(getattr(obj, head), rest, value, full_path)})
+        record = dataclasses.replace(obj, **{head: _with_value(getattr(obj, head), rest, value, full_path, rebuilt)})
+        rebuilt.append(record)
+        return record
     if isinstance(obj, tuple):
         # Plain non-negative indices only: a negative one would splice the tuple
         # wrongly, and no tuple here is long enough for a ten-digit index.
         index = int(head) if head.isdecimal() and len(head) <= 9 else len(obj)
         if index >= len(obj):
             raise ParameterError(f"invalid parameter path {full_path!r}: bad index {head!r}")
-        return obj[:index] + (_with_value(obj[index], rest, value, full_path),) + obj[index + 1 :]
+        return obj[:index] + (_with_value(obj[index], rest, value, full_path, rebuilt),) + obj[index + 1 :]
     if isinstance(obj, dict):
         # classical_channels, the only dict, is keyed by pair_key; a pair names its key in either order.
         pair = split_pair_key(head)
@@ -961,6 +986,6 @@ def _with_value(obj: Any, tokens: list[str], value: float, full_path: str) -> An
         if head not in obj:
             raise ParameterError(f"invalid parameter path {full_path!r}: no key {head!r}")
         updated = dict(obj)
-        updated[head] = _with_value(obj[head], rest, value, full_path)
+        updated[head] = _with_value(obj[head], rest, value, full_path, rebuilt)
         return updated
     raise ParameterError(f"invalid parameter path {full_path!r}: cannot descend into {type(obj).__name__}")

@@ -82,6 +82,8 @@ STRICT_JSON = "tests/test_cli.py::TestStrictJson"
 ADVERSARY = "pqnetsim/adversary.py"
 ENTRY_POINTS = "tests/test_model.py::TestValidationTable::test_library_entry_points_keep_their_messages"
 SCENARIO_FILES = "tests/test_model.py::TestScenarioFiles"
+INHERITS = "tests/test_model.py::TestSweepRowInherits"
+ROW_REFUSALS = "tests/test_cli.py::TestSweepRowRefusals"
 # The built-in SHA-256 module this interpreter imports first: _sha2 from Python 3.12 on, _sha256 before.
 SHA_RUNG = "_sha2" if sys.version_info >= (3, 12) else "_sha256"
 
@@ -199,11 +201,22 @@ CATALOG = [
            '            vios.append(Violation(f"$.nodes[{i}].id", _COMMA_IN_ID.format(node.id)))\n', "", (VALIDATE,)),
     # A scenario object is validated once: it keeps a copy of its channels only once it has passed, and is
     # validated again when its channels no longer equal that copy.
-    Mutant(MODEL, "if passed is None or passed != config.classical_channels:", "if passed is None:", (VALIDATED_ONCE,)),
+    Mutant(MODEL, " is not None and passed == config.classical_channels", " is not None", (VALIDATED_ONCE, INHERITS)),
     Mutant(MODEL, "        if violations := validate_scenario(config):\n",
            '        config.__dict__["_valid_channels"] = dict(config.classical_channels)\n'
            "        if violations := validate_scenario(config):\n", (VALIDATED_ONCE,)),
     Mutant(MODEL, "= dict(config.classical_channels)", "= config.classical_channels", (VALIDATED_ONCE,)),
+    # A set_config_value copy inherits its parent's pass only from a parent that holds one, only when the record
+    # holding the new value passes its range check and the t_eve + t_pqc rule, and with its own copy of the
+    # channels; it inherits the parent's walk with the rebuilt node or link record in place.
+    Mutant(MODEL, "if _holds_pass(config) and not _range_check", "if not _range_check", (INHERITS,)),
+    Mutant(MODEL, "and not _range_check(type(record))(record) and", "and", (INHERITS,)),
+    Mutant(MODEL, "(record) and _sum_problem(record) is None:", "(record):", (INHERITS, ROW_REFUSALS)),
+    Mutant(MODEL, "_valid_channels=dict(edited.classical_channels)", "_valid_channels=edited.classical_channels",
+           (INHERITS,)),
+    Mutant(MODEL, "            chain[k] = tuple(rebuilt[-2] if item is old else item for item in chain[k])\n", "",
+           (INHERITS,)),
+    Mutant(MODEL, "tuple(rebuilt[-2] if item", "tuple(rebuilt[0] if item", (INHERITS,)),
     # adversary validates before it derives its stream seeds, so a bad file seed is one violation among all.
     Mutant(CLI, "    model._require_valid(config)  # before", "    pass  # before", (REFUSED,)),
     # A run whose re_tcoh_product overflows is refused before its first trial, by a bound over every link.

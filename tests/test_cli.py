@@ -820,8 +820,9 @@ class TestValidateOnceWriteLast:
             pytest.param(
                 ["adversary", INTERCEPTED, "--baseline-trials", "40", "--observed-trials", "40"], 2, id="adversary"
             ),
-            pytest.param([*SWEEP, "0.001", "--trials", "3"], 2, id="sweep-1"),
-            pytest.param([*SWEEP, "0.001,0.002,0.003", "--trials", "3"], 4, id="sweep-3"),
+            # A sweep row inherits the base scenario's pass: its one new value is in range.
+            pytest.param([*SWEEP, "0.001", "--trials", "3"], 1, id="sweep-1"),
+            pytest.param([*SWEEP, "0.001,0.002,0.003", "--trials", "3"], 1, id="sweep-3"),
         ],
     )
     def test_validation_calls_per_command(self, tmp_path, capsys, monkeypatch, argv, calls):
@@ -936,6 +937,41 @@ class TestValidateOnceWriteLast:
             expected = validate_scenario(load_scenario(scenario))
             assert len(expected) == 3
             assert violations == [{"path": v.path, "message": v.message} for v in expected]
+
+
+class TestSweepRowRefusals:
+    """A sweep row refused as invalid prints the violations that validating it in full gives, and writes nothing."""
+
+    STDOUT = """{{
+  "violations": [
+    {{
+      "message": "{message}",
+      "path": "{path}"
+    }}
+  ]
+}}
+"""
+
+    @pytest.mark.parametrize(
+        "param, value, t_pqc, path, message",
+        [
+            pytest.param("nodes.0.memory.t_coh", "-1", None, "$.nodes[0].memory.t_coh",
+                         "node 'alice': t_coh must be finite and > 0", id="t_coh"),
+            pytest.param("adversary.t_eve", "1e308", 1e308, "$.adversary", "t_eve + t_pqc must be finite",
+                         id="t_eve-sum"),
+        ],
+    )
+    def test_bad_row_value_prints_its_violation_and_exits_two(self, tmp_path, capsys, param, value, t_pqc, path,
+                                                              message):
+        data = json.loads((SCENARIO_DIR / "intercepted_chain.json").read_text())
+        if t_pqc is not None:
+            data["adversary"]["t_pqc"] = t_pqc
+        scenario = write_scenario(tmp_path, data)
+        out = tmp_path / "out"
+        argv = ["--out", str(out), "sweep", str(scenario), "--param", param, "--values", value, "--trials", "3"]
+        assert main(argv) == 2
+        assert capsys.readouterr() == (self.STDOUT.format(path=path, message=message), "")
+        assert not out.exists()
 
 
 class TestProcessExit:

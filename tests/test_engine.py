@@ -385,7 +385,7 @@ class TestSummarizeValidates:
         run_monte_carlo(config, 3)
         assert len(seen) == 1
         sweep(config, "slot_duration", [0.001, 0.002], 3)
-        assert len(seen) == 1 + 2  # the base passed in run_monte_carlo; each row is a new object
+        assert len(seen) == 1  # the base passed in run_monte_carlo, and each row inherits its pass
 
 
 class TestSummarizeChecksOutcomes:
@@ -1042,8 +1042,9 @@ class TestSetupScaling:
             assert (len(resolves), len(walks)) == (0, 1), config.protocol
 
     def test_each_scenario_is_walked_once(self, monkeypatch):
-        # Validation, the static check and _prepare read one walk of a scenario object; a replaced
-        # config, as a sweep row is, is a new object and walks its own links and nodes.
+        # Validation, the static check and _prepare read one walk of a scenario object.  A sweep row of a
+        # scenario that passed inherits its walk, with the rebuilt node in place; a config replaced any
+        # other way is a new object and walks its own links and nodes.
         walks = self.count_calls(monkeypatch, model, "_walk")
         config = chain_scenario([(0.0, 0.001)] * 3, t_coh_far=0.5)
         assert model.validate_scenario(config) == []
@@ -1053,5 +1054,9 @@ class TestSetupScaling:
         row = model.set_config_value(config, "nodes.0.memory.t_coh", 0.25)
         assert model.validate_scenario(row) == []
         assert engine._prepare(row).lo_tcoh[0] == 0.25
-        assert walks == [config, row]
+        assert walks == [config]
+        replaced = dataclasses.replace(row, slot_duration=0.002)
+        assert model.validate_scenario(replaced) == []
+        assert engine._prepare(replaced).lo_tcoh[0] == 0.25
+        assert walks == [config, replaced]
         assert not hasattr(model.ScenarioConfig, "node_index")

@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import functools
 import json
 import math
 import random
@@ -574,6 +575,117 @@ class TestPathsAndEditing:
             set_config_value(config, "slot_duration", "0.5")
         with pytest.raises(ParameterError, match="slot_duration"):
             set_config_value(config, "slot_duration", 10**400)
+
+
+# The shipped files, scenarios built by tests/scenario_builders.py, and a chain whose adversary's t_pqc is 1e308,
+# so that a t_eve near the float range overflows the sum.
+BASES = {
+    **{p.stem: lambda p=p: load_scenario(p) for p in sorted(SCENARIO_DIR.glob("*.json"))},
+    "two_party_rounds": lambda: two_party_scenario(protocol=Protocol.SEQUENTIAL_ROUNDS, rounds_l=3),
+    "chain_document": lambda: parse_scenario(chain_document(3), default_registry()),
+    "chain_large_t_pqc": lambda: chain_scenario(
+        [(0.001, 0.001)] * 2, adversary=model.AdversaryConfig(0.004, 1e308, 0.003, "alice,r1")
+    ),
+}
+
+
+@functools.cache
+def passed_base(name: str):
+    """``BASES[name]``, built once, holding a pass."""
+    return model._require_valid(BASES[name]())
+
+
+def numeric_leaves(obj, prefix=""):
+    """``(parameter path, declared range)`` of each numeric field under ``obj``, as ``set_config_value`` takes it."""
+    if dataclasses.is_dataclass(obj):
+        ranges = dict(model._ranges(type(obj)))
+        for f in dataclasses.fields(obj):
+            value = getattr(obj, f.name)
+            if model._is_number(value):
+                yield prefix + f.name, ranges[f.name]["range"]
+            else:
+                yield from numeric_leaves(value, f"{prefix}{f.name}.")
+    elif isinstance(obj, (tuple, dict)):
+        for key, item in obj.items() if isinstance(obj, dict) else enumerate(obj):
+            yield from numeric_leaves(item, f"{prefix}{key}.")
+
+
+def values_in_and_around(low, high):
+    """Values in the range ``[low, high]``, on and past its bounds, and those no range holds."""
+    odd = [0, 0.0, -0.0, -1, -1.0, 1.5, INF, -INF, NAN, 10**400, -(10**400), 2**64, sys.float_info.max, 5e-324]
+    if type(low) is int:
+        inside = st.integers(low, None if high == INF else high)
+        edges = [low, low - 1, high, *([high + 1] if high != INF else []), float(low), low + 0.5]
+    else:
+        inside = st.floats(low, high)
+        edges = [low, high, math.nextafter(low, -INF), math.nextafter(high, INF)]
+    return inside | st.sampled_from(edges + odd) | st.floats() | st.integers()
+
+
+@st.composite
+def one_leaf_edited(draw):
+    name = draw(st.sampled_from(sorted(BASES)))
+    path, (low, high, _) = draw(st.sampled_from(list(numeric_leaves(passed_base(name)))))
+    return name, path, draw(values_in_and_around(low, high))
+
+
+def same_records(a, b) -> bool:
+    return len(a) == len(b) and all(x is y for x, y in zip(a, b))
+
+
+class TestSweepRowInherits:
+    """A ``set_config_value`` copy of a scenario that holds a pass carries the pass exactly when it is valid, with
+    the parent's walk and the rebuilt record in place; any other copy is validated in full where it is read."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(edit=one_leaf_edited())
+    @example(edit=("chain_large_t_pqc", "adversary.t_eve", 1e308))
+    @example(edit=("chain_large_t_pqc", "adversary.t_eve", sys.float_info.max))
+    @example(edit=("repeater_chain", "nodes.1.memory.t_coh", -1.0))
+    @example(edit=("repeater_chain", "nodes.1.memory.t_coh", 0.5))
+    @example(edit=("repeater_chain", "nodes.2.crypto.t_encrypt", 1e-4))
+    @example(edit=("repeater_chain", "quantum_links.1.p_success", 0.5))
+    @example(edit=("repeater_chain", "quantum_links.1.base_fidelity", 0.2))
+    @example(edit=("repeater_chain", "seed", 2**64))
+    def test_a_copy_carries_a_pass_exactly_when_it_is_valid(self, edit):
+        name, path, value = edit
+        try:
+            row = set_config_value(passed_base(name), path, value)
+        except ParameterError:
+            return  # a value its field cannot hold: inf, NaN, a fraction in an integer field, an int past a float
+        expected = validate_scenario(dataclasses.replace(row))  # an equal copy, with nothing cached
+        assert ("_valid_channels" in vars(row)) == (expected == [])
+        if expected:
+            with pytest.raises(ScenarioValidationError) as refused:
+                model._require_valid(row)
+            assert refused.value.violations == expected
+            return
+        assert vars(row)["_valid_channels"] == row.classical_channels
+        assert vars(row)["_valid_channels"] is not row.classical_channels
+        nodes, links, found = vars(row)["_chain"]
+        walked_nodes, walked_links, walked_found = model._walk(row)
+        assert same_records(nodes, walked_nodes) and same_records(links, walked_links) and found == walked_found
+
+    def test_a_copy_of_a_scenario_that_never_passed_is_validated_in_full(self):
+        parent = set_config_value(load_scenario(SCENARIO_DIR / "repeater_chain.json"), "nodes.1.memory.t_coh", -1.0)
+        row = set_config_value(parent, "slot_duration", 0.002)
+        assert "_valid_channels" not in vars(row)
+        with pytest.raises(ScenarioValidationError) as refused:
+            model._require_valid(row)
+        assert [(v.path, v.message) for v in refused.value.violations] == [
+            ("$.nodes[1].memory.t_coh", "node 'r1': t_coh must be finite and > 0")
+        ]
+
+    def test_a_copy_of_a_scenario_whose_channels_changed_in_place_is_validated_in_full(self):
+        parent = model._require_valid(load_scenario(SCENARIO_DIR / "repeater_chain.json"))
+        parent.classical_channels["bob,r1"] = model.ClassicalChannelSpec(-1.0, 0.0)
+        row = set_config_value(parent, "slot_duration", 0.002)
+        assert "_valid_channels" not in vars(row)
+        with pytest.raises(ScenarioValidationError) as refused:
+            model._require_valid(row)
+        assert [(v.path, v.message) for v in refused.value.violations] == [
+            ("$.classical_channels['bob,r1'].propagation_delay", "must be finite and >= 0")
+        ]
 
 
 DELETE = object()
