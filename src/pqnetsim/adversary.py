@@ -22,7 +22,7 @@ from enum import Enum
 
 from . import fidelity
 from .errors import ParameterError
-from .model import _FIDELITY, _FINITE, _POSITIVE, AdversaryConfig, _check_arg, _check_fields, _check_type, _fmean
+from .model import _FIDELITY, _FINITE, _POSITIVE, AdversaryConfig, _check_arg, _check_fields, _check_type, _fmean, _sum_problem
 
 __all__ = [
     "AttackOutcome",
@@ -58,7 +58,8 @@ class DetectionReport:
 
 def _check_adversary(adv: AdversaryConfig) -> None:
     _check_fields(_check_type(adv, "adversary", AdversaryConfig), "adversary ")
-    _check_arg(adv.delta_t, "adversary t_eve + t_pqc", _FINITE)
+    if problem := _sum_problem(adv):
+        raise ParameterError(f"adversary {problem}, got {adv.delta_t}")
 
 
 def attack_outcome(adv: AdversaryConfig) -> AttackOutcome:

@@ -160,9 +160,9 @@ def cmd_adversary(args) -> int:
     from . import engine
 
     config = _load_scenario(args)
+    model._require_valid(config)  # before its seed is used, so that a bad file reports every violation
     if config.adversary is None:
         raise ParameterError("scenario has no adversary block; nothing to detect")
-    model._require_valid(config)  # before its seed is used, so that a bad file reports every violation
     master = config.seed if args.seed is None else args.seed
     baseline_config = dataclasses.replace(config, adversary=None)
     observed_seed = engine.derive_stream_seed(master, "observed")

@@ -58,7 +58,7 @@ trial.  Only a build without the built-in module imports ``hashlib``.
 Chain trials fast-forward through quiet slots.  Until the next expiry is
 due, nothing happens but the down links' draws, so when those links are rare
 (the sum of their ``p`` at most 1/4) one scan finds their first success, and
-the sweep and the swap scan run only in event slots.  The scan reads its
+the expiry pass and the swap scan run only in event slots.  The scan reads its
 uniforms in bulk from the trial's own Mersenne Twister words.
 ``random()`` returns ``K / 2**53`` with ``K = (w0 >> 5) << 26 | w1 >> 6``
 for two consecutive words, and ``getrandbits(64 * m)`` emits the next
@@ -222,7 +222,6 @@ class _PreparedChain:
     gaps: tuple[int, ...]  # per path node; link j stores its qubits at nodes j and j + 1
     intact_gap: tuple[int, ...]  # per link, the smaller gap of its two nodes
     delays: tuple[float, ...]
-    t_coh_end: float
     base_fids: tuple[float, ...]
     # Per link, (threshold byte, bound): a draw succeeds iff its K < bound.
     draw_tests: tuple[tuple[int, int], ...]
@@ -257,7 +256,6 @@ def _prepare(config: model.ScenarioConfig, max_slots: int = DEFAULT_MAX_SLOTS) -
             gaps=gaps,
             intact_gap=tuple(map(min, gaps[:-1], gaps[1:])),  # exact: the gap is monotone in t_coh
             delays=timings.totals,
-            t_coh_end=timings.t_coh_end,
             base_fids=tuple(base_fids),
             draw_tests=tuple(_draw_test(link.p_success) for link in links),
         )
@@ -304,12 +302,10 @@ def _execute(
 def _run_two_party(run: _PreparedTwoParty, rng: random.Random, max_slots: int) -> TrialOutcome:
     p = run.p
     rand = rng.random
-    gen_slot = 0
-    for slot in range(1, max_slots + 1):
+    for gen_slot in range(1, max_slots + 1):
         if rand() < p:
-            gen_slot = slot
             break
-    if gen_slot == 0:
+    else:
         return TrialOutcome(False, max_slots, failure_reason=FailureReason.HORIZON_EXCEEDED)
     t_dist = gen_slot * run.tau + run.total_delay
     if not (run.total_delay < run.t_coh_end):
@@ -426,9 +422,7 @@ def _run_parallel_chain(run: _PreparedChain, draws: _Draws, max_slots: int) -> T
 
     up = [False] * n_links
     gen_slot = [0] * n_links
-    bsm_done = [False] * n_reps
-    bsm_slot = [0] * n_reps
-    pending = n_reps
+    bsm_slot = [0] * n_reps  # 0 until the repeater fires: slots count from 1
 
     # A quiet window ends in a given slot with probability about the sum of its
     # down links' p.  A scan costs about _SCAN_MIN_SLOTS slots drawn one by one,
@@ -440,32 +434,33 @@ def _run_parallel_chain(run: _PreparedChain, draws: _Draws, max_slots: int) -> T
     slot = 0
     while slot < max_slots:
         slot += 1
-        # Live links whose stored qubits can expire: (link, slot gap, fatal).
-        # Storage at the non-designated end node (link 0, lo side) never aborts.
-        stored = []
+        # Expiry at the slot boundary, before new attempts; due is the earliest one still pending.  Once a swap has
+        # used one side of a pair, the other side's gap ends the trial, unless it is the non-designated end node's.
+        due = max_slots + 1
         for j in range(n_links):
-            if up[j]:
-                lo_used = j >= 1 and bsm_done[j - 1]
-                hi_used = j < n_reps and bsm_done[j]
-                if not lo_used and not hi_used:
-                    stored.append((j, intact_gap[j], False))
-                elif not hi_used:
-                    stored.append((j, gaps[j + 1], True))
-                elif not lo_used and j > 0:
-                    stored.append((j, gaps[j], True))
-        # Expiry sweep at the slot boundary, before new attempts.
-        for j, gap, fatal in stored:
-            if slot - gen_slot[j] >= gap:
-                if fatal:
+            if not up[j]:
+                continue
+            lo_used = j > 0 and bsm_slot[j - 1]
+            hi_used = j < n_reps and bsm_slot[j]
+            if not hi_used:
+                end = gen_slot[j] + (gaps[j + 1] if lo_used else intact_gap[j])
+            elif lo_used or j == 0:
+                continue
+            else:
+                end = gen_slot[j] + gaps[j]
+            if end <= slot:
+                if lo_used or hi_used:
                     return TrialOutcome(False, slot, failure_reason=FailureReason.MEMORY_EXPIRED)
                 up[j] = False
+            elif end < due:
+                due = end
+        start = 0
         if scans:
             down = [j for j in range(n_links) if not up[j]]
             rate = sum([p[j] for j in down])
         if scans and rate * _SCAN_MIN_SLOTS <= 1.0:
             # Until the next expiry nothing fires unless a pair is generated, and
             # the same down links draw every slot: find their first success.
-            due = min([max_slots + 1] + [gen_slot[j] + gap for j, gap, _ in stored if up[j]])
             k = len(down)
             quiet = due - slot
             chunk = int(min(_CHUNK_DRAWS, 2 * k / rate)) + 1
@@ -476,24 +471,20 @@ def _run_parallel_chain(run: _PreparedChain, draws: _Draws, max_slots: int) -> T
                 continue
             skipped, first = divmod(hit, k)
             slot += skipped
-            for j in down[first:]:  # the link that succeeded, then the rest of the slot
-                if j == down[first] or rand() < p[j]:
-                    up[j] = True
-                    gen_slot[j] = slot
-        else:
-            for j in range(n_links):
-                if not up[j] and rand() < p[j]:
-                    up[j] = True
-                    gen_slot[j] = slot
+            up[down[first]] = True
+            gen_slot[down[first]] = slot
+            start = down[first] + 1  # the rest of the slot: the down links after it
+        for j in range(start, n_links):
+            if not up[j] and rand() < p[j]:
+                up[j] = True
+                gen_slot[j] = slot
 
         # Every live pair is fresh at this slot, so a repeater fires as soon
         # as both adjacent pairs are present.
         for i in range(n_reps):
-            if not bsm_done[i] and up[i] and up[i + 1]:
-                bsm_done[i] = True
+            if not bsm_slot[i] and up[i] and up[i + 1]:
                 bsm_slot[i] = slot
-                pending -= 1
-        if pending == 0:
+        if all(bsm_slot):
             break
     else:
         return TrialOutcome(False, max_slots, failure_reason=FailureReason.HORIZON_EXCEEDED)
@@ -504,7 +495,7 @@ def _run_parallel_chain(run: _PreparedChain, draws: _Draws, max_slots: int) -> T
     lateness = [(bsm - store_slot) * tau + delay for bsm, delay in zip(bsm_slot, run.delays)]
     worst = max(lateness)
     t_dist = store_slot * tau + worst
-    if not (worst < run.t_coh_end):
+    if not (worst < hi_tcoh[-1]):  # the receiver's window
         return TrialOutcome(False, slot, t_dist=t_dist, failure_reason=FailureReason.MESSAGE_LATE)
 
     # Decay each link for both storage waits, then fold them as chain_fidelity does.

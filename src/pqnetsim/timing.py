@@ -173,17 +173,15 @@ def min_required_coherence(
 class ScenarioTimings:
     """What the receiver of a validated scenario waits for.
 
-    ``path`` is the resolved node path; its last node is the receiver, whose
-    coherence time is ``t_coh_end``.  ``totals`` holds one wait per
-    correction message, from encryption to decryption at the receiver: one
-    for a single hop, one per repeater (in path order) for a parallel chain,
-    and one for all ``rounds_l`` sequential rounds, summed round by round.
-    The static check and the engine both read these numbers, so they agree
-    bit for bit.
+    ``totals`` holds one wait per correction message, from encryption to
+    decryption at the receiver: one for a single hop, one per repeater (in
+    path order) for a parallel chain, and one for all ``rounds_l`` sequential
+    rounds, summed round by round.  ``t_coh_end`` is the coherence time of the
+    receiver, the last node of the path that :func:`pqnetsim.model.resolve_path`
+    gives.  The static check and the engine both read these numbers, so they
+    agree bit for bit.
     """
 
-    protocol: model.Protocol
-    path: tuple[str, ...]
     totals: tuple[float, ...]
     t_coh_end: float
 
@@ -199,11 +197,11 @@ def scenario_timings(config: model.ScenarioConfig) -> ScenarioTimings:
         totals = (sequential_total(itertools.repeat(totals[0], config.rounds_l)),)
     if math.inf in totals:  # a sum of finite waits >= 0 is finite or +inf, never NaN
         raise ParameterError(f"message wait from node {senders[totals.index(math.inf)].id!r} must be finite, got inf")
-    return ScenarioTimings(config.protocol, tuple(node.id for node in nodes), totals, receiver.memory.t_coh)
+    return ScenarioTimings(totals, receiver.memory.t_coh)
 
 
 def check_scenario(config: model.ScenarioConfig) -> FeasibilityResult:
     """Validate the scenario, then run the timing check matching its protocol."""
     # Validated here, so that scenario_timings finds it valid and its own time holds no validation.
     t = scenario_timings(model._require_valid(config))
-    return _verdict(t.t_coh_end, t.totals, binding=t.protocol is model.Protocol.PARALLEL_CHAIN)
+    return _verdict(t.t_coh_end, t.totals, binding=config.protocol is model.Protocol.PARALLEL_CHAIN)

@@ -97,18 +97,27 @@ CATALOG = [
     Mutant(ENGINE, "while d < _MAX_GAP and d * tau < limit:", "while d < _MAX_GAP and d * tau <= limit:", ENGINE_TESTS),
     Mutant(ENGINE, "    while d < _MAX_GAP and d * tau < limit:\n        d += 1\n", "", (EXPIRY_STEP,)),
     # The differential tests hang on this one (a window of 0 slots); the boundary test fails it at once.
-    Mutant(ENGINE, "if slot - gen_slot[j] >= gap:", "if slot - gen_slot[j] > gap:",
+    Mutant(ENGINE, "            if end <= slot:\n", "            if end < slot:\n",
            ("tests/test_engine.py::TestFastForward::test_dense_chain_expiring_on_a_slot_boundary_matches_reference",)),
     Mutant(ENGINE, "intact_gap=tuple(map(min, gaps[:-1], gaps[1:]))", "intact_gap=tuple(map(max, gaps[:-1], gaps[1:]))",
            ENGINE_TESTS),
+    # Once a swap has used one side of a pair, the other side's own gap is the one that ends the trial.
     Mutant(ENGINE,
-           "stored.append((j, gaps[j + 1], True))\n                elif not lo_used and j > 0:\n"
-           "                    stored.append((j, gaps[j], True))",
-           "stored.append((j, gaps[j], True))\n                elif not lo_used and j > 0:\n"
-           "                    stored.append((j, gaps[j + 1], True))",
+           "(gaps[j + 1] if lo_used else intact_gap[j])\n            elif lo_used or j == 0:\n"
+           "                continue\n            else:\n                end = gen_slot[j] + gaps[j]\n",
+           "(gaps[j] if lo_used else intact_gap[j])\n            elif lo_used or j == 0:\n"
+           "                continue\n            else:\n                end = gen_slot[j] + gaps[j + 1]\n",
            ENGINE_TESTS),
     # Storage at the non-designated end node never aborts a trial.
-    Mutant(ENGINE, "elif not lo_used and j > 0:", "elif not lo_used:", ENGINE_TESTS),
+    Mutant(ENGINE, "elif lo_used or j == 0:", "elif lo_used:", ENGINE_TESTS),
+    # A scan's window ends at the earliest pending expiry, not at the last link's.
+    Mutant(ENGINE, "            elif end < due:\n", "            else:\n", ("tests/test_engine.py::TestFastForward",)),
+    # The receiver's window is the designated end node's own coherence time.
+    Mutant(ENGINE, "if not (worst < hi_tcoh[-1]):", "if not (worst < hi_tcoh[0]):",
+           ("tests/test_engine.py::TestDeterministicTraces::test_one_repeater_chain_late_message_matches_static_check",)),
+    # A two-party trial draws in every slot up to and including max_slots.
+    Mutant(ENGINE, "for gen_slot in range(1, max_slots + 1):", "for gen_slot in range(1, max_slots):",
+           ("tests/test_engine.py::TestStatisticalOracles::test_success_within_slot_budget_matches_enumeration",)),
     # A draw whose top byte ties the threshold needs its full K.
     Mutant(ENGINE, "if top < t or top == t and _draw_k(buf, d) < bound:", "if top <= t:", ENGINE_TESTS),
     Mutant("pqnetsim/kms.py", "return member_handshakes + head_mesh", "return n * (n - 1) // 2",
@@ -182,11 +191,11 @@ CATALOG = [
     Mutant(ENGINE, "f_end: float | None = field(default=None, metadata=model._FIDELITY)",
            "f_end: float | None = None", (OUTCOMES,)),
     # One routine checks a record's declared ranges, each of them; HopTiming and the adversary's arguments use it,
-    # and the adversary's delay sum is checked after its parts.
+    # and the adversary's delay sum is checked after its parts, by the rule validation states in _sum_problem.
     Mutant(MODEL, "    for name, spec in _ranges(type(record)):", "    for name, spec in _ranges(type(record))[:-1]:",
            (OUTCOMES,)),
     Mutant(TIMING, '        model._check_fields(self, "HopTiming.")', "        pass", (ENTRY_POINTS,)),
-    Mutant(ADVERSARY, '    _check_arg(adv.delta_t, "adversary t_eve + t_pqc", _FINITE)\n', "",
+    Mutant(ADVERSARY, "    if problem := _sum_problem(adv):", "    if problem := None:",
            ("tests/test_adversary.py::test_delays_that_overflow_in_sum_are_refused",)),
     # detect is degenerate where the standard error is 0, also when a tiny spread underflows in the division.
     Mutant(ADVERSARY, "    if (standard_error := baseline_sd / math.sqrt(len(observed_samples))) == 0.0:",
@@ -278,6 +287,8 @@ CATALOG = [
 EQUIVALENT = [
     (Mutant(ENGINE, "_SCAN_MIN_SLOTS = 4", "_SCAN_MIN_SLOTS = 2", ENGINE_TESTS),
      "the scan threshold only chooses which quiet windows are read in bulk; the draws and outcomes are the same"),
+    (Mutant(ENGINE, "start = down[first] + 1", "start = down[first]", ENGINE_TESTS),
+     "the scan's hit link is already up when the draw loop starts, so the loop passes it without a draw"),
     (Mutant(FIDELITY, "value <= 1.0", "value < 1.0", FIDELITY_TESTS),
      "a swap value of exactly 1.0 then takes the else branch, which returns 1.0: the same float"),
     (Mutant(FIDELITY, "decayed < f0", "decayed <= f0", FIDELITY_TESTS),

@@ -157,7 +157,7 @@ def reference_parallel_chain(run, rng: random.Random, max_slots: int) -> TrialOu
     # While both qubits are stored, the pair is lost at the first of its two cutoffs.
     intact_limit = tuple(min(lo, hi) for lo, hi in zip(lo_tcoh, hi_tcoh))
     delays = run.delays
-    t_coh_end = run.t_coh_end
+    t_coh_end = run.hi_tcoh[-1]
     n_links = len(p)
     n_reps = n_links - 1
     assert n_reps >= 1

@@ -470,6 +470,26 @@ class TestAdversaryCommand:
         capsys.readouterr()
         assert code == 2
 
+    def test_valid_scenario_without_adversary_names_the_missing_block_and_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "fresh"
+        assert main(["--out", str(out), "adversary", str(SCENARIO_DIR / "repeater_chain.json")]) == 2
+        assert capsys.readouterr() == ("", "error: scenario has no adversary block; nothing to detect\n")
+        assert not out.exists()
+
+    def test_invalid_scenario_without_adversary_prints_its_violations_and_writes_nothing(self, tmp_path, capsys):
+        # Validation comes before the adversary block is looked for, as simulate reports the same file.
+        data = json.loads((SCENARIO_DIR / "repeater_chain.json").read_text())
+        data["nodes"][0]["memory"]["t_coh"] = -1
+        scenario = write_scenario(tmp_path, data)
+        out = tmp_path / "fresh"
+        assert main(["--out", str(out), "adversary", str(scenario)]) == 2
+        stdout, stderr = capsys.readouterr()
+        assert json.loads(stdout) == {
+            "violations": [{"path": "$.nodes[0].memory.t_coh", "message": "node 'alice': t_coh must be finite and > 0"}]
+        }
+        assert stderr == ""
+        assert not out.exists()
+
 
 class TestKmsCommand:
     def test_full_mesh_rows(self, tmp_path, capsys):

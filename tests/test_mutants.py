@@ -2,7 +2,7 @@
 
 import pytest
 
-from mutants import Mutant, run
+from mutants import CATALOG, EQUIVALENT, ROOT, Mutant, run
 
 SOURCE = "def double(x):\n    return 2 * x\n"
 TEST = "from toy import double\n\n\ndef test_double():\n    assert double(3) == 6\n"
@@ -53,3 +53,12 @@ def test_tests_that_fail_unmutated_fail_the_run(project):
     lines = []
     assert run(project, [Mutant("toy.py", "2 * x", "3 * x", TESTS)], [], timeout=60, report=lines.append) == 1
     assert len(lines) == 1 and lines[0].startswith("FAILED")
+
+
+def test_every_catalog_entry_names_text_that_occurs_once_in_its_file():
+    # The catalog run reports a stale entry only after it has copied the tree; this finds one at once.
+    stale = []
+    for m in CATALOG + [m for m, _ in EQUIVALENT]:
+        if (count := (ROOT / "src" / m.file).read_text(encoding="utf-8").count(m.old)) != 1:
+            stale.append((m.file, m.old, count))
+    assert stale == []
