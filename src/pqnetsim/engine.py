@@ -43,17 +43,15 @@ message wait, is a finite float with a margin of ``2**-49`` to spare; that
 bounds every time a trial reports, whatever the order of its roundings.  So is a run, before its
 first trial, where a link's ``re_tcoh_product`` (see :class:`RunSummary`) is not a finite float.
 
-Per-trial randomness comes from ``random.Random(trial_seed)`` where
-``trial_seed`` is derived from the master seed by a fixed, documented hash
-split (:func:`trial_seed_for`): the first eight bytes, little-endian, of
-``SHA-256(master_seed_le64 || trial_index_le64)``.  Only regenerating links
-draw, one uniform variate per link per slot, in path order.  Every trial is
-therefore an isolated state machine, bit-reproducible in isolation.  The
-SHA-256 is CPython's built-in one (``_sha2``, or ``_sha256`` before Python
-3.12), the FIPS 180-4 function that ``hashlib`` also gives, taken as the
-standard library's ``random`` takes its sha512: ``hashlib`` would load the
-OpenSSL binding, about 3.6 MB of a process's peak RSS, to hash 16 bytes a
-trial.  Only a build without the built-in module imports ``hashlib``.
+Per-trial randomness comes from ``random.Random(trial_seed)`` where ``trial_seed`` is derived from the master seed
+by a fixed, documented hash split (:func:`trial_seed_for`): the first eight bytes, little-endian, of
+``SHA-256(master_seed_le64 || trial_index_le64)``.  Only regenerating links draw, one uniform variate per link per
+slot, in path order.  Every trial is therefore an isolated state machine, bit-reproducible in isolation.  Where every
+link has ``p_success = 1`` no draw decides anything (``u < 1.0`` for every uniform ``u``), so no trial reads its seed
+and all end alike: :func:`run_trials` runs trial 0 alone and repeats its frozen outcome.  The SHA-256 is CPython's
+built-in one (``_sha2``, or ``_sha256`` before Python 3.12), the FIPS 180-4 function that ``hashlib`` also gives,
+taken as the standard library's ``random`` takes its sha512: ``hashlib`` would load the OpenSSL binding, about 3.6 MB
+of a process's peak RSS, to hash 16 bytes a trial.  Only a build without the built-in module imports ``hashlib``.
 
 Chain trials fast-forward through quiet slots.  Until the next expiry is
 due, nothing happens but the down links' draws, so when those links are rare
@@ -519,7 +517,8 @@ def run_trials(
 ) -> list[TrialOutcome]:
     """Run independent trials with per-trial seeds split from the master seed.
 
-    ``n_trials`` and ``master_seed`` default to the scenario's own fields.
+    ``n_trials`` and ``master_seed`` default to the scenario's own fields.  Where every link has ``p_success = 1``
+    no trial reads its seed, so trial 0 alone is run: the list holds ``n`` references to its frozen outcome.
     """
     model._require_valid(config)
     n = config.n_trials if n_trials is None else n_trials
@@ -527,6 +526,9 @@ def run_trials(
     model._check_arg(n, "n_trials", model._AT_LEAST_ONE)
     model._check_arg(seed, "master_seed", model._SEED)
     prepared = _prepare(config, max_slots)
+    least_p = min(prepared.p) if isinstance(prepared, _PreparedChain) else prepared.p
+    if least_p == 1.0:  # u < 1.0 for every uniform u: no draw decides anything
+        return [_execute(prepared, trial_seed_for(seed, 0), max_slots)] * n
     return [_execute(prepared, trial_seed_for(seed, i), max_slots) for i in range(n)]
 
 

@@ -76,6 +76,7 @@ PROCESS_EXIT = "tests/test_cli.py::TestProcessExit"
 REFUSED = "tests/test_cli.py::TestValidateOnceWriteLast::test_refused_command_leaves_no_out_dir"
 EXPIRY_STEP = "tests/test_engine.py::TestFastForward::test_expiry_gap_steps_up_where_the_ratio_rounds_down_to_a_multiple"
 SEED_SPLIT = "tests/test_engine.py::TestSeedSplit"
+CERTAIN_RUNS = "tests/test_engine.py::TestDeterministicRuns"
 SEQUENTIAL = "tests/test_timing.py::TestScenarioWaits::test_sequential_slack_is_the_left_fold_over_rounds"
 TIMING = "pqnetsim/timing.py"
 STRICT_JSON = "tests/test_cli.py::TestStrictJson"
@@ -118,6 +119,14 @@ CATALOG = [
     # A two-party trial draws in every slot up to and including max_slots.
     Mutant(ENGINE, "for gen_slot in range(1, max_slots + 1):", "for gen_slot in range(1, max_slots):",
            ("tests/test_engine.py::TestStatisticalOracles::test_success_within_slot_budget_matches_enumeration",)),
+    # A run is certain, and runs trial 0 alone, only when every link has p_success = 1: the least p of a chain,
+    # the one p of a two-party run.  The shortcut repeats that outcome once per trial.
+    Mutant(ENGINE, "least_p = min(prepared.p) if", "least_p = max(prepared.p) if", (CERTAIN_RUNS,)),
+    Mutant(ENGINE, "if isinstance(prepared, _PreparedChain) else prepared.p",
+           "if isinstance(prepared, _PreparedChain) else 0.0", (CERTAIN_RUNS,)),
+    Mutant(ENGINE, "if least_p == 1.0:", "if math.isclose(least_p, 1.0):", (CERTAIN_RUNS,)),
+    Mutant(ENGINE, "if least_p == 1.0:", "if False:", (CERTAIN_RUNS,)),
+    Mutant(ENGINE, "trial_seed_for(seed, 0), max_slots)] * n", "trial_seed_for(seed, 0), max_slots)]", (CERTAIN_RUNS,)),
     # A draw whose top byte ties the threshold needs its full K.
     Mutant(ENGINE, "if top < t or top == t and _draw_k(buf, d) < bound:", "if top <= t:", ENGINE_TESTS),
     Mutant("pqnetsim/kms.py", "return member_handshakes + head_mesh", "return n * (n - 1) // 2",
@@ -289,6 +298,9 @@ EQUIVALENT = [
      "the scan threshold only chooses which quiet windows are read in bulk; the draws and outcomes are the same"),
     (Mutant(ENGINE, "start = down[first] + 1", "start = down[first]", ENGINE_TESTS),
      "the scan's hit link is already up when the draw loop starts, so the loop passes it without a draw"),
+    (Mutant(ENGINE, "trial_seed_for(seed, 0), max_slots)] * n", "trial_seed_for(seed, 1), max_slots)] * n",
+            (CERTAIN_RUNS,)),
+     "where every link is certain no draw decides anything, so any trial's seed gives trial 0's outcome"),
     (Mutant(FIDELITY, "value <= 1.0", "value < 1.0", FIDELITY_TESTS),
      "a swap value of exactly 1.0 then takes the else branch, which returns 1.0: the same float"),
     (Mutant(FIDELITY, "decayed < f0", "decayed <= f0", FIDELITY_TESTS),

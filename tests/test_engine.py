@@ -706,6 +706,99 @@ class TestSweep:
 
 
 # ---------------------------------------------------------------------------
+# Runs where every link is certain
+# ---------------------------------------------------------------------------
+
+def made_certain(config: model.ScenarioConfig) -> model.ScenarioConfig:
+    """The scenario with every link's ``p_success`` set to 1."""
+    links = tuple(dataclasses.replace(link, p_success=1.0) for link in config.quantum_links)
+    return dataclasses.replace(config, quantum_links=links)
+
+
+def per_trial(config: model.ScenarioConfig, n: int, seed: int) -> list[TrialOutcome]:
+    """``run_trials`` spelled out: one ``run_trial`` per split seed."""
+    return [run_trial(config, trial_seed_for(seed, i)) for i in range(n)]
+
+
+def counting_splits(monkeypatch) -> list:
+    """The ``(master_seed, trial_index)`` of every seed split ``run_trials`` makes from now on."""
+    splits = []
+    split = engine.trial_seed_for
+    monkeypatch.setattr(engine, "trial_seed_for", lambda *args: splits.append(args) or split(*args))
+    return splits
+
+
+SHIPPED = sorted(REPEATER_CHAIN.parent.glob("*.json"))
+
+
+class TestDeterministicRuns:
+    """Where every link has ``p_success = 1``, no draw decides anything: ``run_trials`` runs trial 0 alone and
+    repeats its outcome, which must be the outcome of every trial run on its own."""
+
+    def assert_run_is_per_trial(self, config: model.ScenarioConfig, n: int, seed: int, path: str, values: list):
+        expected = per_trial(config, n, seed)
+        assert run_trials(config, n, seed) == expected
+        assert run_monte_carlo(config, n, seed) == summarize(config, expected)
+        rows = sweep(config, path, values, n, seed)
+        assert [value for value, _ in rows] == values
+        for value, summary in rows:
+            modified = set_config_value(config, path, value)
+            assert summary == summarize(modified, per_trial(modified, n, seed))
+
+    def test_random_deterministic_scenarios_match_their_trials_run_one_by_one(self):
+        rng = random.Random(28)
+        for i in range(100):
+            config = random_deterministic_scenario(rng)
+            self.assert_run_is_per_trial(config, 1 + i % 7, rng.randrange(2**64), "slot_duration", [0.002, 0.0005])
+
+    @pytest.mark.parametrize("path", SHIPPED, ids=lambda path: path.stem)
+    def test_shipped_scenarios_made_certain_match_their_trials_run_one_by_one(self, path):
+        config = made_certain(load_scenario(path))
+        expected = per_trial(config, 5, 41)
+        prepared = engine._prepare(config)
+        assert expected[0] == reference_execute(prepared, trial_seed_for(41, 0), engine.DEFAULT_MAX_SLOTS)
+        self.assert_run_is_per_trial(config, 5, 41, "slot_duration", [config.slot_duration, 2 * config.slot_duration])
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            pytest.param(two_party_scenario(), id="single-hop"),
+            pytest.param(two_party_scenario(protocol=Protocol.SEQUENTIAL_ROUNDS, rounds_l=3), id="sequential"),
+            pytest.param(chain_scenario([(0.0005, 0.001), (0.0002, 0.0003)], t_coh_end=0.01), id="chain"),
+        ],
+    )
+    def test_a_certain_run_splits_one_seed_and_repeats_one_outcome(self, monkeypatch, config):
+        splits = counting_splits(monkeypatch)
+        outcomes = run_trials(config, 12, 5)
+        assert len(splits) == 1
+        assert len(outcomes) == 12 and all(o is outcomes[0] for o in outcomes)
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            pytest.param(two_party_scenario(p_success=math.nextafter(1.0, 0.0)), id="single-hop"),
+            pytest.param(two_party_scenario(protocol=Protocol.SEQUENTIAL_ROUNDS, p_success=math.nextafter(1.0, 0.0)),
+                         id="sequential"),
+            pytest.param(chain_scenario([(0.0, 0.0), (0.0, 0.0)], p_success=[1.0, math.nextafter(1.0, 0.0), 1.0]),
+                         id="chain"),
+        ],
+    )
+    def test_a_run_with_one_uncertain_link_splits_a_seed_per_trial(self, monkeypatch, config):
+        splits = counting_splits(monkeypatch)
+        outcomes = run_trials(config, 12, 5)
+        assert splits == [(5, i) for i in range(12)]
+        assert outcomes == per_trial(config, 12, 5)
+
+    def test_a_mixed_chain_runs_every_trial(self, monkeypatch):
+        config = chain_scenario([(0.0005, 0.001)], p_success=[1.0, 0.5], t_coh_repeater=0.003, t_coh_end=0.01)
+        splits = counting_splits(monkeypatch)
+        outcomes = run_trials(config, 40, 3)
+        assert len(splits) == 40
+        assert len(set(outcomes)) > 1
+        assert outcomes == per_trial(config, 40, 3)
+
+
+# ---------------------------------------------------------------------------
 # Fast-forward against the slot-by-slot reference
 # ---------------------------------------------------------------------------
 
